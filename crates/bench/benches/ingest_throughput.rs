@@ -20,9 +20,9 @@
 //! paths (and is benchmarked by `build_vs_dbsize`), so letting merges
 //! fire here would only blur the logging cost these rows isolate.
 //!
-//! `check_ingest_regression` gates on `single_64/always` staying at
-//! least `TRAJ_INGEST_FACTOR` (default 5) times slower than
-//! `batch_64/always` — i.e. batched ingest keeps its group-commit win.
+//! `check_regression ingest` gates on `single_64/always` staying at
+//! least 3 times slower than `batch_64/always` — i.e. batched ingest
+//! keeps its group-commit win.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::PathBuf;

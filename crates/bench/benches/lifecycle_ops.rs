@@ -19,10 +19,9 @@
 //! * `full_rebuild/4` — the offline alternative the online path must
 //!   beat: a cold [`SessionBuilder::build`] over the same 600
 //!   trajectories at 4 shards (full merge-DP summaries at every level).
-//!   `check_reshard_regression` gates `reshard/4` at no more than
-//!   `TRAJ_RESHARD_FACTOR` (default 0.5) of this row — online
-//!   rebalancing must stay at least twice as fast as rebuilding from
-//!   scratch.
+//!   `check_regression reshard` gates `reshard/4` at no more than 0.5×
+//!   this row — online rebalancing must stay at least twice as fast as
+//!   rebuilding from scratch.
 //! * `post_delete_query/<row>` — 10-NN latency over a session with a
 //!   third of its base tombstoned versus a clean session holding only
 //!   the survivors. Tombstones leave node summaries stale-but-admissible

@@ -5,7 +5,7 @@
 //!   forest queue (or descended on parallel workers sharing one atomic
 //!   threshold when threads > 1): cross-shard pruning keeps the exact-EDwP
 //!   count flat as shards grow, so wall time should stay near the 1-shard
-//!   row — `check_shard_regression` enforces this;
+//!   row — `check_regression shard` enforces this;
 //! * `batch_knn_t4` — 16 queries over 4 workers, one work item per query
 //!   with a per-batch bound cache shared across queries: on multi-core
 //!   runners higher shard counts expose more parallelism per query;

@@ -55,6 +55,10 @@ pub enum TrajError {
         /// Number of trajectories the store holds (valid ids are `0..len`).
         len: usize,
     },
+    /// The database has issued (or a stored id watermark claims) every
+    /// `u32` trajectory id. Ids are never reused, so nothing more can be
+    /// inserted; the failed call logged and published nothing.
+    IdSpaceExhausted,
     /// A durability failure reported by the storage engine (WAL append,
     /// snapshot write, compaction, or recovery). Carries the rendered
     /// persistence error: the typed original (`traj_persist::PersistError`)
@@ -73,6 +77,9 @@ impl fmt::Display for TrajError {
             TrajError::UnknownId { id, len } => {
                 write!(f, "trajectory id {id} not in store (len {len})")
             }
+            TrajError::IdSpaceExhausted => {
+                write!(f, "trajectory id space exhausted: ids are never reused")
+            }
             TrajError::Persist { message } => {
                 write!(f, "durable storage failure: {message}")
             }
@@ -84,7 +91,9 @@ impl std::error::Error for TrajError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrajError::Core(e) => Some(e),
-            TrajError::UnknownId { .. } | TrajError::Persist { .. } => None,
+            TrajError::UnknownId { .. }
+            | TrajError::IdSpaceExhausted
+            | TrajError::Persist { .. } => None,
         }
     }
 }

@@ -1,37 +1,24 @@
-//! Trajectory box sequences (tBoxSeq, Definitions 4–5) and the generalised
-//! `EDwP_sub` between a trajectory and a tBoxSeq (Sec. IV-B).
+//! Trajectory box sequences (tBoxSeq, Definitions 4–5), their construction
+//! (Sec. IV-B) and the admissible Theorem 2 relaxation the index prunes
+//! with.
 //!
 //! A [`BoxSeq`] summarises a *set* of whole trajectories as an ordered
 //! sequence of spatio-temporal boxes. It is built incrementally: the first
 //! trajectory contributes one (degenerate) box per segment; every further
-//! trajectory is aligned against the running sequence with
-//! [`align_boxes`] — the box-mode `EDwP_sub` dynamic program with
-//! traceback — and one st-box is emitted per replace operation, exactly as
-//! described under "Constructing tBoxSeqs".
+//! trajectory is aligned against the running sequence with the box-mode
+//! `EDwP_sub` dynamic program (private to this module) and each consumed
+//! box grows to cover the trajectory pieces matched to it, as described
+//! under "Constructing tBoxSeqs".
 //!
-//! [`edwp_sub_boxes`] is the value-only variant of the alignment cost; the
-//! TrajTree index prunes with [`edwp_lower_bound_boxes`] instead.
-//!
-//! # Lower-bound posture
-//!
-//! Replacement costs use point-to-box distances (never larger than the
-//! distance to any enclosed trajectory point) and the paper's
-//! `Coverage(T.e, B.b) = length(e) + b.minL`. When a box is consumed by
-//! several query segments (the box-split `ins(B, T)` edit), the `minL` term
-//! is charged only on the step that advances past the box — charging it on
-//! every stay-step can exceed the coverage of the corresponding true
-//! alignment, which would break admissibility. See `DESIGN.md` §5.
-//!
-//! Even so, [`edwp_sub_boxes`] is only *approximately* admissible: its
-//! interpolated DP anchors are canonical (the point of a segment closest to
-//! the last consumed box), and once boxes are coarsened by
-//! [`BoxSeq::coalesce`] those anchors can drift far enough from the true
-//! optimum's split points that the DP value exceeds `EDwP(Q, T)` for a
-//! summarised member `T` (property testing observed >40% overshoot on
-//! aggressively coalesced sequences). Exact index pruning therefore uses
-//! the strictly admissible relaxation [`edwp_lower_bound_boxes`];
-//! `edwp_sub_boxes` remains the construction-time alignment cost for
-//! [`BoxSeq::merge_trajectory`], where admissibility is irrelevant.
+//! That alignment only decides *which box grows*: its interpolated anchors
+//! are canonical (the point of a segment closest to the last consumed box),
+//! so on boxes coarsened by [`BoxSeq::coalesce`] its cost can overshoot
+//! `EDwP(Q, T)` of a summarised member and is no lower bound. Pruning uses
+//! the strictly admissible relaxation [`edwp_lower_bound_boxes`] /
+//! [`edwp_lower_bound_trajectory`] (through [`crate::Metric`], which also
+//! carries the argument for why one accumulation serves both query modes),
+//! which needs only the coverage invariant every construction step keeps:
+//! each summarised polyline lies inside the union of the boxes.
 
 use crate::cutoff::Cutoff;
 use crate::edwp::EdwpScratch;
@@ -49,21 +36,9 @@ pub struct BoxSeq {
 /// the piece of the trajectory (a straight sub-segment) that was matched to
 /// the box at `box_idx`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepOp {
-    /// Index of the matched box in the [`BoxSeq`].
-    pub box_idx: usize,
-    /// Matched piece of the trajectory.
-    pub piece: Segment,
-}
-
-/// The full result of aligning a trajectory against a [`BoxSeq`]: the
-/// `EDwP_sub` cost and the sequence of replace operations.
-#[derive(Debug, Clone)]
-pub struct BoxAlignment {
-    /// Alignment cost (identical to [`edwp_sub_boxes`]).
-    pub cost: f64,
-    /// Replace operations in trajectory order.
-    pub ops: Vec<RepOp>,
+struct RepOp {
+    box_idx: usize,
+    piece: Segment,
 }
 
 impl BoxSeq {
@@ -102,8 +77,8 @@ impl BoxSeq {
     /// [`BoxSeq::coalesce`]-ing, which only unions boxes) yields a valid
     /// summary of their combined member sets without re-aligning a single
     /// trajectory. The sequence *order* only matters to the construction
-    /// alignment ([`BoxSeq::merge_trajectory`] / [`edwp_sub_boxes`]),
-    /// where a coarser order costs summary quality, never correctness.
+    /// alignment ([`BoxSeq::merge_trajectory`]), where a coarser order
+    /// costs summary quality, never correctness.
     pub fn from_boxes(boxes: Vec<StBox>) -> Self {
         BoxSeq { boxes }
     }
@@ -143,9 +118,9 @@ impl BoxSeq {
     /// `EDwP` of a member and break the Theorem 2 lower bound (observed as
     /// large admissibility violations in the property tests).
     pub fn merge_trajectory(&self, t: &Trajectory) -> BoxSeq {
-        let alignment = align_boxes(t, self);
-        let first_used = alignment.ops.iter().map(|o| o.box_idx).min();
-        let last_used = alignment.ops.iter().map(|o| o.box_idx).max();
+        let ops = align_boxes(t, self);
+        let first_used = ops.iter().map(|o| o.box_idx).min();
+        let last_used = ops.iter().map(|o| o.box_idx).max();
         let (first_used, last_used) = match (first_used, last_used) {
             (Some(f), Some(l)) => (f, l),
             _ => return self.clone(), // no ops: nothing aligned, keep as-is
@@ -153,7 +128,7 @@ impl BoxSeq {
         let mut out = Vec::with_capacity(self.boxes.len());
         out.extend_from_slice(&self.boxes[..first_used]);
         let mut current: Option<(usize, StBox)> = None;
-        for op in &alignment.ops {
+        for op in &ops {
             match &mut current {
                 Some((idx, grown)) if *idx == op.box_idx => grown.expand_to_segment(&op.piece),
                 _ => {
@@ -220,11 +195,11 @@ impl BoxSeq {
 /// segment to the nearest box, and the query pieces of each segment tile its
 /// length, giving `EDwP(t, T) ≥ Σ_i 2 · len(e_i) · min_b dist(e_i, b)`.
 ///
-/// Unlike [`edwp_sub_boxes`] — whose canonical interpolated anchors can
-/// overshoot the true optimum and break admissibility once boxes are
-/// coarsened — this bound never exceeds the true distance, so best-first
-/// search pruned with it stays exact. It is correspondingly looser when the
-/// query runs close to the boxes, which only costs extra refinement work.
+/// The bound never exceeds the true distance, so best-first search pruned
+/// with it stays exact; it is loose when the query runs close to the boxes,
+/// which only costs extra refinement work. This plain iterator form is the
+/// independent reference the pooled, dispatched
+/// [`edwp_lower_bound_boxes_bounded`] is tested against.
 pub fn edwp_lower_bound_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
     if seq.is_empty() {
         return f64::INFINITY;
@@ -241,22 +216,14 @@ pub fn edwp_lower_bound_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
         .sum()
 }
 
-/// [`edwp_lower_bound_boxes`] with caller-pooled working memory: the query's
-/// `(segment, length)` pieces come from `scratch`, so a query pinned with
-/// [`EdwpScratch::set_query`] is decomposed once per search instead of once
-/// per bound evaluation. Identical value to the plain function.
-pub fn edwp_lower_bound_boxes_with_scratch(
-    t: &Trajectory,
-    seq: &BoxSeq,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_lower_bound_boxes_bounded(t, seq, f64::INFINITY.into(), scratch)
-}
-
-/// Early-exit variant of [`edwp_lower_bound_boxes_with_scratch`] for search
-/// pruning: the per-segment accumulation bails as soon as the partial sum
-/// *strictly* exceeds the cutoff's current value (the collector's pruning
-/// threshold), returning the partial sum.
+/// [`edwp_lower_bound_boxes`] as the search engine evaluates it: the
+/// query's `(segment, length)` pieces come from `scratch` (a query pinned
+/// with [`EdwpScratch::set_query`] is decomposed once per search instead of
+/// once per bound, and a warm scratch makes the call allocation-free), and
+/// the per-segment accumulation bails as soon as the partial sum *strictly*
+/// exceeds the cutoff's current value (the collector's pruning threshold),
+/// returning the partial sum. Pass `f64::INFINITY.into()` for the full
+/// bound.
 ///
 /// `cutoff` is a [`Cutoff`]: a plain constant (`threshold.into()`), or a
 /// live [`Cutoff::shared`] atomic re-loaded at every accumulation step, so
@@ -409,7 +376,8 @@ pub(crate) fn boxes_bounded_simd(
 /// summary boxes, `out[c]` never exceeds that node's
 /// [`edwp_lower_bound_boxes`] — and hence never exceeds the EDwP (or
 /// `EDwP_sub`; the relaxation is one-sided, see
-/// [`edwp_sub_lower_bound_boxes`]) distance to any summarised trajectory.
+/// [`crate::Metric::lower_bound_boxes`]) distance to any summarised
+/// trajectory.
 ///
 /// The accumulation stops early once **every** candidate's running sum
 /// strictly exceeds `cutoff`; partial sums are admissible per candidate, so
@@ -494,166 +462,13 @@ fn minmax(a: f64, b: f64) -> (f64, f64) {
     }
 }
 
-/// Admissible lower bound on the *length-normalised* EDwP (Eq. 4)
-/// `edwp_avg(t, T) = EDwP(t, T) / (length(t) + length(T))` for every
-/// trajectory `T` summarised by `seq`, given `max_len` — an upper bound on
-/// the spatial length of every summarised trajectory (the per-node
-/// bookkeeping TrajTree maintains).
-///
-/// Derivation: [`edwp_lower_bound_boxes`] never exceeds `EDwP(t, T)`, and
-/// `length(T) <= max_len`, so dividing the raw bound by the *largest*
-/// possible denominator `length(t) + max_len` never exceeds
-/// `EDwP(t, T) / (length(t) + length(T))`. A non-positive denominator
-/// (stationary query and members) yields 0, matching
-/// [`crate::edwp_avg`]'s convention.
-pub fn edwp_avg_lower_bound_boxes(t: &Trajectory, seq: &BoxSeq, max_len: f64) -> f64 {
-    normalize_bound(edwp_lower_bound_boxes(t, seq), t.length() + max_len)
-}
-
-/// [`edwp_avg_lower_bound_boxes`] with caller-pooled working memory (see
-/// [`edwp_lower_bound_boxes_with_scratch`]). Identical value to the plain
-/// function.
-pub fn edwp_avg_lower_bound_boxes_with_scratch(
-    t: &Trajectory,
-    seq: &BoxSeq,
-    max_len: f64,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_avg_lower_bound_boxes_bounded(t, seq, max_len, f64::INFINITY.into(), scratch)
-}
-
-/// Early-exit variant of [`edwp_avg_lower_bound_boxes_with_scratch`]:
-/// `cutoff` is in the *normalised* metric's scale and is rescaled by the
-/// bound's denominator before driving the raw accumulation (a shared
-/// cutoff is rescaled at every load, see [`Cutoff::scaled`]).
-///
-/// Unlike the raw [`edwp_lower_bound_boxes_bounded`], the
-/// "`result <= cutoff` implies full bound" guarantee does **not** carry
-/// over: the `cutoff * denom` / `raw / denom` rounding round trip can
-/// return a truncated partial at — or strictly below — `cutoff`. Partial
-/// sums remain admissible lower bounds, so using the value as a pruning
-/// key is always sound (worst case one extra tie-expansion), but do not
-/// cache a normalised bounded result as if it were the full bound.
-pub fn edwp_avg_lower_bound_boxes_bounded(
-    t: &Trajectory,
-    seq: &BoxSeq,
-    max_len: f64,
-    cutoff: Cutoff<'_>,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    let denom = t.length() + max_len;
-    if denom <= 0.0 {
-        // Stationary query and members: edwp_avg is defined as 0 here, and
-        // the raw accumulation is irrelevant.
-        return 0.0;
-    }
-    normalize_bound(
-        edwp_lower_bound_boxes_bounded(t, seq, cutoff.scaled(denom), scratch),
-        denom,
-    )
-}
-
-/// Provably admissible lower bound on the **sub-trajectory** distance
-/// `EDwP_sub(t, T)` (Sec. IV-B, Eq. 6) for every trajectory `T` summarised
-/// by `seq` — the bound that makes index-backed sub-trajectory search
-/// exact.
-///
-/// Numerically this is [`edwp_lower_bound_boxes`] — and that identity *is*
-/// the theorem: the Theorem 2 relaxation is one-sided. Every edit of an
-/// optimal `EDwP_sub` alignment still consumes a piece of the query (the
-/// query is fully consumed in sub mode; only `T`'s prefix and suffix are
-/// skipped, and skipped pieces appear in **no** cost term), and every
-/// stored-side anchor of a costed edit lies on `T`, inside the union of
-/// `seq`'s boxes. Each edit therefore costs at least
-/// `2 · min_b dist(piece, b) · len(piece)`, and the pieces of each query
-/// segment tile its length:
-/// `EDwP_sub(t, T) ≥ Σ_i 2 · len(e_i) · min_b dist(e_i, b)`. Since the
-/// derivation never charges the stored side's coverage, discarding `T`'s
-/// unmatched portions costs the bound nothing.
-///
-/// Contrast with [`edwp_sub_boxes`]: that DP's canonical interpolated
-/// anchors can overshoot the true optimum on coalesced boxes (>40%
-/// observed), so it is only *approximately* admissible and stays
-/// construction-only. This bound never exceeds `EDwP_sub(t, T)`
-/// (property-tested, including after incremental merges), so best-first
-/// sub-trajectory search pruned with it returns exactly the brute-force
-/// `edwp_sub` scan.
-pub fn edwp_sub_lower_bound_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
-    edwp_lower_bound_boxes(t, seq)
-}
-
-/// [`edwp_sub_lower_bound_boxes`] with caller-pooled working memory (see
-/// [`edwp_lower_bound_boxes_with_scratch`]). Identical value to the plain
-/// function.
-pub fn edwp_sub_lower_bound_boxes_with_scratch(
-    t: &Trajectory,
-    seq: &BoxSeq,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_sub_lower_bound_boxes_bounded(t, seq, f64::INFINITY.into(), scratch)
-}
-
-/// Early-exit variant of [`edwp_sub_lower_bound_boxes_with_scratch`] —
-/// the same accumulation and therefore the exact cutoff contract of
-/// [`edwp_lower_bound_boxes_bounded`]: partial sums are admissible against
-/// `EDwP_sub` (every term under-counts one costed edit), bailing happens
-/// strictly above `cutoff`, and a returned value `<= cutoff` is the full
-/// bound bit-for-bit.
-pub fn edwp_sub_lower_bound_boxes_bounded(
-    t: &Trajectory,
-    seq: &BoxSeq,
-    cutoff: Cutoff<'_>,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_lower_bound_boxes_bounded(t, seq, cutoff, scratch)
-}
-
-/// The per-candidate refinement of [`edwp_sub_lower_bound_boxes`]:
-/// admissible against `EDwP_sub(t, s)` with exact segment-to-polyline
-/// distances, tighter than the box bound. Numerically
-/// [`edwp_lower_bound_trajectory`] — the same one-sided derivation applies
-/// verbatim with `s`'s polyline in place of the box union.
-pub fn edwp_sub_lower_bound_trajectory(t: &Trajectory, s: &Trajectory) -> f64 {
-    edwp_lower_bound_trajectory(t, s)
-}
-
-/// [`edwp_sub_lower_bound_trajectory`] with caller-pooled working memory.
-/// Identical value to the plain function.
-pub fn edwp_sub_lower_bound_trajectory_with_scratch(
-    t: &Trajectory,
-    s: &Trajectory,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_sub_lower_bound_trajectory_bounded(t, s, f64::INFINITY.into(), scratch)
-}
-
-/// Early-exit variant of [`edwp_sub_lower_bound_trajectory_with_scratch`];
-/// same cutoff contract as [`edwp_sub_lower_bound_boxes_bounded`].
-pub fn edwp_sub_lower_bound_trajectory_bounded(
-    t: &Trajectory,
-    s: &Trajectory,
-    cutoff: Cutoff<'_>,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_lower_bound_trajectory_bounded(t, s, cutoff, scratch)
-}
-
-/// Divides a raw lower bound by a normalisation denominator, preserving
-/// admissibility at the edges: a non-positive denominator means both sides
-/// are stationary, where `edwp_avg` is defined as 0.
-fn normalize_bound(raw: f64, denom: f64) -> f64 {
-    if denom > 0.0 {
-        raw / denom
-    } else {
-        0.0
-    }
-}
-
 /// The trajectory-to-trajectory analogue of [`edwp_lower_bound_boxes`]:
 /// `EDwP(t, s) ≥ Σ_i 2 · len(e_i) · dist(e_i, s)` with exact
 /// segment-to-polyline distances instead of box distances. Tighter than the
 /// box bound (boxes enclose the segments they summarise), and used to
-/// refine leaf candidates before paying for a full EDwP evaluation.
+/// refine leaf candidates before paying for a full EDwP evaluation. Like
+/// [`edwp_lower_bound_boxes`], the plain reference form of its `_bounded`
+/// twin.
 pub fn edwp_lower_bound_trajectory(t: &Trajectory, s: &Trajectory) -> f64 {
     t.segments()
         .map(|e| {
@@ -666,22 +481,11 @@ pub fn edwp_lower_bound_trajectory(t: &Trajectory, s: &Trajectory) -> f64 {
         .sum()
 }
 
-/// [`edwp_lower_bound_trajectory`] with caller-pooled working memory; the
-/// query-side pieces come from `scratch` (see
-/// [`edwp_lower_bound_boxes_with_scratch`]). Identical value to the plain
-/// function.
-pub fn edwp_lower_bound_trajectory_with_scratch(
-    t: &Trajectory,
-    s: &Trajectory,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_lower_bound_trajectory_bounded(t, s, f64::INFINITY.into(), scratch)
-}
-
-/// Early-exit variant of [`edwp_lower_bound_trajectory_with_scratch`] —
-/// same contract as [`edwp_lower_bound_boxes_bounded`]: bails (strictly)
-/// above the cutoff's current value with an admissible partial sum, and a
-/// returned value `<= cutoff` is the full bound bit-for-bit.
+/// [`edwp_lower_bound_trajectory`] as the search engine evaluates it —
+/// pooled query pieces and the same cutoff contract as
+/// [`edwp_lower_bound_boxes_bounded`]: bails (strictly) above the cutoff's
+/// current value with an admissible partial sum, and a returned value
+/// `<= cutoff` is the full bound bit-for-bit.
 pub fn edwp_lower_bound_trajectory_bounded(
     t: &Trajectory,
     s: &Trajectory,
@@ -724,44 +528,6 @@ pub fn edwp_lower_bound_trajectory_bounded(
     sum
 }
 
-/// Admissible lower bound on the length-normalised EDwP between two
-/// concrete trajectories: [`edwp_lower_bound_trajectory`] divided by the
-/// exact denominator `length(t) + length(s)` — no slack beyond the raw
-/// bound's, since both lengths are known.
-pub fn edwp_avg_lower_bound_trajectory(t: &Trajectory, s: &Trajectory) -> f64 {
-    normalize_bound(edwp_lower_bound_trajectory(t, s), t.length() + s.length())
-}
-
-/// [`edwp_avg_lower_bound_trajectory`] with caller-pooled working memory
-/// (see [`edwp_lower_bound_trajectory_with_scratch`]). Identical value to
-/// the plain function.
-pub fn edwp_avg_lower_bound_trajectory_with_scratch(
-    t: &Trajectory,
-    s: &Trajectory,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_avg_lower_bound_trajectory_bounded(t, s, f64::INFINITY.into(), scratch)
-}
-
-/// Early-exit variant of [`edwp_avg_lower_bound_trajectory_with_scratch`]
-/// (see [`edwp_avg_lower_bound_boxes_bounded`] for the rescaled-cutoff
-/// contract).
-pub fn edwp_avg_lower_bound_trajectory_bounded(
-    t: &Trajectory,
-    s: &Trajectory,
-    cutoff: Cutoff<'_>,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    let denom = t.length() + s.length();
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    normalize_bound(
-        edwp_lower_bound_trajectory_bounded(t, s, cutoff.scaled(denom), scratch),
-        denom,
-    )
-}
-
 /// DP state kinds for the box-mode alignment.
 const AT_SAMPLE: usize = 0;
 const INTERP: usize = 1;
@@ -780,19 +546,14 @@ fn interp_anchor(t: &Trajectory, boxes: &[StBox], i: usize, j: usize) -> StPoint
     seg.point_at(param)
 }
 
-/// Value-only `EDwP_sub(t, B)` between a trajectory and a box sequence —
-/// the TrajTree lower bound. Runs in `O(|t| · |B|)`.
-pub fn edwp_sub_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
-    run_box_dp(t, seq, None)
-}
-
-/// `EDwP_sub(t, B)` with traceback: returns the cost and the replace
-/// operations of an optimal alignment.
-pub fn align_boxes(t: &Trajectory, seq: &BoxSeq) -> BoxAlignment {
+/// Aligns `t` against `seq` with the box-mode `EDwP_sub` dynamic program
+/// (`O(|t| · |B|)`) and returns the replace operations of an optimal
+/// alignment, in trajectory order — which piece of `t` each consumed box
+/// must grow to cover. Empty when `seq` has no boxes.
+fn align_boxes(t: &Trajectory, seq: &BoxSeq) -> Vec<RepOp> {
     let mut trace = TraceTable::new(t.num_points(), seq.len());
-    let cost = run_box_dp(t, seq, Some(&mut trace));
-    let ops = trace.reconstruct(t, seq);
-    BoxAlignment { cost, ops }
+    run_box_dp(t, seq, &mut trace);
+    trace.reconstruct(t, seq)
 }
 
 /// Encodes the DP op that produced a state, for traceback.
@@ -812,7 +573,7 @@ struct TraceTable {
     cols: usize,
     /// Per state: (op, predecessor i, predecessor j, predecessor k).
     from: Vec<(Op, u32, u32, u8)>,
-    /// Terminal state chosen by the DP (set by `run_box_dp`).
+    /// Cheapest terminal state (set by `run_box_dp`).
     terminal: (usize, usize, usize),
 }
 
@@ -886,12 +647,17 @@ fn anchor_point(t: &Trajectory, seq: &BoxSeq, i: usize, j: usize, k: usize) -> S
     }
 }
 
-/// Shared box-mode DP; fills `trace` when provided.
-fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) -> f64 {
+/// The box-mode DP: relaxes every state's three edits, recording each
+/// improving predecessor and finally the cheapest terminal state in
+/// `trace`. Replacement costs use point-to-box distances and the paper's
+/// `Coverage(T.e, B.b) = length(e) + b.minL`; when a box is consumed by
+/// several segments (the box-split `ins(B, T)` edit) the `minL` term is
+/// charged only on the step that advances past the box.
+fn run_box_dp(t: &Trajectory, seq: &BoxSeq, trace: &mut TraceTable) {
     let n = t.num_points();
     let kboxes = seq.len();
     if kboxes == 0 {
-        return f64::INFINITY;
+        return;
     }
     let boxes = seq.boxes();
     let p = t.points();
@@ -901,9 +667,7 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
     let mut dp = Matrix::filled(n, cols, inf);
     for j in 0..kboxes {
         dp.set(0, col(j, AT_SAMPLE), 0.0);
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.set(0, j, AT_SAMPLE, (Op::Start, 0, 0, 0));
-        }
+        trace.set(0, j, AT_SAMPLE, (Op::Start, 0, 0, 0));
     }
 
     for i in 0..n {
@@ -925,14 +689,12 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
                 // rep: consume segment i and box j.
                 let rep = (bd_a + bd_e1) * (a.dist(e1) + b.min_len);
                 if dp.relax(i + 1, col(j + 1, AT_SAMPLE), base + rep) {
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.set(
-                            i + 1,
-                            j + 1,
-                            AT_SAMPLE,
-                            (Op::Rep, i as u32, j as u32, k as u8),
-                        );
-                    }
+                    trace.set(
+                        i + 1,
+                        j + 1,
+                        AT_SAMPLE,
+                        (Op::Rep, i as u32, j as u32, k as u8),
+                    );
                 }
                 // ins into t: split segment i at its closest point to box
                 // j; consume the box against the split piece.
@@ -940,18 +702,13 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
                 let bd_pi = b.dist_to_point(pi_pt.p);
                 let ins_t = (bd_a + bd_pi) * (a.dist(pi_pt) + b.min_len);
                 if dp.relax(i, col(j + 1, INTERP), base + ins_t) {
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.set(i, j + 1, INTERP, (Op::InsT, i as u32, j as u32, k as u8));
-                    }
+                    trace.set(i, j + 1, INTERP, (Op::InsT, i as u32, j as u32, k as u8));
                 }
-                // ins into B: consume segment i, stay on box j. The minL
-                // coverage term is charged only on advancing steps (see
-                // module docs).
+                // ins into B: consume segment i, stay on box j (no minL:
+                // the box is not advanced past).
                 let ins_b = (bd_a + bd_e1) * a.dist(e1);
                 if dp.relax(i + 1, col(j, AT_SAMPLE), base + ins_b) {
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.set(i + 1, j, AT_SAMPLE, (Op::InsB, i as u32, j as u32, k as u8));
-                    }
+                    trace.set(i + 1, j, AT_SAMPLE, (Op::InsB, i as u32, j as u32, k as u8));
                 }
             }
         }
@@ -959,26 +716,21 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
 
     // Terminal: `t` consumed (row n-1), any box progress, any anchor kind.
     let mut best = inf;
-    let mut best_state = (n - 1, 0, AT_SAMPLE);
     for j in 0..=kboxes {
         for k in [AT_SAMPLE, INTERP] {
             let v = dp.get(n - 1, col(j, k));
             if v < best {
                 best = v;
-                best_state = (n - 1, j, k);
+                trace.terminal = (n - 1, j, k);
             }
         }
     }
-    if let Some(tr) = trace {
-        tr.terminal = best_state;
-    }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edwp;
+    use crate::{edwp, Metric, QueryMode};
     use traj_core::approx_eq;
 
     fn t(pts: &[(f64, f64)]) -> Trajectory {
@@ -994,39 +746,17 @@ mod tests {
     }
 
     #[test]
-    fn own_boxseq_has_zero_distance() {
-        let a = t(&[(0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (7.0, 1.0)]);
-        let seq = BoxSeq::from_trajectory(&a);
-        let d = edwp_sub_boxes(&a, &seq);
-        assert!(approx_eq(d, 0.0), "got {d}");
-    }
-
-    #[test]
-    fn lower_bounds_member_trajectories() {
-        // Theorem 2 on a concrete pair.
-        let t1 = t(&[(0.0, 0.0), (0.0, 8.0), (8.0, 8.0)]);
-        let t2 = t(&[(2.0, 0.0), (2.0, 7.0), (7.0, 7.0)]);
-        let seq = BoxSeq::from_trajectories([&t1, &t2].into_iter(), None).unwrap();
-        let q = t(&[(1.0, 1.0), (1.0, 6.0), (6.0, 6.0)]);
-        let lb = edwp_sub_boxes(&q, &seq);
-        assert!(lb <= edwp(&q, &t1) + 1e-9, "lb {lb} > {}", edwp(&q, &t1));
-        assert!(lb <= edwp(&q, &t2) + 1e-9, "lb {lb} > {}", edwp(&q, &t2));
-    }
-
-    #[test]
-    fn alignment_cost_matches_value_only_dp() {
+    fn alignment_ops_are_monotone_and_cover_the_trajectory() {
         let t1 = t(&[(0.0, 0.0), (0.0, 8.0), (8.0, 8.0)]);
         let t2 = t(&[(2.0, 0.0), (2.0, 7.0), (7.0, 7.0)]);
         let seq = BoxSeq::from_trajectory(&t1);
-        let al = align_boxes(&t2, &seq);
-        assert!(approx_eq(al.cost, edwp_sub_boxes(&t2, &seq)));
-        assert!(!al.ops.is_empty());
-        // Ops must be monotone in box index and cover t2 from start to end.
-        for w in al.ops.windows(2) {
+        let ops = align_boxes(&t2, &seq);
+        assert!(!ops.is_empty());
+        for w in ops.windows(2) {
             assert!(w[0].box_idx <= w[1].box_idx);
         }
-        let first = al.ops.first().unwrap();
-        let last = al.ops.last().unwrap();
+        let first = ops.first().unwrap();
+        let last = ops.last().unwrap();
         assert!(approx_eq(first.piece.a.dist(t2.first()), 0.0));
         assert!(approx_eq(last.piece.b.dist(t2.last()), 0.0));
     }
@@ -1085,7 +815,10 @@ mod tests {
     fn empty_boxseq_is_infinitely_far() {
         let q = t(&[(0.0, 0.0), (1.0, 0.0)]);
         let seq = BoxSeq { boxes: vec![] };
-        assert!(edwp_sub_boxes(&q, &seq).is_infinite());
+        assert!(edwp_lower_bound_boxes(&q, &seq).is_infinite());
+        // Nothing to align against: merging leaves the sequence empty.
+        assert!(align_boxes(&q, &seq).is_empty());
+        assert!(seq.merge_trajectory(&q).is_empty());
     }
 
     #[test]
@@ -1131,38 +864,23 @@ mod tests {
     #[test]
     fn sub_lower_bound_is_admissible_against_edwp_sub() {
         // The sub-mode bound must stay below EDwP_sub — a strictly smaller
-        // target than EDwP, which edwp_sub_boxes misses on coarse boxes.
+        // target than EDwP — even on coarse boxes.
         let t1 = t(&[(0.0, 0.0), (0.0, 8.0), (8.0, 8.0)]);
         let t2 = t(&[(2.0, 0.0), (2.0, 7.0), (7.0, 7.0)]);
         let mut seq = BoxSeq::from_trajectories([&t1, &t2].into_iter(), None).unwrap();
         seq.coalesce(Some(2));
         // A short probe matching only a *portion* of the members.
         let q = t(&[(1.0, 1.0), (1.0, 5.0)]);
-        let lb = edwp_sub_lower_bound_boxes(&q, &seq);
+        let mut scratch = EdwpScratch::new();
+        let open = Cutoff::constant(f64::INFINITY);
+        let lb = Metric::Edwp.lower_bound_boxes(QueryMode::Sub, &q, &seq, 0.0, open, &mut scratch);
         for member in [&t1, &t2] {
             let d = crate::edwp_sub(&q, member);
             assert!(lb <= d + 1e-9, "sub box bound {lb} > edwp_sub {d}");
-            let poly = edwp_sub_lower_bound_trajectory(&q, member);
+            let poly =
+                Metric::Edwp.lower_bound_trajectory(QueryMode::Sub, &q, member, open, &mut scratch);
             assert!(poly <= d + 1e-9, "sub polyline bound {poly} > edwp_sub {d}");
         }
-    }
-
-    #[test]
-    fn sub_lower_bound_matches_whole_bound_accumulation() {
-        // The identity the admissibility proof rests on: the one-sided
-        // Theorem 2 relaxation never charges stored-side coverage, so the
-        // sub-mode entry points evaluate the same accumulation bitwise.
-        let q = t(&[(5.0, 5.0), (9.0, 9.0)]);
-        let s = t(&[(0.0, 0.0), (1.0, 4.0), (4.0, 1.0)]);
-        let seq = BoxSeq::from_trajectory(&s);
-        assert_eq!(
-            edwp_sub_lower_bound_boxes(&q, &seq),
-            edwp_lower_bound_boxes(&q, &seq)
-        );
-        assert_eq!(
-            edwp_sub_lower_bound_trajectory(&q, &s),
-            edwp_lower_bound_trajectory(&q, &s)
-        );
     }
 
     #[test]
@@ -1172,6 +890,6 @@ mod tests {
         let t2 = t(&[(10.0, 0.0), (0.0, 10.0)]);
         let seq = BoxSeq::from_trajectories([&t1, &t2].into_iter(), None).unwrap();
         let q = t(&[(4.0, 5.0), (5.0, 5.0), (6.0, 5.0)]);
-        assert!(approx_eq(edwp_sub_boxes(&q, &seq), 0.0));
+        assert!(approx_eq(edwp_lower_bound_boxes(&q, &seq), 0.0));
     }
 }

@@ -40,16 +40,17 @@
 pub(crate) mod reference;
 pub(crate) mod sub;
 
-use crate::Cutoff;
+use crate::{Cutoff, Metric, QueryMode};
 use traj_core::{Point, Segment, Trajectory};
 
 /// Reusable scratch buffers for the EDwP kernels, so repeated distance and
 /// lower-bound evaluations against one query perform no heap allocation.
 ///
-/// One scratch serves every `*_with_scratch` entry point
-/// ([`edwp_with_scratch`], [`crate::edwp_sub_with_scratch`],
-/// [`crate::edwp_lower_bound_boxes_with_scratch`],
-/// [`crate::edwp_lower_bound_trajectory_with_scratch`]): the DP rows and
+/// One scratch serves every pooled kernel — the four [`crate::Metric`]
+/// entry points and the raw kernels beneath them ([`edwp_with_scratch`],
+/// [`edwp_bounded`], [`crate::edwp_sub_with_scratch`],
+/// [`crate::edwp_lower_bound_boxes_bounded`],
+/// [`crate::edwp_lower_bound_trajectory_bounded`]): the DP rows and
 /// anchor memos grow to the largest problem seen and are reused afterwards,
 /// so a warm scratch makes every call allocation-free (verified by the
 /// allocation-regression test in `tests/alloc_regression.rs`). A scratch is
@@ -524,20 +525,12 @@ pub fn edwp_bounded(
 ///
 /// Returns 0 when both trajectories have zero spatial length (two identical
 /// stationary recordings).
+///
+/// The one-off form of [`crate::Metric::EdwpNormalized`]'s
+/// [`distance`](crate::Metric::distance), which hot paths call with a
+/// pooled [`EdwpScratch`].
 pub fn edwp_avg(t1: &Trajectory, t2: &Trajectory) -> f64 {
-    edwp_avg_with_scratch(t1, t2, &mut EdwpScratch::new())
-}
-
-/// [`edwp_avg`] with caller-pooled working memory: identical result, but a
-/// warm `scratch` makes the call allocation-free — the entry point the
-/// query engine's normalised metric evaluates candidates through.
-pub fn edwp_avg_with_scratch(t1: &Trajectory, t2: &Trajectory, scratch: &mut EdwpScratch) -> f64 {
-    let denom = t1.length() + t2.length();
-    if denom > 0.0 {
-        edwp_with_scratch(t1, t2, scratch) / denom
-    } else {
-        0.0
-    }
+    Metric::EdwpNormalized.distance(QueryMode::Whole, t1, t2, &mut EdwpScratch::new())
 }
 
 #[cfg(test)]
@@ -645,22 +638,6 @@ mod tests {
         let near = t(&[(0.0, 1.0), (5.0, 1.0), (10.0, 1.0)]);
         let far = t(&[(0.0, 5.0), (5.0, 5.0), (10.0, 5.0)]);
         assert!(edwp(&base, &near) < edwp(&base, &far));
-    }
-
-    #[test]
-    fn avg_with_scratch_matches_plain() {
-        let a = t(&[(0.0, 0.0), (1.0, 2.0), (4.0, 4.0)]);
-        let b = t(&[(0.5, 0.0), (2.0, 2.5), (5.0, 4.0)]);
-        let mut scratch = EdwpScratch::new();
-        assert_eq!(
-            edwp_avg_with_scratch(&a, &b, &mut scratch),
-            edwp_avg(&a, &b)
-        );
-        // The scratch is reusable across pairs.
-        assert_eq!(
-            edwp_avg_with_scratch(&b, &a, &mut scratch),
-            edwp_avg(&b, &a)
-        );
     }
 
     #[test]

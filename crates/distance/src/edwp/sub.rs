@@ -15,7 +15,7 @@
 //! property `edwp_sub(t, s) ≤ edwp(t, s') ∀ s' ⊆ s` (see tests).
 
 use super::{run_dp, DpMode, EdwpScratch};
-use crate::Cutoff;
+use crate::{Cutoff, Metric, QueryMode};
 use traj_core::Trajectory;
 
 /// `EDwP_sub(t, s)`: the cheapest EDwP alignment of the whole of `t`
@@ -56,18 +56,7 @@ pub fn edwp_sub_bounded(
 /// favour both a cheap embedding *and* a short host. Returns 0 when both
 /// trajectories are stationary, matching [`crate::edwp_avg`]'s convention.
 pub fn edwp_sub_avg(t: &Trajectory, s: &Trajectory) -> f64 {
-    edwp_sub_avg_with_scratch(t, s, &mut EdwpScratch::new())
-}
-
-/// [`edwp_sub_avg`] with caller-pooled working memory; identical value, and
-/// allocation-free once `scratch` is warm.
-pub fn edwp_sub_avg_with_scratch(t: &Trajectory, s: &Trajectory, scratch: &mut EdwpScratch) -> f64 {
-    let denom = t.length() + s.length();
-    if denom > 0.0 {
-        edwp_sub_with_scratch(t, s, scratch) / denom
-    } else {
-        0.0
-    }
+    Metric::EdwpNormalized.distance(QueryMode::Sub, t, s, &mut EdwpScratch::new())
 }
 
 #[cfg(test)]
@@ -156,12 +145,6 @@ mod tests {
             edwp_sub_avg(&short, &long),
             raw / (short.length() + long.length())
         ));
-        // Scratch-pooled entry point is bitwise identical.
-        let mut scratch = crate::EdwpScratch::new();
-        assert_eq!(
-            edwp_sub_avg_with_scratch(&short, &long, &mut scratch),
-            edwp_sub_avg(&short, &long)
-        );
     }
 
     #[test]

@@ -3,35 +3,41 @@
 //! Trajectory distance functions for the EDwP / TrajTree reproduction
 //! (Ranu et al., ICDE 2015).
 //!
-//! The centrepiece is [`edwp`] — *Edit Distance with Projections* — together
-//! with its length-normalised variant [`edwp_avg`] (Eq. 4, used throughout
-//! the paper's experiments) and the sub-trajectory variants [`edwp_sub`] /
-//! [`edwp_sub_avg`] (Sec. IV-B). The `boxes` module provides tBoxSeq
-//! summaries ([`BoxSeq`]), their construction-time alignment
-//! ([`edwp_sub_boxes`] — only *approximately* admissible, see its docs),
-//! and the provably admissible pruning bounds the TrajTree index searches
-//! with: [`edwp_lower_bound_boxes`] / [`edwp_lower_bound_trajectory`] for
-//! whole-trajectory queries and [`edwp_sub_lower_bound_boxes`] /
-//! [`edwp_sub_lower_bound_trajectory`] for sub-trajectory ([`QueryMode::Sub`])
-//! queries.
+//! The paper defines two distances — *Edit Distance with Projections*
+//! (EDwP, Sec. III) and its sub-trajectory variant `EDwP_sub`
+//! (Sec. IV-B), each optionally length-normalised by Eq. 4 — and one
+//! admissible lower bound, the Theorem 2 box relaxation. The crate mirrors
+//! that: [`Metric`] is the one parameterised entry point —
+//! [`Metric::distance`] / [`Metric::distance_bounded`] /
+//! [`Metric::lower_bound_boxes`] / [`Metric::lower_bound_trajectory`],
+//! each taking the [`QueryMode`] (whole vs sub), a pooled [`EdwpScratch`]
+//! and (for the three pruning forms) a live [`Cutoff`] — and everything
+//! the query engine evaluates goes through it. Each entry point is one raw
+//! kernel call plus [`Metric::normalise`]; the raw kernels are exported
+//! for benchmarks and tests ([`edwp_with_scratch`], [`edwp_bounded`],
+//! [`edwp_sub_with_scratch`], [`edwp_sub_bounded`],
+//! [`edwp_lower_bound_boxes_bounded`],
+//! [`edwp_lower_bound_trajectory_bounded`],
+//! [`edwp_lower_bound_aabb_batch`]). With a warm scratch every one of them
+//! is allocation-free.
+//!
+//! The paper-facing one-off conveniences allocate their own scratch:
+//! [`edwp`], [`edwp_avg`], [`edwp_sub`], [`edwp_sub_avg`], the
+//! recursion-faithful [`edwp_reference`], and the plain iterator forms
+//! [`edwp_lower_bound_boxes`] / [`edwp_lower_bound_trajectory`] — the
+//! independent references the pooled kernels are tested against. The
+//! `boxes` module provides the tBoxSeq summaries ([`BoxSeq`]) the box bound
+//! is evaluated over.
 //!
 //! The `baselines` module reimplements every comparison technique of the
 //! paper: DTW, LCSS, ERP, EDR, DISSIM and MA, all behind the common
 //! [`TrajDistance`] trait so the experiment harness can sweep over them.
 //!
-//! Hot paths evaluate the kernels through [`EdwpScratch`] and the
-//! `*_with_scratch` entry points ([`edwp_with_scratch`],
-//! [`edwp_sub_with_scratch`], [`edwp_lower_bound_boxes_with_scratch`],
-//! [`edwp_lower_bound_trajectory_with_scratch`]): identical values, but all
-//! DP rows, anchor memos and query decompositions live in caller-pooled
-//! buffers, so a warm scratch makes every call allocation-free. The plain
-//! signatures remain as thin wrappers for one-off use.
-//!
 //! The bound kernels and the DP cell prologue are vectorised (4-wide AVX2)
 //! behind a runtime dispatch — see the [`simd`] module for the dispatch
-//! model ([`Isa`], [`force_isa`], the `TRAJ_FORCE_SCALAR` environment
-//! variable) and for why bound values may differ between dispatch paths
-//! while reported distances and query results cannot.
+//! model ([`Isa`], [`simd::force_isa`], the `TRAJ_FORCE_SCALAR`
+//! environment variable) and for why bound values may differ between
+//! dispatch paths while reported distances and query results cannot.
 
 #![warn(missing_docs)]
 
@@ -42,28 +48,16 @@ mod edwp;
 mod matrix;
 pub mod simd;
 
-pub use simd::{force_isa, Isa};
+pub use simd::Isa;
 
 pub use boxes::{
-    edwp_avg_lower_bound_boxes, edwp_avg_lower_bound_boxes_bounded,
-    edwp_avg_lower_bound_boxes_with_scratch, edwp_avg_lower_bound_trajectory,
-    edwp_avg_lower_bound_trajectory_bounded, edwp_avg_lower_bound_trajectory_with_scratch,
     edwp_lower_bound_aabb_batch, edwp_lower_bound_boxes, edwp_lower_bound_boxes_bounded,
-    edwp_lower_bound_boxes_with_scratch, edwp_lower_bound_trajectory,
-    edwp_lower_bound_trajectory_bounded, edwp_lower_bound_trajectory_with_scratch, edwp_sub_boxes,
-    edwp_sub_lower_bound_boxes, edwp_sub_lower_bound_boxes_bounded,
-    edwp_sub_lower_bound_boxes_with_scratch, edwp_sub_lower_bound_trajectory,
-    edwp_sub_lower_bound_trajectory_bounded, edwp_sub_lower_bound_trajectory_with_scratch,
-    BoxAlignment, BoxSeq, RepOp,
+    edwp_lower_bound_trajectory, edwp_lower_bound_trajectory_bounded, BoxSeq,
 };
 pub use cutoff::Cutoff;
 pub use edwp::reference::edwp_reference;
-pub use edwp::sub::{
-    edwp_sub, edwp_sub_avg, edwp_sub_avg_with_scratch, edwp_sub_bounded, edwp_sub_with_scratch,
-};
-pub use edwp::{
-    edwp, edwp_avg, edwp_avg_with_scratch, edwp_bounded, edwp_with_scratch, EdwpScratch,
-};
+pub use edwp::sub::{edwp_sub, edwp_sub_avg, edwp_sub_bounded, edwp_sub_with_scratch};
+pub use edwp::{edwp, edwp_avg, edwp_bounded, edwp_with_scratch, EdwpScratch};
 
 use traj_core::Trajectory;
 
@@ -77,9 +71,9 @@ use traj_core::Trajectory;
 /// free, so a short probe embeds cheaply into a long host — the
 /// partial-trip lookup and motif-discovery workload.
 ///
-/// Both modes are exact under both metrics: sub-mode pruning uses
-/// [`edwp_sub_lower_bound_boxes`], whose one-sided derivation makes the
-/// Theorem 2 relaxation admissible against `EDwP_sub` as well.
+/// Both modes are exact under both metrics: the Theorem 2 relaxation is
+/// one-sided, so the same accumulation is admissible against `EDwP_sub`
+/// as well (see [`Metric::lower_bound_boxes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum QueryMode {
     /// Whole-trajectory matching: distances are `edwp` / `edwp_avg`.
@@ -122,6 +116,49 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// Rescales a raw (cumulative-EDwP-scale) value into this metric's
+    /// scale — the one normalisation step every entry point shares. The
+    /// raw metric passes `raw` through; Eq. 4 divides by `denom`, the
+    /// summed lengths of both sides, and defines a non-positive
+    /// denominator (both sides stationary) as distance 0. Dividing an
+    /// admissible raw bound by a denominator at least as large as the true
+    /// one keeps it admissible.
+    #[inline]
+    pub fn normalise(self, raw: f64, denom: f64) -> f64 {
+        match self {
+            Metric::Edwp => raw,
+            Metric::EdwpNormalized if denom > 0.0 => raw / denom,
+            Metric::EdwpNormalized => 0.0,
+        }
+    }
+
+    /// Runs one raw kernel under this metric: the raw metric hands
+    /// `cutoff` straight through; the normalised metric lifts it into raw
+    /// space by `denom()` (per load, for shared cutoffs) and normalises
+    /// the result back. A stationary pair skips the kernel —
+    /// [`Cutoff::scaled`] needs a positive factor, and
+    /// [`Metric::normalise`] answers 0 whatever the kernel would say.
+    #[inline]
+    fn evaluate(
+        self,
+        denom: impl FnOnce() -> f64,
+        cutoff: Cutoff<'_>,
+        kernel: impl FnOnce(Cutoff<'_>) -> f64,
+    ) -> f64 {
+        match self {
+            Metric::Edwp => kernel(cutoff),
+            Metric::EdwpNormalized => {
+                let denom = denom();
+                let raw = if denom > 0.0 {
+                    kernel(cutoff.scaled(denom))
+                } else {
+                    0.0
+                };
+                self.normalise(raw, denom)
+            }
+        }
+    }
+
     /// The exact distance from query `a` to stored trajectory `b` under
     /// this metric in the given [`QueryMode`], via caller-pooled kernel
     /// memory. Argument order matters in [`QueryMode::Sub`]: the *query*
@@ -134,12 +171,7 @@ impl Metric {
         b: &Trajectory,
         scratch: &mut EdwpScratch,
     ) -> f64 {
-        match (self, mode) {
-            (Metric::Edwp, QueryMode::Whole) => edwp_with_scratch(a, b, scratch),
-            (Metric::Edwp, QueryMode::Sub) => edwp_sub_with_scratch(a, b, scratch),
-            (Metric::EdwpNormalized, QueryMode::Whole) => edwp_avg_with_scratch(a, b, scratch),
-            (Metric::EdwpNormalized, QueryMode::Sub) => edwp_sub_avg_with_scratch(a, b, scratch),
-        }
+        self.distance_bounded(mode, a, b, f64::INFINITY.into(), scratch)
     }
 
     /// [`Metric::distance`] with early abandon against a live `cutoff` (in
@@ -163,102 +195,99 @@ impl Metric {
         cutoff: Cutoff<'_>,
         scratch: &mut EdwpScratch,
     ) -> f64 {
-        match (self, mode) {
-            (Metric::Edwp, QueryMode::Whole) => edwp_bounded(a, b, cutoff, scratch),
-            (Metric::Edwp, QueryMode::Sub) => edwp_sub_bounded(a, b, cutoff, scratch),
-            // Normalised variants divide the raw DP by a denominator known
-            // up front, so the raw accumulation runs under the cutoff
-            // rescaled into raw space — per load, for shared cutoffs.
-            (Metric::EdwpNormalized, QueryMode::Whole) => {
-                let denom = a.length() + b.length();
-                if denom > 0.0 {
-                    edwp_bounded(a, b, cutoff.scaled(denom), scratch) / denom
-                } else {
-                    0.0
-                }
-            }
-            (Metric::EdwpNormalized, QueryMode::Sub) => {
-                let denom = a.length() + b.length();
-                if denom > 0.0 {
-                    edwp_sub_bounded(a, b, cutoff.scaled(denom), scratch) / denom
-                } else {
-                    0.0
-                }
-            }
-        }
+        self.evaluate(
+            || a.length() + b.length(),
+            cutoff,
+            |cutoff| match mode {
+                QueryMode::Whole => edwp_bounded(a, b, cutoff, scratch),
+                QueryMode::Sub => edwp_sub_bounded(a, b, cutoff, scratch),
+            },
+        )
     }
 
     /// Admissible lower bound on `self.distance(mode, q, T, ..)` for every
     /// trajectory `T` summarised by `seq`, where `max_len` upper-bounds the
-    /// length of each summarised trajectory (ignored by [`Metric::Edwp`]).
+    /// length of each summarised trajectory (ignored by [`Metric::Edwp`];
+    /// the per-node bookkeeping TrajTree maintains).
     ///
-    /// The bound is **mode-independent**: the one-sided Theorem 2
-    /// relaxation never charges stored-side coverage, so the same
-    /// accumulation lower-bounds `edwp` and `edwp_sub` alike (see
-    /// [`edwp_sub_lower_bound_boxes`] — sub-mode dispatch goes through the
-    /// named sub entry points so the admissibility claim has an anchor).
+    /// # Admissibility, in both modes
     ///
-    /// `cutoff` is the caller's current pruning threshold (in this metric's
-    /// scale): the per-segment accumulation bails as soon as the partial
-    /// sum strictly exceeds its *current* value — a [`Cutoff::constant`],
-    /// or a [`Cutoff::shared`] atomic that concurrent workers tighten
-    /// mid-kernel. Pass `f64::INFINITY.into()` for the full bound. The
-    /// returned value is a sound pruning key under either metric, but only
-    /// the raw metric guarantees "`result <= cutoff.current()` implies
-    /// `result` is the full bound" (see [`edwp_lower_bound_boxes_bounded`]
-    /// vs [`edwp_avg_lower_bound_boxes_bounded`]) — don't cache results as
-    /// full bounds without checking the metric.
+    /// The raw accumulation is [`edwp_lower_bound_boxes`]:
+    /// `Σ_i 2 · len(e_i) · min_b dist(e_i, b)` over the query's segments.
+    /// Its derivation (Theorem 2, relaxed) is **one-sided** — it charges
+    /// only query-side pieces against distances to the stored side, never
+    /// the stored side's own coverage — and that is why the bound is
+    /// **mode-independent**. Every edit of an optimal `EDwP_sub` alignment
+    /// still consumes a piece of the query (the query is fully consumed in
+    /// sub mode; only `T`'s prefix and suffix are skipped, and skipped
+    /// pieces appear in *no* cost term), and every stored-side anchor of a
+    /// costed edit lies on `T`, inside the union of `seq`'s boxes. Each
+    /// edit therefore costs at least `2 · min_b dist(piece, b) ·
+    /// len(piece)`, and the pieces of each query segment tile its length,
+    /// so the same sum lower-bounds `edwp` and `edwp_sub` alike:
+    /// discarding `T`'s unmatched portions costs the bound nothing.
+    /// Property-tested on bulk, coalesced and incrementally merged
+    /// sequences, so best-first search pruned with it returns exactly the
+    /// brute-force scan in either mode.
+    ///
+    /// The normalised metric divides by `length(q) + max_len`; since
+    /// `max_len >= length(T)` that is the largest denominator either
+    /// normalised distance can have, so the quotient stays admissible.
+    ///
+    /// # Cutoff contract
+    ///
+    /// `cutoff` is the caller's current pruning threshold (in this
+    /// metric's scale): the per-segment accumulation bails as soon as the
+    /// partial sum strictly exceeds its *current* value — a
+    /// [`Cutoff::constant`], or a [`Cutoff::shared`] atomic that
+    /// concurrent workers tighten mid-kernel. Pass `f64::INFINITY.into()`
+    /// for the full bound. Partial sums are admissible (all terms are
+    /// non-negative), so the returned value is a sound pruning key under
+    /// either metric. Only the raw metric guarantees
+    /// "`result <= cutoff.current()` implies `result` is the full bound
+    /// bit-for-bit" (see [`edwp_lower_bound_boxes_bounded`]): the
+    /// normalised metric's `cutoff * denom` / `raw / denom` rounding round
+    /// trip can return a truncated partial at — or strictly below — the
+    /// cutoff (worst case one extra tie-expansion), so never cache a
+    /// normalised bounded result as if it were the full bound.
     #[inline]
     pub fn lower_bound_boxes(
         self,
-        mode: QueryMode,
+        _mode: QueryMode,
         q: &Trajectory,
         seq: &BoxSeq,
         max_len: f64,
         cutoff: Cutoff<'_>,
         scratch: &mut EdwpScratch,
     ) -> f64 {
-        match (self, mode) {
-            (Metric::Edwp, QueryMode::Whole) => {
-                edwp_lower_bound_boxes_bounded(q, seq, cutoff, scratch)
-            }
-            (Metric::Edwp, QueryMode::Sub) => {
-                edwp_sub_lower_bound_boxes_bounded(q, seq, cutoff, scratch)
-            }
-            // The normalised bound divides the (mode-independent) raw
-            // accumulation by `length(q) + max_len`; `max_len >=
-            // length(s)` makes that the largest denominator either
-            // normalised distance can have — admissible in both modes.
-            (Metric::EdwpNormalized, _) => {
-                edwp_avg_lower_bound_boxes_bounded(q, seq, max_len, cutoff, scratch)
-            }
-        }
+        self.evaluate(
+            || q.length() + max_len,
+            cutoff,
+            |cutoff| edwp_lower_bound_boxes_bounded(q, seq, cutoff, scratch),
+        )
     }
 
     /// Admissible lower bound on `self.distance(mode, q, t, ..)` for one
-    /// concrete candidate, tighter than the box bound. Mode-independent
-    /// like [`Metric::lower_bound_boxes`], same early-exit `cutoff`
-    /// contract.
+    /// concrete candidate: [`edwp_lower_bound_trajectory`] (exact
+    /// segment-to-polyline distances in place of box distances, hence
+    /// tighter), normalised by the exact `length(q) + length(t)`.
+    /// Mode-independent by the same one-sided argument as
+    /// [`Metric::lower_bound_boxes`], with `t`'s polyline in place of the
+    /// box union; same `cutoff` contract.
     #[inline]
     pub fn lower_bound_trajectory(
         self,
-        mode: QueryMode,
+        _mode: QueryMode,
         q: &Trajectory,
         t: &Trajectory,
         cutoff: Cutoff<'_>,
         scratch: &mut EdwpScratch,
     ) -> f64 {
-        match (self, mode) {
-            (Metric::Edwp, QueryMode::Whole) => {
-                edwp_lower_bound_trajectory_bounded(q, t, cutoff, scratch)
-            }
-            (Metric::Edwp, QueryMode::Sub) => {
-                edwp_sub_lower_bound_trajectory_bounded(q, t, cutoff, scratch)
-            }
-            (Metric::EdwpNormalized, _) => {
-                edwp_avg_lower_bound_trajectory_bounded(q, t, cutoff, scratch)
-            }
-        }
+        self.evaluate(
+            || q.length() + t.length(),
+            cutoff,
+            |cutoff| edwp_lower_bound_trajectory_bounded(q, t, cutoff, scratch),
+        )
     }
 
     /// Short display name (`"EDwP"` / `"EDwP-norm"`), for reports and bench

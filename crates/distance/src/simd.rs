@@ -11,8 +11,7 @@
 //!   [`Isa::Scalar`] otherwise. The resolution is cached, so dispatch is
 //!   deterministic within a run.
 //! * [`force_isa`] overrides the cached resolution programmatically — the
-//!   hook tests, benchmarks and the session builder use to exercise both
-//!   paths in one process.
+//!   hook tests and benchmarks use to exercise both paths in one process.
 //!
 //! # Exactness posture
 //!
@@ -125,8 +124,7 @@ fn resolve() -> Isa {
 /// changes nothing) when the requested path is not supported by this CPU.
 ///
 /// This is the programmatic twin of the `TRAJ_FORCE_SCALAR` environment
-/// variable, intended for tests, benchmarks and operational canarying
-/// (e.g. `SessionBuilder::force_scalar_kernels` in `traj-index`). The
+/// variable, intended for tests, benchmarks and operational canarying. The
 /// override is global and takes effect on the *next* kernel call; flipping
 /// it mid-query keeps results exact (both paths are admissible and the
 /// exact DP is bitwise path-independent) but makes work counters
@@ -601,20 +599,6 @@ pub fn edwp_lower_bound_boxes_bounded_isa(
         Isa::Scalar => crate::boxes::boxes_bounded_scalar(t, seq, cutoff, scratch),
         Isa::Avx2 => crate::boxes::boxes_bounded_simd(t, seq, cutoff, scratch),
     }
-}
-
-/// [`crate::edwp_sub_lower_bound_boxes_bounded`] on an explicit dispatch
-/// path — the identical accumulation (the Theorem 2 relaxation is
-/// one-sided; see the sub entry point's docs), exposed separately so sub
-/// admissibility tests have a named anchor.
-pub fn edwp_sub_lower_bound_boxes_bounded_isa(
-    isa: Isa,
-    t: &Trajectory,
-    seq: &BoxSeq,
-    cutoff: Cutoff<'_>,
-    scratch: &mut EdwpScratch,
-) -> f64 {
-    edwp_lower_bound_boxes_bounded_isa(isa, t, seq, cutoff, scratch)
 }
 
 /// [`crate::edwp_lower_bound_aabb_batch`] on an explicit dispatch path

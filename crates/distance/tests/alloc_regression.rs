@@ -1,6 +1,8 @@
-//! Allocation-regression harness: the `*_with_scratch` kernels must perform
-//! **zero** heap allocations once their scratch buffers are warm, which is
-//! what makes the query engine's per-worker scratch pooling effective.
+//! Allocation-regression harness: the four `Metric` entry points (in all
+//! four metric × mode combinations) and the raw pooled kernels beneath them
+//! must perform **zero** heap allocations once their scratch buffers are
+//! warm, which is what makes the query engine's per-worker scratch pooling
+//! effective.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`; the file
 //! contains exactly one `#[test]` so no concurrently running test can
@@ -10,15 +12,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use traj_dist::{
-    edwp, edwp_lower_bound_boxes, edwp_lower_bound_boxes_bounded,
-    edwp_lower_bound_boxes_with_scratch, edwp_lower_bound_trajectory,
-    edwp_lower_bound_trajectory_bounded, edwp_lower_bound_trajectory_with_scratch, edwp_sub,
-    edwp_sub_avg, edwp_sub_avg_with_scratch, edwp_sub_lower_bound_boxes,
-    edwp_sub_lower_bound_boxes_bounded, edwp_sub_lower_bound_boxes_with_scratch,
-    edwp_sub_lower_bound_trajectory, edwp_sub_lower_bound_trajectory_bounded,
-    edwp_sub_lower_bound_trajectory_with_scratch, edwp_sub_with_scratch, edwp_with_scratch, BoxSeq,
-    Cutoff, EdwpScratch, Isa,
+    edwp, edwp_avg, edwp_bounded, edwp_lower_bound_boxes, edwp_lower_bound_boxes_bounded,
+    edwp_lower_bound_trajectory, edwp_lower_bound_trajectory_bounded, edwp_sub, edwp_sub_avg,
+    edwp_sub_bounded, edwp_sub_with_scratch, edwp_with_scratch, BoxSeq, Cutoff, EdwpScratch, Isa,
+    Metric, QueryMode,
 };
+
+const METRICS: [Metric; 2] = [Metric::Edwp, Metric::EdwpNormalized];
+const MODES: [QueryMode; 2] = [QueryMode::Whole, QueryMode::Sub];
 
 struct CountingAllocator;
 
@@ -66,16 +67,17 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
     let mut seq = BoxSeq::from_trajectories([&t1, &t2].into_iter(), None).unwrap();
     seq.coalesce(Some(10));
 
+    let max_len = t1.length().max(t2.length());
+    let open = Cutoff::constant(f64::INFINITY);
     let mut scratch = EdwpScratch::new();
     // Warm-up: grows every pooled buffer to this problem size.
     scratch.set_query(&t1);
     let warm_edwp = edwp_with_scratch(&t1, &t2, &mut scratch);
     let warm_sub = edwp_sub_with_scratch(&t1, &t2, &mut scratch);
-    let warm_sub_avg = edwp_sub_avg_with_scratch(&t1, &t2, &mut scratch);
-    let warm_boxes = edwp_lower_bound_boxes_with_scratch(&t1, &seq, &mut scratch);
-    let warm_poly = edwp_lower_bound_trajectory_with_scratch(&t1, &t2, &mut scratch);
-    let warm_sub_boxes = edwp_sub_lower_bound_boxes_with_scratch(&t1, &seq, &mut scratch);
-    let warm_sub_poly = edwp_sub_lower_bound_trajectory_with_scratch(&t1, &t2, &mut scratch);
+    let warm_boxes = edwp_lower_bound_boxes_bounded(&t1, &seq, open, &mut scratch);
+    let warm_poly = edwp_lower_bound_trajectory_bounded(&t1, &t2, open, &mut scratch);
+    let warm_avg = Metric::EdwpNormalized.distance(QueryMode::Whole, &t1, &t2, &mut scratch);
+    let warm_sub_avg = Metric::EdwpNormalized.distance(QueryMode::Sub, &t1, &t2, &mut scratch);
 
     // The hard requirement: warm scratch calls never touch the heap.
     let (sum, allocs) = counting(|| {
@@ -84,20 +86,31 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
             acc += edwp_with_scratch(&t1, &t2, &mut scratch);
             acc += edwp_with_scratch(&t2, &t1, &mut scratch);
             acc += edwp_sub_with_scratch(&t1, &t2, &mut scratch);
-            acc += edwp_lower_bound_boxes_with_scratch(&t1, &seq, &mut scratch);
-            acc += edwp_lower_bound_trajectory_with_scratch(&t1, &t2, &mut scratch);
-            // The sub-trajectory query mode's kernels pool the same
-            // buffers: the distance, its normalised variant and both
-            // admissible sub bounds must stay allocation-free too.
-            acc += edwp_sub_avg_with_scratch(&t1, &t2, &mut scratch);
-            acc += edwp_sub_lower_bound_boxes_with_scratch(&t1, &seq, &mut scratch);
-            acc += edwp_sub_lower_bound_trajectory_with_scratch(&t1, &t2, &mut scratch);
-            // The early-exit engine kernels share the same pooled buffers:
-            // bailing early must not cost an allocation either.
+            // Every metric × mode combination of every entry point pools
+            // the same buffers — full evaluations and, since bailing early
+            // must not cost an allocation either, under a zero cutoff.
+            for metric in METRICS {
+                for mode in MODES {
+                    acc += metric.distance(mode, &t1, &t2, &mut scratch);
+                    for cutoff in [open, 0.0.into()] {
+                        acc += metric.distance_bounded(mode, &t1, &t2, cutoff, &mut scratch);
+                        acc += metric.lower_bound_boxes(
+                            mode,
+                            &t1,
+                            &seq,
+                            max_len,
+                            cutoff,
+                            &mut scratch,
+                        );
+                        acc += metric.lower_bound_trajectory(mode, &t1, &t2, cutoff, &mut scratch);
+                    }
+                }
+            }
+            // And the raw kernels the benchmark probes call directly.
+            acc += edwp_bounded(&t1, &t2, 0.0.into(), &mut scratch);
+            acc += edwp_sub_bounded(&t1, &t2, 0.0.into(), &mut scratch);
             acc += edwp_lower_bound_boxes_bounded(&t1, &seq, 0.0.into(), &mut scratch);
             acc += edwp_lower_bound_trajectory_bounded(&t1, &t2, 0.0.into(), &mut scratch);
-            acc += edwp_sub_lower_bound_boxes_bounded(&t1, &seq, 0.0.into(), &mut scratch);
-            acc += edwp_sub_lower_bound_trajectory_bounded(&t1, &t2, 0.0.into(), &mut scratch);
         }
         acc
     });
@@ -118,7 +131,6 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
     } else {
         &[Isa::Scalar]
     };
-    let open = Cutoff::constant(f64::INFINITY);
     let children: Vec<traj_core::StBox> = seq.boxes().to_vec();
     let mut sums: Vec<f64> = Vec::new();
     for &isa in isas {
@@ -144,7 +156,7 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
                     open,
                     &mut scratch,
                 );
-                acc += traj_dist::simd::edwp_sub_lower_bound_boxes_bounded_isa(
+                acc += traj_dist::simd::edwp_lower_bound_boxes_bounded_isa(
                     isa,
                     &t1,
                     &seq,
@@ -174,11 +186,10 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
     // allocating wrapper bit-for-bit.
     assert_eq!(warm_edwp, edwp(&t1, &t2));
     assert_eq!(warm_sub, edwp_sub(&t1, &t2));
+    assert_eq!(warm_avg, edwp_avg(&t1, &t2));
     assert_eq!(warm_sub_avg, edwp_sub_avg(&t1, &t2));
     assert_eq!(warm_boxes, edwp_lower_bound_boxes(&t1, &seq));
     assert_eq!(warm_poly, edwp_lower_bound_trajectory(&t1, &t2));
-    assert_eq!(warm_sub_boxes, edwp_sub_lower_bound_boxes(&t1, &seq));
-    assert_eq!(warm_sub_poly, edwp_sub_lower_bound_trajectory(&t1, &t2));
 
     // And the plain wrappers do allocate — the regression guard is
     // meaningful only if the counter actually sees this crate's traffic.

@@ -6,7 +6,7 @@
 //! immediately.
 
 use traj_core::{approx_eq, Point, Segment, StBox, StPoint, Trajectory};
-use traj_dist::{edwp, edwp_avg, edwp_lower_bound_boxes, edwp_sub_boxes, BoxSeq};
+use traj_dist::{edwp, edwp_avg, edwp_lower_bound_boxes, BoxSeq};
 
 fn t(pts: &[(f64, f64)]) -> Trajectory {
     Trajectory::from_xy(pts)
@@ -162,12 +162,14 @@ fn coarsening_keeps_admissibility_and_weakens_monotonically() {
     assert!(budgets[1] >= budgets[2] - 1e-9);
 }
 
-/// The construction-time alignment cost is still exercised: a trajectory
-/// against its own tight sequence aligns for free.
+/// The construction-time alignment is still exercised: a trajectory
+/// aligns against its own tight sequence box for box, so merging it back
+/// in grows nothing.
 #[test]
 fn own_sequence_alignment_is_free() {
     let a = t(&[(0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (7.0, 1.0)]);
     let seq = BoxSeq::from_trajectory(&a);
-    assert!(approx_eq(edwp_sub_boxes(&a, &seq), 0.0));
+    assert_eq!(seq.merge_trajectory(&a), seq);
+    assert!(approx_eq(seq.merge_volume_delta(&a), 0.0));
     assert!(approx_eq(edwp_lower_bound_boxes(&a, &seq), 0.0));
 }

@@ -7,7 +7,29 @@
 
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
-use traj_dist::{edwp, edwp_avg, edwp_reference, edwp_sub, edwp_sub_avg, BoxSeq};
+use traj_dist::{
+    edwp, edwp_avg, edwp_reference, edwp_sub, edwp_sub_avg, BoxSeq, EdwpScratch, Metric, QueryMode,
+};
+
+const METRICS: [Metric; 2] = [Metric::Edwp, Metric::EdwpNormalized];
+const MODES: [QueryMode; 2] = [QueryMode::Whole, QueryMode::Sub];
+
+/// The full (never bailing) `Metric::lower_bound_boxes`.
+fn box_bound(metric: Metric, mode: QueryMode, q: &Trajectory, seq: &BoxSeq, max_len: f64) -> f64 {
+    let open = f64::INFINITY.into();
+    metric.lower_bound_boxes(mode, q, seq, max_len, open, &mut EdwpScratch::new())
+}
+
+/// The full (never bailing) `Metric::lower_bound_trajectory`.
+fn poly_bound(metric: Metric, mode: QueryMode, q: &Trajectory, t: &Trajectory) -> f64 {
+    let open = f64::INFINITY.into();
+    metric.lower_bound_trajectory(mode, q, t, open, &mut EdwpScratch::new())
+}
+
+/// `Metric::distance` on a fresh scratch.
+fn distance(metric: Metric, mode: QueryMode, q: &Trajectory, t: &Trajectory) -> f64 {
+    metric.distance(mode, q, t, &mut EdwpScratch::new())
+}
 
 /// Strategy: a random trajectory with `n` points in a 100×100 box and
 /// unit-spaced timestamps.
@@ -146,9 +168,10 @@ proptest! {
         let mut seq = BoxSeq::from_trajectories(ts.iter(), None).unwrap();
         seq.coalesce(Some(3));
         let max_len = ts.iter().map(|t| t.length()).fold(0.0, f64::max);
-        let lb = traj_dist::edwp_avg_lower_bound_boxes(&q, &seq, max_len);
+        let lb = box_bound(Metric::EdwpNormalized, QueryMode::Whole, &q, &seq, max_len);
         for t in &ts {
-            let d = traj_dist::edwp_avg(&q, t);
+            let d = distance(Metric::EdwpNormalized, QueryMode::Whole, &q, t);
+            prop_assert_eq!(d, edwp_avg(&q, t));
             prop_assert!(lb <= d + 1e-6 * (1.0 + d),
                 "normalised box bound {lb} > edwp_avg {d}");
         }
@@ -159,15 +182,16 @@ proptest! {
         q in trajectory(2, 7),
         t in trajectory(2, 7),
     ) {
-        let lb = traj_dist::edwp_avg_lower_bound_trajectory(&q, &t);
-        let d = traj_dist::edwp_avg(&q, &t);
+        let norm = Metric::EdwpNormalized;
+        let lb = poly_bound(norm, QueryMode::Whole, &q, &t);
+        let d = edwp_avg(&q, &t);
         prop_assert!(lb <= d + 1e-6 * (1.0 + d),
             "normalised polyline bound {lb} > edwp_avg {d}");
         // A looser max_len in the box bound only loosens it further, never
         // past admissibility.
         let seq = BoxSeq::from_trajectory(&t);
-        let slack = traj_dist::edwp_avg_lower_bound_boxes(&q, &seq, t.length() * 2.0 + 1.0);
-        let tight = traj_dist::edwp_avg_lower_bound_boxes(&q, &seq, t.length());
+        let slack = box_bound(norm, QueryMode::Whole, &q, &seq, t.length() * 2.0 + 1.0);
+        let tight = box_bound(norm, QueryMode::Whole, &q, &seq, t.length());
         prop_assert!(slack <= tight + 1e-9 * (1.0 + tight),
             "looser max_len tightened the bound: {slack} > {tight}");
     }
@@ -193,10 +217,10 @@ proptest! {
         q in trajectory(2, 5),
     ) {
         // The admissible bound must survive aggressive coalescing — this is
-        // the invariant TrajTree's exactness rests on. (The DP cost
-        // `edwp_sub_boxes` does NOT satisfy this: its canonical anchors can
-        // overshoot EDwP on coarse boxes, which is why the index prunes
-        // with `edwp_lower_bound_boxes` instead.)
+        // the invariant TrajTree's exactness rests on. (The construction
+        // alignment's own cost does NOT satisfy this: its canonical
+        // anchors can overshoot EDwP on coarse boxes, which is why the
+        // index prunes with this relaxation instead.)
         let mut seq = BoxSeq::from_trajectories(ts.iter(), None).unwrap();
         seq.coalesce(Some(3));
         let lb = traj_dist::edwp_lower_bound_boxes(&q, &seq);
@@ -208,12 +232,11 @@ proptest! {
     }
 
     /// The sub-trajectory index bound (what `.sub()` queries prune with):
-    /// `edwp_sub_lower_bound_boxes(q, seq) <= edwp_sub(q, t)` for **every**
-    /// trajectory summarised by the sequence — a strictly stronger claim
-    /// than Theorem 2's `<= edwp(q, t)`, and exactly what the
-    /// approximately-admissible `edwp_sub_boxes` fails on coarse boxes.
-    /// Checked on bulk-built sequences, after aggressive coalescing, and
-    /// after *incremental* merges (the insert path).
+    /// `Metric::Edwp.lower_bound_boxes(Sub, q, seq) <= edwp_sub(q, t)` for
+    /// **every** trajectory summarised by the sequence — a strictly
+    /// stronger claim than Theorem 2's `<= edwp(q, t)`. Checked on
+    /// bulk-built sequences, after aggressive coalescing, and after
+    /// *incremental* merges (the insert path).
     #[test]
     fn sub_box_lower_bound_is_admissible_against_edwp_sub(
         ts in prop::collection::vec(trajectory(2, 6), 1..4),
@@ -222,9 +245,12 @@ proptest! {
     ) {
         let mut seq = BoxSeq::from_trajectories(ts.iter(), None).unwrap();
         seq.coalesce(Some(3));
+        let lb = box_bound(Metric::Edwp, QueryMode::Sub, &q, &seq, 0.0);
+        // Mode-independent: the one-sided relaxation is the same sum.
+        prop_assert_eq!(lb, box_bound(Metric::Edwp, QueryMode::Whole, &q, &seq, 0.0));
         for t in &ts {
-            let d = edwp_sub(&q, t);
-            let lb = traj_dist::edwp_sub_lower_bound_boxes(&q, &seq);
+            let d = distance(Metric::Edwp, QueryMode::Sub, &q, t);
+            prop_assert_eq!(d, edwp_sub(&q, t));
             prop_assert!(lb <= d + 1e-6 * (1.0 + d),
                 "sub box bound {lb} > edwp_sub {d}");
         }
@@ -232,7 +258,7 @@ proptest! {
         // bound admissible for old and new members alike.
         let mut seq = seq.merge_trajectory(&extra);
         seq.coalesce(Some(3));
-        let lb = traj_dist::edwp_sub_lower_bound_boxes(&q, &seq);
+        let lb = box_bound(Metric::Edwp, QueryMode::Sub, &q, &seq, 0.0);
         for t in ts.iter().chain(std::iter::once(&extra)) {
             let d = edwp_sub(&q, t);
             prop_assert!(lb <= d + 1e-6 * (1.0 + d),
@@ -249,133 +275,140 @@ proptest! {
         t in trajectory(2, 7),
     ) {
         let d = edwp_sub(&q, &t);
-        let lb = traj_dist::edwp_sub_lower_bound_trajectory(&q, &t);
+        let lb = poly_bound(Metric::Edwp, QueryMode::Sub, &q, &t);
         prop_assert!(lb <= d + 1e-6 * (1.0 + d),
             "sub polyline bound {lb} > edwp_sub {d}");
         // The normalised sub distance divides by length(q) + length(t);
-        // the Metric dispatch reuses edwp_avg_lower_bound_trajectory,
-        // which must therefore stay below edwp_sub_avg as well.
-        let dn = edwp_sub_avg(&q, &t);
-        let lbn = traj_dist::edwp_avg_lower_bound_trajectory(&q, &t);
+        // the normalised bound shares that denominator, so it must stay
+        // below edwp_sub_avg as well.
+        let norm = Metric::EdwpNormalized;
+        let dn = distance(norm, QueryMode::Sub, &q, &t);
+        prop_assert_eq!(dn, edwp_sub_avg(&q, &t));
+        let lbn = poly_bound(norm, QueryMode::Sub, &q, &t);
         prop_assert!(lbn <= dn + 1e-6 * (1.0 + dn),
             "normalised bound {lbn} > edwp_sub_avg {dn}");
         // And the box form with a (possibly loose) max_len.
         let seq = BoxSeq::from_trajectory(&t);
-        let lbb = traj_dist::edwp_avg_lower_bound_boxes(&q, &seq, t.length() + 1.0);
+        let lbb = box_bound(norm, QueryMode::Sub, &q, &seq, t.length() + 1.0);
         prop_assert!(lbb <= dn + 1e-6 * (1.0 + dn),
             "normalised sub box bound {lbb} > edwp_sub_avg {dn}");
     }
 
-    /// Cutoff contract of the sub `_bounded` kernels (what the engine's
-    /// early exit relies on): at or below the cutoff the full bound comes
-    /// back bit-for-bit; above it, an admissible partial that certifies
-    /// the full bound is above the cutoff too.
+    /// The raw cutoff contract of the bounds the engine prunes with, in
+    /// both modes: a result at or below the cutoff must be the *full*
+    /// bound bit-for-bit, a result above it must be an admissible partial
+    /// that correctly certifies the full bound is above the cutoff too.
+    /// "Full" is the same kernel under an infinite cutoff; the plain
+    /// iterator forms are the independent reference it must match (to
+    /// rounding — the AVX2 box kernel reassociates, see `traj_dist::simd`).
     #[test]
-    fn sub_bounded_kernels_honour_the_cutoff_contract(
+    fn raw_bounds_honour_the_cutoff_contract_in_both_modes(
         ts in prop::collection::vec(trajectory(2, 6), 1..4),
         q in trajectory(2, 6),
         frac in 0.0..1.5f64,
     ) {
-        let mut scratch = traj_dist::EdwpScratch::new();
+        let mut scratch = EdwpScratch::new();
         let mut seq = BoxSeq::from_trajectories(ts.iter(), None).unwrap();
         seq.coalesce(Some(3));
-
-        let full = traj_dist::edwp_sub_lower_bound_boxes(&q, &seq);
-        for cutoff in [full * frac, full, f64::INFINITY] {
-            let got = traj_dist::edwp_sub_lower_bound_boxes_bounded(
-                &q, &seq, cutoff.into(), &mut scratch);
-            if got <= cutoff {
-                prop_assert_eq!(got, full);
-            } else {
-                prop_assert!(got <= full,
-                    "partial sum {} overshot the full sub bound {}", got, full);
-                prop_assert!(full > cutoff,
-                    "bailed although the full sub bound is within the cutoff");
-            }
-            // Every return value — truncated or not — stays admissible.
-            for t in &ts {
-                let d = edwp_sub(&q, t);
-                prop_assert!(got <= d + 1e-6 * (1.0 + d));
-            }
-        }
-
         let t = &ts[0];
-        let full_poly = traj_dist::edwp_sub_lower_bound_trajectory(&q, t);
-        for cutoff in [full_poly * frac, full_poly, f64::INFINITY] {
-            let got = traj_dist::edwp_sub_lower_bound_trajectory_bounded(
-                &q, t, cutoff.into(), &mut scratch);
-            if got <= cutoff {
-                prop_assert_eq!(got, full_poly);
-            } else {
-                prop_assert!(got <= full_poly);
-                prop_assert!(full_poly > cutoff);
+        let full = box_bound(Metric::Edwp, QueryMode::Whole, &q, &seq, 0.0);
+        let reference = traj_dist::edwp_lower_bound_boxes(&q, &seq);
+        prop_assert!((full - reference).abs() <= 1e-9 * (1.0 + reference));
+        let full_poly = poly_bound(Metric::Edwp, QueryMode::Whole, &q, t);
+        prop_assert_eq!(full_poly, traj_dist::edwp_lower_bound_trajectory(&q, t));
+
+        for mode in MODES {
+            // A cutoff below, at, and above the full bound.
+            for cutoff in [full * frac, full, f64::INFINITY] {
+                let got = Metric::Edwp.lower_bound_boxes(
+                    mode, &q, &seq, 0.0, cutoff.into(), &mut scratch);
+                if got <= cutoff {
+                    prop_assert_eq!(got, full);
+                } else {
+                    prop_assert!(got <= full,
+                        "partial sum {} overshot the full bound {}", got, full);
+                    prop_assert!(full > cutoff,
+                        "bailed although the full bound is within the cutoff");
+                }
+                // Every return value — truncated or not — stays admissible.
+                for t in &ts {
+                    let d = distance(Metric::Edwp, mode, &q, t);
+                    prop_assert!(got <= d + 1e-6 * (1.0 + d));
+                }
+            }
+            for cutoff in [full_poly * frac, full_poly, f64::INFINITY] {
+                let got = Metric::Edwp.lower_bound_trajectory(
+                    mode, &q, t, cutoff.into(), &mut scratch);
+                if got <= cutoff {
+                    prop_assert_eq!(got, full_poly);
+                } else {
+                    prop_assert!(got <= full_poly);
+                    prop_assert!(full_poly > cutoff);
+                }
             }
         }
     }
 
-    /// The early-exit (`*_bounded`) kernels are what the engine prunes
-    /// with: a result at or below the cutoff must be the *full* bound
-    /// bit-for-bit, a result above it must be an admissible partial that
-    /// correctly certifies the full bound is above the cutoff too.
+    /// The documented *weaker* normalised contract: the rescaled cutoff's
+    /// rounding round trip forfeits "at or below the cutoff means full",
+    /// but every value stays admissible against every member at any
+    /// cutoff, and an infinite cutoff returns exactly the full bound — the
+    /// raw bound over the metric's denominator.
     #[test]
-    fn bounded_lower_bounds_honour_the_cutoff_contract(
+    fn normalised_bounds_honour_the_weaker_contract_in_both_modes(
         ts in prop::collection::vec(trajectory(2, 6), 1..4),
         q in trajectory(2, 6),
         frac in 0.0..1.5f64,
     ) {
-        let mut scratch = traj_dist::EdwpScratch::new();
+        let norm = Metric::EdwpNormalized;
+        let mut scratch = EdwpScratch::new();
         let mut seq = BoxSeq::from_trajectories(ts.iter(), None).unwrap();
         seq.coalesce(Some(3));
         let max_len = ts.iter().map(|t| t.length()).fold(0.0, f64::max);
-
-        let full = traj_dist::edwp_lower_bound_boxes(&q, &seq);
-        // A cutoff below, at, and above the full bound.
-        for cutoff in [full * frac, full, f64::INFINITY] {
-            let got = traj_dist::edwp_lower_bound_boxes_bounded(
-                &q, &seq, cutoff.into(), &mut scratch);
-            if got <= cutoff {
-                prop_assert_eq!(got, full);
-            } else {
-                prop_assert!(got <= full, "partial sum {} overshot the full bound {}", got, full);
-                prop_assert!(full > cutoff, "bailed although the full bound is within the cutoff");
-            }
-        }
-
         let t = &ts[0];
-        let full_poly = traj_dist::edwp_lower_bound_trajectory(&q, t);
-        for cutoff in [full_poly * frac, full_poly, f64::INFINITY] {
-            let got = traj_dist::edwp_lower_bound_trajectory_bounded(
-                &q, t, cutoff.into(), &mut scratch);
-            if got <= cutoff {
-                prop_assert_eq!(got, full_poly);
-            } else {
-                prop_assert!(got <= full_poly);
-                prop_assert!(full_poly > cutoff);
+        let raw = Metric::Edwp;
+        let full = box_bound(raw, QueryMode::Whole, &q, &seq, 0.0) / (q.length() + max_len);
+        let full_poly = poly_bound(raw, QueryMode::Whole, &q, t) / (q.length() + t.length());
+
+        for mode in MODES {
+            prop_assert_eq!(box_bound(norm, mode, &q, &seq, max_len), full);
+            prop_assert_eq!(poly_bound(norm, mode, &q, t), full_poly);
+            let clipped = norm.lower_bound_boxes(
+                mode, &q, &seq, max_len, (full * frac).into(), &mut scratch);
+            prop_assert!(clipped <= full);
+            for t in &ts {
+                let d = distance(norm, mode, &q, t);
+                prop_assert!(clipped <= d + 1e-6 * (1.0 + d),
+                    "clipped normalised bound {clipped} > distance {d}");
+            }
+            let clipped = norm.lower_bound_trajectory(
+                mode, &q, t, (full_poly * frac).into(), &mut scratch);
+            prop_assert!(clipped <= full_poly);
+        }
+    }
+
+    /// `distance_bounded` under every metric × mode: exact whenever the
+    /// result is at or below the cutoff, an admissible lower bound
+    /// otherwise.
+    #[test]
+    fn bounded_distance_is_exact_at_or_below_the_cutoff(
+        q in trajectory(2, 7),
+        t in trajectory(2, 7),
+        frac in 0.0..1.5f64,
+    ) {
+        let mut scratch = EdwpScratch::new();
+        for metric in METRICS {
+            for mode in MODES {
+                let exact = distance(metric, mode, &q, &t);
+                for cutoff in [exact * frac, exact, f64::INFINITY] {
+                    let got = metric.distance_bounded(mode, &q, &t, cutoff.into(), &mut scratch);
+                    if got <= cutoff {
+                        prop_assert_eq!(got, exact);
+                    } else {
+                        prop_assert!(got <= exact + 1e-9 * (1.0 + exact));
+                    }
+                }
             }
         }
-
-        // Normalised variants: admissible against every member at any
-        // cutoff, and exactly the plain bound when never bailing.
-        let full_norm = traj_dist::edwp_avg_lower_bound_boxes(&q, &seq, max_len);
-        prop_assert_eq!(
-            traj_dist::edwp_avg_lower_bound_boxes_bounded(
-                &q, &seq, max_len, f64::INFINITY.into(), &mut scratch
-            ),
-            full_norm
-        );
-        let clipped = traj_dist::edwp_avg_lower_bound_boxes_bounded(
-            &q, &seq, max_len, (full_norm * frac).into(), &mut scratch,
-        );
-        for t in &ts {
-            let d = traj_dist::edwp_avg(&q, t);
-            prop_assert!(clipped <= d + 1e-6 * (1.0 + d),
-                "clipped normalised bound {clipped} > edwp_avg {d}");
-        }
-        prop_assert_eq!(
-            traj_dist::edwp_avg_lower_bound_trajectory_bounded(
-                &q, t, f64::INFINITY.into(), &mut scratch
-            ),
-            traj_dist::edwp_avg_lower_bound_trajectory(&q, t)
-        );
     }
 }

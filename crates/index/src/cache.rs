@@ -1,7 +1,7 @@
 //! Per-batch cache of node-summary lower bounds.
 //!
 //! A batch that repeats a query (fleet workloads re-ask popular probes all
-//! the time) recomputes every `edwp_lower_bound_boxes` that query's
+//! the time) recomputes every node-summary bound that query's
 //! traversal needs, once per repetition. The [`BoundCache`] shares those
 //! node bounds across a batch's work items: entries are keyed by
 //! `(shard, node, query)` — the shard index, the node's stable pre-order
@@ -26,7 +26,7 @@
 //! Only the raw metric's "`result <= cutoff` implies full" contract can
 //! prove fullness of a bailed-capable run (the normalised kernels rescale
 //! the cutoff, which breaks the implication — see
-//! [`traj_dist::edwp_avg_lower_bound_boxes_bounded`]); callers make that
+//! [`traj_dist::Metric::lower_bound_boxes`]); callers make that
 //! call and the cache just stores the verdict.
 //!
 //! The map is striped across [`STRIPES`] mutexes so concurrent batch

@@ -3,11 +3,11 @@
 //! The search is the incremental nearest-neighbour algorithm of Hjaltason &
 //! Samet driven by the paper's Theorem 2 box bounds: a min-priority queue
 //! holds tree nodes keyed by the admissible lower bound
-//! [`traj_dist::edwp_lower_bound_boxes`] of their (coarsened) tBoxSeq
-//! summaries. Popping an internal node refines it into its children;
-//! popping a leaf refines each member into a per-trajectory candidate keyed
-//! by the tighter polyline bound [`traj_dist::edwp_lower_bound_trajectory`];
-//! popping a candidate finally pays for one full EDwP evaluation. All
+//! [`Metric::lower_bound_boxes`] of their (coarsened) tBoxSeq summaries.
+//! Popping an internal node refines it into its children; popping a leaf
+//! refines each member into a per-trajectory candidate keyed by the
+//! tighter polyline bound [`Metric::lower_bound_trajectory`]; popping a
+//! candidate finally pays for one exact [`Metric::distance_bounded`]. All
 //! distance work runs through one [`EdwpScratch`], so steady-state searches
 //! never allocate inside the kernels.
 //!
@@ -42,7 +42,7 @@
 //! metric-and-mode distance (whole-trajectory EDwP or sub-trajectory
 //! `EDwP_sub` — the Theorem 2 relaxation is one-sided, so the same
 //! accumulation is admissible for both, see
-//! [`traj_dist::edwp_sub_lower_bound_boxes`]) of every trajectory below
+//! [`Metric::lower_bound_boxes`]) of every trajectory below
 //! the entry (keys are additionally clamped to be monotone along
 //! refinement paths), so when the queue's minimum exceeds the collector's
 //! threshold, no unexplored trajectory can change the result. Ties on the
@@ -254,6 +254,9 @@ pub(crate) trait Collector {
 
     /// Records one exact `(id, distance)` evaluation.
     fn offer(&mut self, id: TrajId, distance: f64);
+
+    /// The collected result, sorted by ascending `(distance, id)`.
+    fn into_neighbors(self) -> Vec<Neighbor>;
 }
 
 /// k-NN collection: a bounded max-heap on `(distance, id)`. The root is the
@@ -270,16 +273,6 @@ impl KnnCollector {
             k,
             best: BinaryHeap::with_capacity(k.saturating_add(1)),
         }
-    }
-
-    /// The collected neighbours, sorted by ascending `(distance, id)`.
-    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
-        sort_neighbors(
-            self.best
-                .into_iter()
-                .map(|(d, id)| Neighbor { id, distance: d.0 })
-                .collect(),
-        )
     }
 }
 
@@ -305,6 +298,15 @@ impl Collector for KnnCollector {
                 self.best.push(cand);
             }
         }
+    }
+
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        sort_neighbors(
+            self.best
+                .into_iter()
+                .map(|(d, id)| Neighbor { id, distance: d.0 })
+                .collect(),
+        )
     }
 }
 
@@ -335,11 +337,6 @@ impl<'t> SharedKnnCollector<'t> {
             shared,
         }
     }
-
-    /// This shard's top-k partial, for the gather step.
-    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
-        self.local.into_neighbors()
-    }
 }
 
 impl Collector for SharedKnnCollector<'_> {
@@ -358,6 +355,11 @@ impl Collector for SharedKnnCollector<'_> {
         self.local.offer(id, distance);
         self.shared.tighten(self.local.threshold());
     }
+
+    /// This shard's top-k partial, for the gather step.
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        self.local.into_neighbors()
+    }
 }
 
 /// Range collection: keep everything within a fixed `eps` (inclusive).
@@ -373,11 +375,6 @@ impl RangeCollector {
             hits: Vec::new(),
         }
     }
-
-    /// The collected matches, sorted by ascending `(distance, id)`.
-    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
-        sort_neighbors(self.hits)
-    }
 }
 
 impl Collector for RangeCollector {
@@ -389,6 +386,10 @@ impl Collector for RangeCollector {
         if distance <= self.eps {
             self.hits.push(Neighbor { id, distance });
         }
+    }
+
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        sort_neighbors(self.hits)
     }
 }
 
@@ -406,18 +407,17 @@ pub(crate) fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
 /// tombstoned members. Delta members occupy the local ids `store.len() ..`
 /// in buffer order.
 ///
-/// `globals` is the ascending global id of each base slot (`None` for the
-/// borrowed single-store path, whose local ids *are* the global ids);
-/// `dead` is the shard's tombstone set (`None` when nothing was ever
-/// removed). Node summaries still cover dead members — a superset bound
-/// is admissible — so the traversal consults `is_dead` only where a
-/// member could actually reach a collector: leaf refinement, delta
-/// seeding, and the brute-scan fallback.
+/// `globals` is the ascending global id of each base slot; `dead` is the
+/// shard's tombstone set (`None` when nothing was ever removed). Node
+/// summaries still cover dead members — a superset bound is admissible —
+/// so the traversal consults `is_dead` only where a member could actually
+/// reach a collector: leaf refinement, delta seeding, and the brute-scan
+/// fallback.
 pub(crate) struct SearchView<'v> {
     pub(crate) tree: &'v TrajTree,
     pub(crate) store: &'v TrajStore,
     pub(crate) delta: &'v [(TrajId, Trajectory)],
-    pub(crate) globals: Option<&'v [TrajId]>,
+    pub(crate) globals: &'v [TrajId],
     pub(crate) dead: Option<&'v BTreeSet<TrajId>>,
     pub(crate) shard: usize,
 }
@@ -428,10 +428,7 @@ impl SearchView<'_> {
     pub(crate) fn global(&self, local: TrajId) -> TrajId {
         let base = self.store.len() as TrajId;
         if local < base {
-            match self.globals {
-                Some(g) => g[local as usize],
-                None => local,
-            }
+            self.globals[local as usize]
         } else {
             self.delta[(local - base) as usize].0
         }
@@ -571,7 +568,7 @@ fn node_bound<C: Collector>(
 
 /// The overall bounding box of a summary sequence: the union fold of its
 /// boxes. `None` for an empty summary.
-fn overall_bbox(seq: &BoxSeq) -> Option<StBox> {
+fn summary_bbox(seq: &BoxSeq) -> Option<StBox> {
     let mut boxes = seq.boxes().iter();
     let first = *boxes.next()?;
     Some(boxes.fold(first, |acc, b| acc.union(b)))
@@ -585,7 +582,7 @@ fn overall_bbox(seq: &BoxSeq) -> Option<StBox> {
 fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
     out.clear();
     for child in children {
-        match overall_bbox(child.summary()) {
+        match summary_bbox(child.summary()) {
             Some(b) => out.push(b),
             None => return false,
         }
@@ -744,17 +741,7 @@ pub(crate) fn best_first<C: Collector>(
                         }
                         for (ci, child) in children.iter().enumerate() {
                             if prescreened {
-                                let pre = match metric {
-                                    Metric::Edwp => prescreens[ci],
-                                    Metric::EdwpNormalized => {
-                                        let denom = qlen + child.max_len();
-                                        if denom > 0.0 {
-                                            prescreens[ci] / denom
-                                        } else {
-                                            0.0
-                                        }
-                                    }
-                                };
+                                let pre = metric.normalise(prescreens[ci], qlen + child.max_len());
                                 if pre > thr {
                                     stats.bump_prescreened();
                                     push(

@@ -24,9 +24,10 @@
 //!   successors, so readers never see a torn shard.
 //! * The `engine` module owns the best-first traversal, pruned by the
 //!   admissible Theorem 2 relaxation
-//!   [`traj_dist::edwp_lower_bound_boxes`] (with early-exit accumulation
-//!   against the collector's live threshold) and refined through
-//!   per-trajectory polyline bounds into exact EDwP evaluations. One
+//!   [`traj_dist::Metric::lower_bound_boxes`] (with early-exit
+//!   accumulation against the collector's live threshold) and refined
+//!   through per-trajectory polyline bounds into exact EDwP evaluations
+//!   — every kernel call goes through the four `Metric` entry points. One
 //!   traversal serves a whole *forest* of shard views — all roots seeded
 //!   into one queue, so an incumbent found in any shard prunes every
 //!   other shard's subtrees — and the parallel scatter path runs one
@@ -48,9 +49,9 @@
 //!   all shards (one collector, one global threshold) or — when worker
 //!   threads are available — one per-shard descent per worker, all
 //!   tightening one shared atomic threshold; batch finishers schedule
-//!   work items over scoped worker threads via a work-stealing cursor
-//!   (one [`traj_dist::EdwpScratch`] per worker, node bounds shared
-//!   through the per-batch cache) and merge per-shard partials — results
+//!   work items over the same work-stealing worker loop (one
+//!   [`traj_dist::EdwpScratch`] per worker, node bounds shared through
+//!   the per-batch cache) and merge per-shard partials — results
 //!   are bitwise identical to a sequential single-shard loop at any shard
 //!   and thread count.
 //!
@@ -70,18 +71,18 @@
 //!
 //! A new *matching semantics* (rather than a new result shape) is a
 //! [`traj_dist::QueryMode`] instead: sub-trajectory search added no
-//! collector at all — a `mode` field on the builders' shared spec, a
-//! distance + admissible-bound dispatch arm in `traj_dist::Metric`, and
-//! every finisher/metric/shard/thread/brute-force combination came for
-//! free. See the README's "adding a query type" walkthrough.
+//! collector at all — one arm in `traj_dist::Metric::distance_bounded`
+//! (the bounds are mode-independent), and every
+//! finisher/metric/shard/thread/brute-force combination came for free.
+//! See the README's "adding a query mode" walkthrough.
 //!
 //! Both metrics and both modes are exact: raw EDwP admits box lower
 //! bounds directly (Theorem 2); the length-normalised variant divides
 //! that bound by `length(query) + max_len(node)`, where every node's
 //! `max_len` (the longest trajectory in its subtree) is maintained by
 //! build and insert; and sub-trajectory matching reuses the same
-//! (one-sided, hence mode-independent) accumulation via
-//! [`traj_dist::edwp_sub_lower_bound_boxes`].
+//! (one-sided, hence mode-independent) accumulation — the argument is
+//! on [`traj_dist::Metric::lower_bound_boxes`].
 
 #![warn(missing_docs)]
 

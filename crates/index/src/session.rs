@@ -35,10 +35,11 @@
 //!   queries with CPUs to spare; forced either way with
 //!   [`QueryBuilder::parallel_scatter`]).
 //!
-//! Batch finishers schedule work items over scoped workers through a
-//! work-stealing cursor (one [`EdwpScratch`] per worker): whole queries
-//! when the batch is large enough to occupy every worker, (query × shard)
-//! splits — with one shared threshold per query — when it is not. All
+//! Batch finishers schedule work items over scoped workers through one
+//! work-stealing queue (`fan_out`, one [`EdwpScratch`] per worker): whole
+//! queries when the batch is large enough to occupy every worker,
+//! (query × shard) splits — with one shared threshold per query, the same
+//! scatter a parallel single query runs — when it is not. All
 //! items of a batch share a `(shard, node, query)` bound cache
 //! (`cache::BoundCache`), so repeated probes stop recomputing identical
 //! node bounds. The gather step merges each query's per-shard partials
@@ -63,7 +64,7 @@ use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use traj_core::{TrajError, Trajectory};
 use traj_dist::{EdwpScratch, Metric, QueryMode};
@@ -107,63 +108,70 @@ struct Spec {
     collect_stats: bool,
 }
 
-/// What a builder searches: either borrowed store + tree (the
-/// [`QueryBuilder::over`] entry point, always one shard) or an owned
-/// [`Snapshot`] epoch of a sharded session.
-#[derive(Debug)]
-enum Source<'a> {
-    Borrowed {
-        tree: &'a TrajTree,
-        store: &'a TrajStore,
-    },
-    Sharded(Snapshot),
+/// The shard views a query over `snap` scatters across, in shard order.
+fn views(snap: &Snapshot) -> Vec<SearchView<'_>> {
+    snap.shards
+        .iter()
+        .enumerate()
+        .map(|(shard, s)| SearchView {
+            tree: s.tree(),
+            store: s.base(),
+            delta: s.delta(),
+            globals: s.base_globals(),
+            dead: (!s.dead().is_empty()).then(|| s.dead()),
+            shard,
+        })
+        .collect()
 }
 
-impl Source<'_> {
-    /// Database size reported in [`QueryStats::db_size`] and used to clamp
-    /// `k`. For the borrowed source this preserves the historical
-    /// distinction (brute force scans the store, index searches see the
-    /// tree); sharded sessions keep store and tree in sync per shard, so
-    /// the snapshot total serves both.
-    fn total_len(&self, brute_force: bool) -> usize {
-        match self {
-            Source::Borrowed { tree, store } => {
-                if brute_force {
-                    store.len()
-                } else {
-                    tree.len()
-                }
-            }
-            Source::Sharded(snap) => snap.len(),
+/// Runs `work` over every item on up to `workers` threads and returns the
+/// results in item order — the one scheduler behind batch queries, the
+/// parallel single-query scatter, `insert_batch` and shard bulk-loading.
+///
+/// Workers pull items off one shared queue (work-stealing: a slow item
+/// never straggles a pre-assigned chunk) and each result travels with its
+/// item's index, so stealing order never touches results. Every worker
+/// owns one `S` for its whole run — the per-worker [`EdwpScratch`] of the
+/// query paths. Worker 0 is the **calling thread** running on
+/// `caller_state` (a single query's warm session scratch keeps serving
+/// it); workers `1..` are scoped threads on fresh `S::default()`s, so no
+/// thread is spawned at all for one worker or one item.
+fn fan_out<T: Send, S: Default, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    caller_state: &mut S,
+    work: impl Fn(T, &mut S) -> R + Sync,
+) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let spawned = workers.min(items.len()).saturating_sub(1);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = |state: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            // The guard is a temporary: the queue is unlocked before
+            // `work` runs.
+            let next = queue.lock().expect("fan-out queue poisoned").next();
+            let Some((i, item)) = next else { break };
+            done.push((i, work(item, state)));
         }
-    }
-
-    /// The shard views a query scatters over, in shard order.
-    fn views(&self) -> Vec<SearchView<'_>> {
-        match self {
-            Source::Borrowed { tree, store } => vec![SearchView {
-                tree,
-                store,
-                delta: &[],
-                globals: None,
-                dead: None,
-                shard: 0,
-            }],
-            Source::Sharded(snap) => snap
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| SearchView {
-                    tree: s.tree(),
-                    store: s.base(),
-                    delta: s.delta(),
-                    globals: Some(s.base_globals()),
-                    dead: (!s.dead().is_empty()).then(|| s.dead()),
-                    shard,
-                })
-                .collect(),
+        done
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spawned)
+            .map(|_| scope.spawn(|| drain(&mut S::default())))
+            .collect();
+        let mut done = drain(caller_state);
+        for h in handles {
+            done.extend(h.join().expect("fan-out worker panicked"));
         }
-    }
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item was claimed"))
+        .collect()
 }
 
 /// Default delta-merge threshold: how many buffered inserts a shard
@@ -186,15 +194,15 @@ fn shard_sections(snap: &Snapshot) -> Vec<Vec<(TrajId, &Trajectory)>> {
 }
 
 /// Deals `(global id, trajectory)` pairs across `n` shards by the id-hash
-/// router and STR-bulk-loads one tree per shard — on one scoped worker
-/// thread per shard when there is more than one, since the bulk loads are
-/// independent (and deterministic, so the parallel build is bit-identical
-/// to the sequential one). The shared unit of [`SessionBuilder::build`],
-/// [`SessionBuilder::open`] and [`Session::reshard`]. `rollup` picks the
-/// per-tree internal-summary strategy: offline builds pass `false` (full
-/// merge-DP summaries); online resharding passes `true` (child summaries
-/// rolled up — a fraction of the cost, identical results, marginally
-/// coarser internal pruning until the next offline build).
+/// router and STR-bulk-loads one tree per shard — one `fan_out` worker per
+/// shard, since the bulk loads are independent (and deterministic, so the
+/// parallel build is bit-identical to the sequential one). The shared unit
+/// of [`SessionBuilder::build`], [`SessionBuilder::open`] and
+/// [`Session::reshard`]. `rollup` picks the per-tree internal-summary
+/// strategy: offline builds pass `false` (full merge-DP summaries); online
+/// resharding passes `true` (child summaries rolled up — a fraction of the
+/// cost, identical results, marginally coarser internal pruning until the
+/// next offline build).
 fn build_shards(
     pairs: Vec<(TrajId, Trajectory)>,
     n: usize,
@@ -206,26 +214,9 @@ fn build_shards(
     for (gid, t) in pairs {
         parts[shard_of(gid, n)].push((gid, t));
     }
-    if n > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|part| {
-                    let config = config.clone();
-                    scope.spawn(move || Arc::new(Shard::bulk(part, config, rollup)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard bulk-load worker panicked"))
-                .collect()
-        })
-    } else {
-        parts
-            .into_iter()
-            .map(|part| Arc::new(Shard::bulk(part, config.clone(), rollup)))
-            .collect()
-    }
+    fan_out(parts, n, &mut (), |part, _| {
+        Arc::new(Shard::bulk(part, config.clone(), rollup))
+    })
 }
 
 /// A sharded trajectory database, its per-shard TrajTree indexes and
@@ -333,16 +324,11 @@ impl Session {
         Session::builder().build(store)
     }
 
-    /// Indexes `store` as a single shard with an explicit
-    /// [`TrajTreeConfig`] bulk load.
-    pub fn with_config(store: TrajStore, config: TrajTreeConfig) -> Self {
-        Session::builder().config(config).build(store)
-    }
-
-    /// Wraps an existing store and index as a single-shard session. `tree`
-    /// must index exactly the trajectories of `store` (the standing engine
-    /// precondition: an id in the store but not the tree is invisible to
-    /// index searches).
+    /// Wraps an existing store and index as a single-shard session — the
+    /// way to query a hand-built tree (incremental [`TrajTree::insert`]s,
+    /// a custom [`TrajTreeConfig`]). `tree` must index exactly the
+    /// trajectories of `store` (the standing engine precondition: an id in
+    /// the store but not the tree is invisible to index searches).
     pub fn from_parts(store: TrajStore, tree: TrajTree) -> Self {
         let config = tree.config().clone();
         let next_id = store.len() as u32;
@@ -418,12 +404,16 @@ impl Session {
     /// [`DurabilityConfig::compact_after_records`] threshold, the insert
     /// first folds it into a fresh snapshot (see [`Session::compact`]).
     ///
-    /// In-memory sessions never return `Err`. For bulk ingestion prefer
-    /// [`Session::insert_batch`], which amortises the WAL fsync and the
-    /// epoch publication over the whole batch.
+    /// In-memory sessions fail only with [`TrajError::IdSpaceExhausted`]
+    /// — once the watermark reaches `u32::MAX` no id is left to issue
+    /// (ids are never reused), checked before anything is logged or
+    /// published. For bulk ingestion prefer [`Session::insert_batch`],
+    /// which amortises the WAL fsync and the epoch publication over the
+    /// whole batch.
     pub fn insert(&self, t: Trajectory) -> Result<TrajId, TrajError> {
         let _writer = self.writer.lock().expect("session writer lock poisoned");
         let id = self.next_id.load(Ordering::Relaxed);
+        let next_id = id.checked_add(1).ok_or(TrajError::IdSpaceExhausted)?;
         self.log_and_maybe_compact(std::slice::from_ref(&t))?;
         let mut guard = self.shards.write().expect("shard epoch lock poisoned");
         let n = guard.len();
@@ -431,7 +421,7 @@ impl Session {
         let shard = Arc::make_mut(&mut state[shard_of(id, n)]);
         shard.insert(id, t, self.delta_threshold);
         drop(guard);
-        self.next_id.store(id + 1, Ordering::Relaxed);
+        self.next_id.store(next_id, Ordering::Relaxed);
         Ok(id)
     }
 
@@ -449,18 +439,25 @@ impl Session {
     /// * one epoch is published for the whole batch, so readers see it
     ///   atomically: every trajectory of the batch or none.
     ///
-    /// `Err` means nothing was published in memory. On disk the same
-    /// exposure class as a crash applies: a prefix of the group may
-    /// survive in the log (it is a valid prefix — recovery replays it),
-    /// exactly as if the process had crashed mid-batch.
+    /// `Err` means nothing was published in memory. A batch the remaining
+    /// id space cannot hold is refused whole with
+    /// [`TrajError::IdSpaceExhausted`] before anything is logged. After a
+    /// storage error the same exposure class as a crash applies on disk: a
+    /// prefix of the group may survive in the log (it is a valid prefix —
+    /// recovery replays it), exactly as if the process had crashed
+    /// mid-batch.
     pub fn insert_batch(&self, batch: Vec<Trajectory>) -> Result<Vec<TrajId>, TrajError> {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
         let _writer = self.writer.lock().expect("session writer lock poisoned");
         let base = self.next_id.load(Ordering::Relaxed);
+        let next_id = u32::try_from(batch.len())
+            .ok()
+            .and_then(|n| base.checked_add(n))
+            .ok_or(TrajError::IdSpaceExhausted)?;
         self.log_and_maybe_compact(&batch)?;
-        let ids: Vec<TrajId> = (0..batch.len() as TrajId).map(|i| base + i).collect();
+        let ids: Vec<TrajId> = (base..next_id).collect();
         // Route by destination shard. The shard count is stable here: only
         // `reshard` changes it and it also takes the writer lock, so a
         // momentary epoch read gives this batch's routing denominator.
@@ -474,39 +471,24 @@ impl Session {
         let threshold = self.delta_threshold;
         let mut guard = self.shards.write().expect("shard epoch lock poisoned");
         let state = Arc::make_mut(&mut *guard);
-        let touched = routed.iter().filter(|r| !r.is_empty()).count();
-        if touched > 1 {
-            // One scoped worker per touched shard: the sub-batches are
-            // disjoint (`&mut` per shard), and each worker's work is pure
-            // CPU (delta pushes + possible merges), so holding the epoch
-            // lock across the scope costs readers no disk waits.
-            std::thread::scope(|scope| {
-                for (shard, sub) in state.iter_mut().zip(routed) {
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    let shard = Arc::make_mut(shard);
-                    scope.spawn(move || {
-                        for (id, t) in sub {
-                            shard.insert(id, t, threshold);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (shard, sub) in state.iter_mut().zip(routed) {
-                if sub.is_empty() {
-                    continue;
-                }
-                let shard = Arc::make_mut(shard);
-                for (id, t) in sub {
-                    shard.insert(id, t, threshold);
-                }
+        // One worker per touched shard: the sub-batches are disjoint
+        // (`&mut` per shard), and each worker's work is pure CPU (delta
+        // pushes + possible merges), so holding the epoch lock across the
+        // fan-out costs readers no disk waits.
+        let touched: Vec<_> = state
+            .iter_mut()
+            .zip(routed)
+            .filter(|(_, sub)| !sub.is_empty())
+            .collect();
+        let workers = touched.len();
+        fan_out(touched, workers, &mut (), |(shard, sub), _| {
+            let shard = Arc::make_mut(shard);
+            for (id, t) in sub {
+                shard.insert(id, t, threshold);
             }
-        }
+        });
         drop(guard);
-        self.next_id
-            .store(base + ids.len() as u32, Ordering::Relaxed);
+        self.next_id.store(next_id, Ordering::Relaxed);
         Ok(ids)
     }
 
@@ -740,8 +722,8 @@ impl Session {
 
     /// The instruction-set path the distance kernels execute on
     /// (`"scalar"` / `"avx2"`) — runtime CPU detection, the
-    /// `TRAJ_FORCE_SCALAR` environment variable, and
-    /// [`SessionBuilder::force_scalar_kernels`] all feed into this one
+    /// `TRAJ_FORCE_SCALAR` environment variable and
+    /// [`traj_dist::simd::force_isa`] all feed into this one process-wide
     /// resolution, so operational logs can record which kernels actually
     /// ran. Results are exact on every path; only speed differs.
     pub fn kernel_isa(&self) -> &'static str {
@@ -761,7 +743,7 @@ impl Session {
             shards: shards.get_mut().expect("shard epoch lock poisoned").clone(),
         };
         QueryBuilder {
-            source: Source::Sharded(snap),
+            snapshot: snap,
             query,
             scratch: Some(scratch),
             parallel: None,
@@ -787,7 +769,6 @@ pub struct SessionBuilder {
     /// snapshot was written with.
     shards: Option<usize>,
     config: TrajTreeConfig,
-    force_scalar: bool,
     durability: DurabilityConfig,
     delta_threshold: Option<usize>,
 }
@@ -835,15 +816,15 @@ impl SessionBuilder {
     ///
     /// Fails with a typed error (flattened into [`TrajError::Persist`])
     /// when the directory holds snapshots but none verifies, when a
-    /// checksum-valid record will not decode, or on I/O failure — never by
-    /// panicking, and never by silently starting empty over damaged data.
+    /// checksum-valid record will not decode, or on I/O failure, and with
+    /// [`TrajError::IdSpaceExhausted`] when the recovered id watermark
+    /// does not fit the `u32` id space — never by panicking, and never by
+    /// silently starting empty over damaged data.
     pub fn open(self, dir: impl AsRef<Path>) -> Result<Session, TrajError> {
         let (recovered, engine) = StorageEngine::open(dir.as_ref(), self.durability)?;
+        let next_id = u32::try_from(recovered.next_id).map_err(|_| TrajError::IdSpaceExhausted)?;
         let stored_shards = recovered.snapshot_shards.max(1);
         let shards = self.shards.unwrap_or(stored_shards);
-        if self.force_scalar {
-            traj_dist::force_isa(traj_dist::Isa::Scalar);
-        }
         // The recovered set is the live set with its original (possibly
         // holey) global ids — removals and reshards were replayed — so the
         // session is built straight from the pairs, watermark included.
@@ -854,7 +835,7 @@ impl SessionBuilder {
                 &self.config,
                 false,
             ))),
-            next_id: AtomicU32::new(recovered.next_id as u32),
+            next_id: AtomicU32::new(next_id),
             config: self.config,
             scratch: EdwpScratch::new(),
             delta_threshold: self.delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
@@ -877,24 +858,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Pins the distance kernels to the scalar instruction-set path for
-    /// this process (applied at [`SessionBuilder::build`]) — the
-    /// programmatic twin of setting `TRAJ_FORCE_SCALAR=1`, for canarying
-    /// the fallback path or ruling SIMD out while debugging.
-    ///
-    /// The kernel dispatch is **process-wide** state, not per-session: it
-    /// also affects every other session in the process. Results are exact
-    /// on either path (see [`Session::kernel_isa`]); only speed differs.
-    pub fn force_scalar_kernels(mut self) -> Self {
-        self.force_scalar = true;
-        self
-    }
-
     /// Scatters `store` round-robin across the shards (global id `g` goes
-    /// to shard `g mod shards`) and bulk-loads one tree per shard — on one
-    /// scoped worker thread per shard when there is more than one, since
-    /// the STR bulk loads are independent (and deterministic, so the
-    /// parallel build is bit-identical to the sequential one).
+    /// to shard `g mod shards`) and bulk-loads one tree per shard — one
+    /// worker per shard, since the STR bulk loads are independent (and
+    /// deterministic, so the parallel build is bit-identical to the
+    /// sequential one).
     ///
     /// Relies on the invariant that `self.shards >= 1`
     /// ([`SessionBuilder::shards`] clamps, the default is 1, and the field
@@ -905,15 +873,11 @@ impl SessionBuilder {
         let SessionBuilder {
             shards,
             config,
-            force_scalar,
             durability: _,
             delta_threshold,
         } = self;
         let n = shards.unwrap_or(1);
         debug_assert!(n >= 1, "SessionBuilder::shards maintains n >= 1");
-        if force_scalar {
-            traj_dist::force_isa(traj_dist::Isa::Scalar);
-        }
         let pairs: Vec<(TrajId, Trajectory)> = store
             .into_vec()
             .into_iter()
@@ -941,7 +905,7 @@ impl Snapshot {
     /// any number of reader threads can query one epoch concurrently.
     pub fn query<'s>(&self, query: &'s Trajectory) -> QueryBuilder<'s> {
         QueryBuilder {
-            source: Source::Sharded(self.clone()),
+            snapshot: self.clone(),
             query,
             scratch: None,
             parallel: None,
@@ -953,7 +917,7 @@ impl Snapshot {
     /// scratch each.
     pub fn batch<'s>(&self, queries: &'s [Trajectory]) -> BatchQueryBuilder<'s> {
         BatchQueryBuilder {
-            source: Source::Sharded(self.clone()),
+            snapshot: self.clone(),
             queries,
             threads: None,
             spec: Spec::default(),
@@ -961,26 +925,27 @@ impl Snapshot {
     }
 }
 
-/// Builder for one query; construct via [`Session::query`],
-/// [`Snapshot::query`], or [`QueryBuilder::over`] when store and tree are
-/// owned elsewhere; chain modifiers, and finish with [`QueryBuilder::knn`]
-/// or [`QueryBuilder::range`].
+/// Builder for one query; construct via [`Session::query`] or
+/// [`Snapshot::query`] (a builder always searches one pinned [`Snapshot`]
+/// epoch), chain modifiers, and finish with [`QueryBuilder::knn`] or
+/// [`QueryBuilder::range`].
 ///
 /// ```
 /// use traj_core::Trajectory;
-/// use traj_index::{QueryBuilder, TrajStore, TrajTree};
+/// use traj_index::{Session, TrajStore, TrajTree};
 ///
 /// let mut store = TrajStore::new();
 /// store.insert(Trajectory::from_xy(&[(0.0, 0.0), (5.0, 0.0)]));
+/// // A hand-built tree is queried by wrapping it as a session.
 /// let tree = TrajTree::build(&store);
+/// let epoch = Session::from_parts(store, tree).snapshot();
 /// let q = Trajectory::from_xy(&[(0.0, 2.0), (5.0, 2.0)]);
-/// // Borrowed entry point: no Session required.
-/// let hits = QueryBuilder::over(&tree, &store, &q).range(100.0);
+/// let hits = epoch.query(&q).range(100.0);
 /// assert_eq!(hits.neighbors.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct QueryBuilder<'a> {
-    source: Source<'a>,
+    snapshot: Snapshot,
     query: &'a Trajectory,
     scratch: Option<&'a mut EdwpScratch>,
     parallel: Option<bool>,
@@ -988,19 +953,6 @@ pub struct QueryBuilder<'a> {
 }
 
 impl<'a> QueryBuilder<'a> {
-    /// A builder over borrowed store and tree — one shard, no epoch
-    /// machinery. `store` must be the store `tree` indexes, with every one
-    /// of its trajectories inserted.
-    pub fn over(tree: &'a TrajTree, store: &'a TrajStore, query: &'a Trajectory) -> Self {
-        QueryBuilder {
-            source: Source::Borrowed { tree, store },
-            query,
-            scratch: None,
-            parallel: None,
-            spec: Spec::default(),
-        }
-    }
-
     /// Runs the query's kernels through caller-pooled scratch memory
     /// instead of a fresh per-call buffer (what [`Session::query`] wires up
     /// automatically). Values are identical either way.
@@ -1070,16 +1022,7 @@ impl<'a> QueryBuilder<'a> {
     /// count.
     #[must_use = "running a k-NN query only to drop its result does no work worth paying for"]
     pub fn knn(self, k: usize) -> QueryResult {
-        let QueryBuilder {
-            source,
-            query,
-            scratch,
-            parallel,
-            spec,
-        } = self;
-        with_scratch(scratch, |scratch| {
-            exec_single(&source, query, spec, QueryKind::Knn(k), parallel, scratch)
-        })
+        self.run(QueryKind::Knn(k))
     }
 
     /// Finishes as a range query: every trajectory within `eps`
@@ -1094,51 +1037,62 @@ impl<'a> QueryBuilder<'a> {
     /// whole database.
     #[must_use = "running a range query only to drop its result does no work worth paying for"]
     pub fn range(self, eps: f64) -> QueryResult {
+        self.run(QueryKind::Range(eps))
+    }
+
+    /// The one code path every single query runs through. The scatter
+    /// strategy defaults to the parallel per-shard descent when the
+    /// session is sharded and the machine has CPUs to spare, and to the
+    /// sequential forest traversal otherwise (on one core, threads only
+    /// add scheduling overhead; the forest gives cross-shard pruning
+    /// without them) — [`QueryBuilder::parallel_scatter`] overrides.
+    fn run(self, kind: QueryKind) -> QueryResult {
         let QueryBuilder {
-            source,
+            snapshot,
             query,
             scratch,
             parallel,
             spec,
         } = self;
-        with_scratch(scratch, |scratch| {
-            exec_single(
-                &source,
-                query,
-                spec,
-                QueryKind::Range(eps),
-                parallel,
-                scratch,
-            )
-        })
+        let mut fresh = EdwpScratch::new();
+        let scratch = scratch.unwrap_or(&mut fresh);
+        let plan = Plan {
+            spec,
+            kind,
+            total: snapshot.len(),
+        };
+        let views = views(&snapshot);
+        let parallel = parallel.unwrap_or_else(|| default_threads() > 1);
+        let (neighbors, stats) = if parallel && views.len() > 1 {
+            let queries = std::slice::from_ref(query);
+            scatter(plan, &views, queries, views.len(), scratch, |_| None)
+                .pop()
+                .expect("one query in, one answer out")
+        } else {
+            let stats = QueryStats::for_search(plan.total);
+            run_query(plan, &views, query, stats, None, scratch, None)
+        };
+        QueryResult {
+            neighbors,
+            stats: spec.collect_stats.then_some(stats),
+        }
     }
 }
 
 /// Builder for a batch of queries answered in parallel; construct via
-/// [`Session::batch`], [`Snapshot::batch`], or [`BatchQueryBuilder::over`];
-/// chain modifiers, finish with [`BatchQueryBuilder::knn`] or
+/// [`Session::batch`] or [`Snapshot::batch`], chain modifiers, finish with
+/// [`BatchQueryBuilder::knn`] or
 /// [`BatchQueryBuilder::range`]. Results are bitwise identical to a
 /// sequential loop of single queries, for any worker and shard count.
 #[derive(Debug)]
 pub struct BatchQueryBuilder<'a> {
-    source: Source<'a>,
+    snapshot: Snapshot,
     queries: &'a [Trajectory],
     threads: Option<usize>,
     spec: Spec,
 }
 
-impl<'a> BatchQueryBuilder<'a> {
-    /// A batch builder over borrowed store and tree (same precondition as
-    /// [`QueryBuilder::over`]).
-    pub fn over(tree: &'a TrajTree, store: &'a TrajStore, queries: &'a [Trajectory]) -> Self {
-        BatchQueryBuilder {
-            source: Source::Borrowed { tree, store },
-            queries,
-            threads: None,
-            spec: Spec::default(),
-        }
-    }
-
+impl BatchQueryBuilder<'_> {
     /// Explicit worker count (default: one worker per available CPU).
     /// Clamped to at least 1 — like [`SessionBuilder::shards`], a zero
     /// from a computed configuration means "no parallelism", not "no
@@ -1195,159 +1149,50 @@ impl<'a> BatchQueryBuilder<'a> {
         self.run(QueryKind::Range(eps))
     }
 
-    /// Scatter-gather scheduling: workers pull work items off a shared
-    /// atomic cursor (work-stealing — a slow item no longer straggles a
-    /// whole contiguous chunk), every item routes node bounds through the
-    /// batch's shared [`BoundCache`], and the item → result-slot mapping
-    /// travels with the item, so stealing order never touches results.
+    /// Scatter-gather scheduling over [`fan_out`]; every item routes node
+    /// bounds through the batch's shared [`BoundCache`].
     ///
     /// Item granularity adapts: with enough queries to occupy every
     /// worker, one item is a whole query (a forest traversal over all
     /// shards — cross-shard pruning for free); a small batch over many
-    /// shards splits into (query × shard) items instead, with one
-    /// [`SharedThreshold`] per query so sibling items still prune each
-    /// other, and the gather step merges each query's per-shard partials.
+    /// shards splits into (query × shard) items instead ([`scatter`]).
     fn run(self, kind: QueryKind) -> BatchQueryResult {
         let BatchQueryBuilder {
-            source,
+            snapshot,
             queries,
             threads,
             spec,
         } = self;
-        if queries.is_empty() {
-            return BatchQueryResult {
-                neighbors: Vec::new(),
-                stats: spec.collect_stats.then_some(QueryStats::default()),
-            };
-        }
-        let total = source.total_len(spec.brute_force);
-        let views = source.views();
+        let plan = Plan {
+            spec,
+            kind,
+            total: snapshot.len(),
+        };
+        let views = views(&snapshot);
         let workers = threads.unwrap_or_else(default_threads).max(1);
         let cache = BoundCache::new();
         let canon = canonical_queries(queries);
-        let cursor = AtomicUsize::new(0);
-
+        let reuse = |qi: usize| {
+            Some(BoundReuse {
+                cache: &cache,
+                query: canon[qi],
+            })
+        };
+        let scratch = &mut EdwpScratch::new();
+        let answers = if views.len() == 1 || queries.len() >= 2 * workers {
+            let items = (0..queries.len()).collect();
+            fan_out(items, workers, scratch, |qi, scratch| {
+                let stats = QueryStats::for_search(plan.total);
+                run_query(plan, &views, &queries[qi], stats, None, scratch, reuse(qi))
+            })
+        } else {
+            scatter(plan, &views, queries, workers, scratch, reuse)
+        };
         let mut agg = QueryStats::default();
         let mut neighbors = Vec::with_capacity(queries.len());
-        if views.len() == 1 || queries.len() >= 2 * workers {
-            // Whole-query items.
-            let workers = workers.clamp(1, queries.len());
-            let mut slots: Vec<Option<(Vec<Neighbor>, QueryStats)>> = Vec::new();
-            slots.resize_with(queries.len(), || None);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (views, cache, canon, cursor) = (&views, &cache, &canon, &cursor);
-                        scope.spawn(move || {
-                            let mut scratch = EdwpScratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                                if qi >= queries.len() {
-                                    break;
-                                }
-                                let reuse = BoundReuse {
-                                    cache,
-                                    query: canon[qi],
-                                };
-                                out.push((
-                                    qi,
-                                    run_query(
-                                        views,
-                                        &queries[qi],
-                                        spec,
-                                        kind,
-                                        total,
-                                        &mut scratch,
-                                        Some(reuse),
-                                    ),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (qi, r) in h.join().expect("batch worker panicked") {
-                        slots[qi] = Some(r);
-                    }
-                }
-            });
-            for slot in &mut slots {
-                let (per_query, stats) = slot.take().expect("every query index was claimed");
-                agg.merge(&stats);
-                neighbors.push(per_query);
-            }
-        } else {
-            // (query × shard) items; per-query shared thresholds.
-            let items: Vec<(usize, usize)> = (0..queries.len())
-                .flat_map(|q| (0..views.len()).map(move |v| (q, v)))
-                .collect();
-            let workers = workers.clamp(1, items.len());
-            let thresholds: Vec<SharedThreshold> =
-                (0..queries.len()).map(|_| SharedThreshold::new()).collect();
-            let sizes = shard_sizes(&views, total);
-            let mut slots: Vec<Option<(Vec<Neighbor>, QueryStats)>> = Vec::new();
-            slots.resize_with(items.len(), || None);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (views, cache, canon, cursor) = (&views, &cache, &canon, &cursor);
-                        let (items, thresholds, sizes) = (&items, &thresholds, &sizes);
-                        scope.spawn(move || {
-                            let mut scratch = EdwpScratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                let ii = cursor.fetch_add(1, Ordering::Relaxed);
-                                if ii >= items.len() {
-                                    break;
-                                }
-                                let (qi, vi) = items[ii];
-                                let reuse = BoundReuse {
-                                    cache,
-                                    query: canon[qi],
-                                };
-                                out.push((
-                                    ii,
-                                    run_item(
-                                        &views[vi],
-                                        &queries[qi],
-                                        spec,
-                                        kind,
-                                        total,
-                                        sizes[vi],
-                                        vi == 0,
-                                        &thresholds[qi],
-                                        &mut scratch,
-                                        Some(reuse),
-                                    ),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (ii, r) in h.join().expect("batch worker panicked") {
-                        slots[ii] = Some(r);
-                    }
-                }
-            });
-            // Gather: slots are query-major, `views.len()` partials per
-            // query.
-            for per_query in slots.chunks_mut(views.len()) {
-                let mut merged = Vec::new();
-                for slot in per_query {
-                    let (partial, stats) = slot.take().expect("every item index was claimed");
-                    merged.extend(partial);
-                    agg.merge(&stats);
-                }
-                let mut merged = sort_neighbors(merged);
-                if let QueryKind::Knn(k) = kind {
-                    merged.truncate(k.min(total));
-                }
-                neighbors.push(merged);
-            }
+        for (per_query, stats) in answers {
+            agg.merge(&stats);
+            neighbors.push(per_query);
         }
         BatchQueryResult {
             neighbors,
@@ -1364,6 +1209,16 @@ enum QueryKind {
     Range(f64),
 }
 
+/// What one finisher call asks of every search it runs: the builder's
+/// modifiers, the query type, and the epoch's live database size (clamps
+/// `k`, and is what [`QueryStats::db_size`] reports).
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    spec: Spec,
+    kind: QueryKind,
+    total: usize,
+}
+
 /// The documented range edge contract: an `eps` that can match anything.
 /// Rejects NaN and strict negatives up front (distances are non-negative;
 /// NaN compares false to everything) so the indexed, brute-force and batch
@@ -1376,215 +1231,97 @@ fn eps_can_match(eps: f64) -> bool {
     eps >= 0.0
 }
 
-/// Runs a closure with the caller's pooled scratch, or a fresh one.
-fn with_scratch<R>(scratch: Option<&mut EdwpScratch>, f: impl FnOnce(&mut EdwpScratch) -> R) -> R {
-    match scratch {
-        Some(s) => f(s),
-        None => f(&mut EdwpScratch::new()),
-    }
-}
-
-/// Per-view `db_size` partials that sum to the source total. The borrowed
-/// source's single view must report `total` itself (its brute-force /
-/// index size distinction lives in the total); sharded snapshots keep
-/// store and tree in sync per shard.
-fn shard_sizes(views: &[SearchView<'_>], total: usize) -> Vec<usize> {
-    if views.len() == 1 {
-        vec![total]
-    } else {
-        views.iter().map(|v| v.len()).collect()
-    }
-}
-
-/// The one code path every single query runs through. The scatter
-/// strategy defaults to the parallel per-shard descent when the session
-/// is sharded and the machine has CPUs to spare, and to the sequential
-/// forest traversal otherwise (on one core, threads only add scheduling
-/// overhead; the forest gives cross-shard pruning without them) —
-/// [`QueryBuilder::parallel_scatter`] overrides.
-fn exec_single(
-    source: &Source<'_>,
-    query: &Trajectory,
-    spec: Spec,
-    kind: QueryKind,
-    parallel: Option<bool>,
+/// The parallel scatter: one (query × shard) item per pair, scheduled by
+/// [`fan_out`], each a per-shard descent whose k-NN collector plugs into
+/// its query's [`SharedThreshold`] so sibling shards prune each other
+/// mid-descent; then the gather — each query's per-shard partials merged,
+/// re-sorted by `(distance, id)` and truncated to `k` (a shard's own top-k
+/// is a superset of its contribution to the global top-k, so this is
+/// exact). Answers come back in query order. A query's first item carries
+/// its [`QueryStats::queries`] count and every item its shard's live size,
+/// so the merged partials report one search over the full database.
+/// `reuse(qi)` is query `qi`'s hook into a batch's bound cache, if any.
+fn scatter<'b>(
+    plan: Plan,
+    views: &[SearchView<'_>],
+    queries: &[Trajectory],
+    workers: usize,
     scratch: &mut EdwpScratch,
-) -> QueryResult {
-    let total = source.total_len(spec.brute_force);
-    let views = source.views();
-    let parallel = parallel.unwrap_or_else(|| views.len() > 1 && default_threads() > 1);
-    if !parallel || views.len() == 1 {
-        let (neighbors, stats) = run_query(&views, query, spec, kind, total, scratch, None);
-        return QueryResult {
-            neighbors,
-            stats: spec.collect_stats.then_some(stats),
-        };
-    }
-
-    // Parallel scatter: one worker per shard (shard 0 inline on the caller
-    // thread, reusing its warm scratch), one shared threshold.
-    let shared = SharedThreshold::new();
-    let sizes = shard_sizes(&views, total);
-    let mut slots: Vec<Option<(Vec<Neighbor>, QueryStats)>> = Vec::new();
-    slots.resize_with(views.len(), || None);
-    std::thread::scope(|scope| {
-        let (slot0, rest) = slots.split_at_mut(1);
-        for (off, (view, slot)) in views[1..].iter().zip(rest.iter_mut()).enumerate() {
-            let (shared, sizes) = (&shared, &sizes);
-            scope.spawn(move || {
-                let mut scratch = EdwpScratch::new();
-                *slot = Some(run_item(
-                    view,
-                    query,
-                    spec,
-                    kind,
-                    total,
-                    sizes[off + 1],
-                    false,
-                    shared,
-                    &mut scratch,
-                    None,
-                ));
-            });
-        }
-        slot0[0] = Some(run_item(
-            &views[0], query, spec, kind, total, sizes[0], true, &shared, scratch, None,
-        ));
+    reuse: impl Fn(usize) -> Option<BoundReuse<'b>> + Sync,
+) -> Vec<(Vec<Neighbor>, QueryStats)> {
+    let thresholds: Vec<SharedThreshold> = queries.iter().map(|_| SharedThreshold::new()).collect();
+    let items = (0..queries.len())
+        .flat_map(|qi| (0..views.len()).map(move |vi| (qi, vi)))
+        .collect();
+    let partials = fan_out(items, workers, scratch, |(qi, vi), scratch| {
+        let view = &views[vi];
+        run_query(
+            plan,
+            std::slice::from_ref(view),
+            &queries[qi],
+            QueryStats::for_shard_partial(view.len(), vi == 0),
+            Some(&thresholds[qi]),
+            scratch,
+            reuse(qi),
+        )
     });
-
-    let mut stats = QueryStats::default();
-    let mut merged = Vec::new();
-    for slot in &mut slots {
-        let (partial, partial_stats) = slot.take().expect("every shard worker fills its slot");
-        merged.extend(partial);
-        stats.merge(&partial_stats);
-    }
-    let mut neighbors = sort_neighbors(merged);
-    if let QueryKind::Knn(k) = kind {
-        neighbors.truncate(k.min(total));
-    }
-    QueryResult {
-        neighbors,
-        stats: spec.collect_stats.then_some(stats),
-    }
+    // Items are query-major: `views.len()` partials per query.
+    partials
+        .chunks(views.len())
+        .map(|per_query| {
+            let mut stats = QueryStats::default();
+            let mut merged = Vec::new();
+            for (partial, partial_stats) in per_query {
+                merged.extend_from_slice(partial);
+                stats.merge(partial_stats);
+            }
+            let mut merged = sort_neighbors(merged);
+            if let QueryKind::Knn(k) = plan.kind {
+                merged.truncate(k.min(plan.total));
+            }
+            (merged, stats)
+        })
+        .collect()
 }
 
-/// One whole query over every view: a single collector — hence one global
-/// pruning threshold — fed by one forest traversal (or the linear-scan
-/// reference for `brute_force`). The sequential-scatter unit, and the
-/// per-query batch item.
+/// One search over `views` under one collector — hence one pruning
+/// threshold: every shard at once for the forest traversal (the
+/// sequential single query, and the per-query batch item), or one shard
+/// with its query's `shared` threshold for a [`scatter`] item. `stats`
+/// arrives initialised for whichever share of the database this search
+/// accounts for.
 fn run_query(
+    plan: Plan,
     views: &[SearchView<'_>],
     query: &Trajectory,
-    spec: Spec,
-    kind: QueryKind,
-    total: usize,
+    mut stats: QueryStats,
+    shared: Option<&SharedThreshold>,
     scratch: &mut EdwpScratch,
     reuse: Option<BoundReuse<'_>>,
 ) -> (Vec<Neighbor>, QueryStats) {
-    let mut stats = QueryStats::for_search(total);
+    let Plan { spec, kind, total } = plan;
     let neighbors = match kind {
-        QueryKind::Knn(k) => {
-            let k = k.min(total);
-            if k == 0 {
-                Vec::new()
-            } else {
-                let mut collector = KnnCollector::new(k);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
+        QueryKind::Knn(k) => match (k.min(total), shared) {
+            (0, _) => Vec::new(),
+            (k, None) => {
+                let collector = KnnCollector::new(k);
+                drive(views, query, spec, collector, scratch, &mut stats, reuse)
             }
-        }
-        QueryKind::Range(eps) => {
-            if eps_can_match(eps) {
-                let mut collector = RangeCollector::new(eps);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            } else {
-                Vec::new()
+            (k, Some(shared)) => {
+                let collector = SharedKnnCollector::new(k, shared);
+                drive(views, query, spec, collector, scratch, &mut stats, reuse)
             }
+        },
+        QueryKind::Range(eps) if eps_can_match(eps) => {
+            let collector = RangeCollector::new(eps);
+            drive(views, query, spec, collector, scratch, &mut stats, reuse)
         }
+        QueryKind::Range(_) => Vec::new(),
     };
     (neighbors, stats)
 }
 
-/// One (query, shard) work item of a parallel scatter: a per-shard
-/// collector filled over one view — k-NN items plug into the query's
-/// [`SharedThreshold`], so sibling shards prune each other mid-descent.
-/// `counts_query` is set on the query's first item so the merged
-/// [`QueryStats::queries`] equals the query count, and the `shard_len`
-/// partials sum to the database total.
-#[allow(clippy::too_many_arguments)]
-fn run_item(
-    view: &SearchView<'_>,
-    query: &Trajectory,
-    spec: Spec,
-    kind: QueryKind,
-    total: usize,
-    shard_len: usize,
-    counts_query: bool,
-    shared: &SharedThreshold,
-    scratch: &mut EdwpScratch,
-    reuse: Option<BoundReuse<'_>>,
-) -> (Vec<Neighbor>, QueryStats) {
-    let mut stats = QueryStats::for_shard_partial(shard_len, counts_query);
-    let views = std::slice::from_ref(view);
-    let neighbors = match kind {
-        QueryKind::Knn(k) => {
-            let k = k.min(total);
-            if k == 0 {
-                Vec::new()
-            } else {
-                let mut collector = SharedKnnCollector::new(k, shared);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            }
-        }
-        QueryKind::Range(eps) => {
-            if eps_can_match(eps) {
-                let mut collector = RangeCollector::new(eps);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            } else {
-                Vec::new()
-            }
-        }
-    };
-    (neighbors, stats)
-}
-
-/// Feeds a collector from the views' best-first forest engine, or from a
+/// Fills a collector from the views' best-first forest engine, or from a
 /// pruning-free linear scan for `brute_force` — the two differ only in
 /// which candidates pay for a full distance evaluation, never in what is
 /// computed for them. Local ids are rewritten to global ids as candidates
@@ -1593,11 +1330,11 @@ fn drive<C: Collector>(
     views: &[SearchView<'_>],
     query: &Trajectory,
     spec: Spec,
-    collector: &mut C,
+    mut collector: C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
     reuse: Option<BoundReuse<'_>>,
-) {
+) -> Vec<Neighbor> {
     if spec.brute_force {
         for view in views {
             let base = view.store.len() as TrajId;
@@ -1627,12 +1364,13 @@ fn drive<C: Collector>(
                 metric: spec.metric,
                 mode: spec.mode,
             },
-            collector,
+            &mut collector,
             scratch,
             stats,
             reuse,
         );
     }
+    collector.into_neighbors()
 }
 
 /// Default worker fan-out: one per available CPU (cached — the default is
@@ -1895,6 +1633,72 @@ mod tests {
     }
 
     #[test]
+    fn id_space_exhaustion_is_a_typed_error_that_changes_nothing() {
+        use traj_persist::tempdir::TempDir;
+        let t = |x: f64| Trajectory::from_xy(&[(x, 0.0), (x + 1.0, 1.0)]);
+        let dir = TempDir::new("session-id-exhaustion");
+        let session = Session::builder()
+            .shards(2)
+            .open(dir.path())
+            .expect("fresh directory");
+        session.insert(t(0.0)).expect("id 0");
+        let logged = |s: &Session| {
+            let engine = s.durable.as_ref().expect("durable").lock().unwrap();
+            (engine.wal_records(), engine.next_id())
+        };
+        let before = logged(&session);
+
+        // Watermark at the ceiling: no id is left for a single insert.
+        session.next_id.store(u32::MAX, Ordering::Relaxed);
+        assert_eq!(session.insert(t(1.0)), Err(TrajError::IdSpaceExhausted));
+        assert_eq!(
+            session.insert_batch(vec![t(1.0)]),
+            Err(TrajError::IdSpaceExhausted)
+        );
+        // A batch straddling the limit is refused whole: two ids are left,
+        // three are asked for.
+        session.next_id.store(u32::MAX - 2, Ordering::Relaxed);
+        assert_eq!(
+            session.insert_batch(vec![t(1.0), t(2.0), t(3.0)]),
+            Err(TrajError::IdSpaceExhausted)
+        );
+        // Nothing was published, nothing was appended, the watermark did
+        // not move — and a batch that fits still does.
+        assert_eq!(session.len(), 1);
+        assert_eq!(logged(&session), before);
+        assert_eq!(session.next_id.load(Ordering::Relaxed), u32::MAX - 2);
+        let in_memory = Session::build(TrajStore::new());
+        in_memory.next_id.store(u32::MAX - 2, Ordering::Relaxed);
+        assert_eq!(
+            in_memory.insert_batch(vec![t(1.0), t(2.0)]),
+            Ok(vec![u32::MAX - 2, u32::MAX - 1])
+        );
+        assert_eq!(in_memory.insert(t(3.0)), Err(TrajError::IdSpaceExhausted));
+        assert_eq!(in_memory.len(), 2);
+    }
+
+    #[test]
+    fn open_refuses_a_watermark_beyond_the_id_space() {
+        use traj_persist::tempdir::TempDir;
+        // A checksum-valid snapshot whose u64 watermark no u32 id space
+        // can continue from: truncating it would reissue retired ids.
+        let dir = TempDir::new("session-watermark-overflow");
+        let watermark = u64::from(u32::MAX) + 1;
+        traj_persist::write_snapshot(dir.path(), 0, &[Vec::new()], watermark).expect("write");
+        assert_eq!(
+            Session::builder().open(dir.path()).unwrap_err(),
+            TrajError::IdSpaceExhausted
+        );
+        // The ceiling itself still opens — and is immediately full.
+        let dir = TempDir::new("session-watermark-ceiling");
+        traj_persist::write_snapshot(dir.path(), 0, &[Vec::new()], u64::from(u32::MAX))
+            .expect("write");
+        let session = Session::builder().open(dir.path()).expect("fits");
+        let t = Trajectory::from_xy(&[(0.0, 0.0), (1.0, 1.0)]);
+        assert_eq!(session.insert(t), Err(TrajError::IdSpaceExhausted));
+    }
+
+    #[test]
     fn session_clone_forks_copy_on_write() {
         let session = Session::builder().shards(2).build(two_cluster_store());
         let fork = session.clone();
@@ -1970,7 +1774,7 @@ mod tests {
             .iter()
             .map(|(id, t)| Neighbor {
                 id,
-                distance: traj_dist::edwp_avg_with_scratch(&q, t, &mut scratch),
+                distance: Metric::EdwpNormalized.distance(QueryMode::Whole, &q, t, &mut scratch),
             })
             .collect();
         want.sort_by(|a, b| {

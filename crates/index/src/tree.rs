@@ -128,9 +128,9 @@ impl Node {
 
 /// The TrajTree index (Sec. V): a height-balanced hierarchy of tBoxSeq
 /// summaries over a [`TrajStore`], supporting bulk-loading and incremental
-/// insertion. Exact best-first searches run through the query surface —
-/// [`crate::QueryBuilder::over`] for a borrowed tree, or a
-/// [`crate::Session`] which shards the database across several trees.
+/// insertion. Exact best-first searches run through the query surface: a
+/// [`crate::Session`] shards the database across several trees, and
+/// [`crate::Session::from_parts`] wraps one hand-built tree.
 ///
 /// Every node's summary is built over exactly the set of trajectories in
 /// its subtree, so the admissible bound

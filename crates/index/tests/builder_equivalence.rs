@@ -1,8 +1,8 @@
 //! The sharded-surface contract: every combination the typed query surface
 //! can express — k-NN / range × index / brute-force × shards 1/2/4 ×
 //! threads 1/4 × raw / length-normalised metric × forest / parallel
-//! scatter — is **bitwise identical** to the borrowed single-shard builder
-//! and to an independent manual scan, and inserts land while concurrent
+//! scatter — is **bitwise identical** to a hand-built single-shard tree
+//! (wrapped with `Session::from_parts`) and to an independent manual scan, and inserts land while concurrent
 //! batches keep reading a stable epoch. This is what makes the shard count
 //! an invisible deployment knob.
 
@@ -11,9 +11,17 @@ use std::sync::Barrier;
 
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
-use traj_dist::{edwp_avg_with_scratch, EdwpScratch, Metric};
+use traj_dist::{edwp_avg, edwp_with_scratch, EdwpScratch, Metric};
 use traj_gen::{GenConfig, TrajGen};
-use traj_index::{Neighbor, QueryBuilder, Session, TrajStore, TrajTree};
+use traj_index::{Neighbor, Session, Snapshot, TrajStore, TrajTree};
+
+/// The single-shard reference: a hand-built default tree over `db`,
+/// wrapped as an epoch.
+fn reference_epoch(db: Vec<Trajectory>) -> Snapshot {
+    let store = TrajStore::from(db);
+    let tree = TrajTree::build(&store);
+    Session::from_parts(store, tree).snapshot()
+}
 
 /// A uniformly random trajectory in a 100×100 region.
 fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajectory> {
@@ -80,8 +88,8 @@ fn manual_scan<'a>(
         .map(|(id, t)| Neighbor {
             id,
             distance: match metric {
-                Metric::Edwp => traj_dist::edwp_with_scratch(query, t, &mut scratch),
-                Metric::EdwpNormalized => edwp_avg_with_scratch(query, t, &mut scratch),
+                Metric::Edwp => edwp_with_scratch(query, t, &mut scratch),
+                Metric::EdwpNormalized => edwp_avg(query, t),
             },
         })
         .collect();
@@ -98,8 +106,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Single-query grid over shards 1/2/4: for both metrics, every
-    /// sharded session's index and brute-force answers equal the borrowed
-    /// single-shard builder and the manual scan — k-NN and range.
+    /// sharded session's index and brute-force answers equal the
+    /// hand-built single-shard reference and the manual scan — k-NN and
+    /// range.
     #[test]
     fn shard_grid_single_queries_are_bitwise_identical(
         size in 25usize..70,
@@ -107,11 +116,10 @@ proptest! {
         query in query_shape(2, 8),
     ) {
         let db = clustered_db(size, seed);
-        let store = TrajStore::from(db.clone());
-        let tree = TrajTree::build(&store);
+        let reference = reference_epoch(db.clone());
         let k = 7usize;
         for metric in [Metric::Edwp, Metric::EdwpNormalized] {
-            let truth = manual_scan(store.iter(), &query, metric);
+            let truth = manual_scan(reference.iter(), &query, metric);
             let eps = truth[truth.len() / 2].distance; // median: nontrivial ball
             let want_knn = truth[..k.min(truth.len())].to_vec();
             let want_ball: Vec<Neighbor> = truth
@@ -120,13 +128,13 @@ proptest! {
                 .filter(|n| n.distance <= eps)
                 .collect();
 
-            // The borrowed entry point is the single-shard reference.
-            let borrowed = QueryBuilder::over(&tree, &store, &query)
+            let single = reference
+                .query(&query)
                 .metric(metric)
                 .collect_stats()
                 .knn(k);
-            prop_assert_eq!(&borrowed.neighbors, &want_knn);
-            let stats = borrowed.stats.expect("requested");
+            prop_assert_eq!(&single.neighbors, &want_knn);
+            let stats = single.stats.expect("requested");
             prop_assert!(stats.edwp_evaluations <= stats.db_size);
 
             for shards in [1usize, 2, 4] {
@@ -165,8 +173,9 @@ proptest! {
     }
 
     /// Batch grid: shards 1/2/4 × knn/range × threads 1/4 × both metrics,
-    /// bitwise equal to a sequential loop of borrowed single-shard
-    /// queries, with per-item stats merging to the batch size.
+    /// bitwise equal to a sequential loop of queries over the hand-built
+    /// single-shard reference, with per-item stats merging to the batch
+    /// size.
     #[test]
     fn shard_grid_batches_are_bitwise_identical(
         size in 25usize..60,
@@ -174,23 +183,17 @@ proptest! {
         queries in prop::collection::vec(query_shape(2, 7), 3..8),
     ) {
         let db = clustered_db(size, seed);
-        let store = TrajStore::from(db.clone());
-        let tree = TrajTree::build(&store);
+        let reference = reference_epoch(db.clone());
         let k = 5usize;
-        let eps = manual_scan(store.iter(), &queries[0], Metric::Edwp)[size / 2].distance;
+        let eps = manual_scan(reference.iter(), &queries[0], Metric::Edwp)[size / 2].distance;
         for metric in [Metric::Edwp, Metric::EdwpNormalized] {
             let seq_knn: Vec<Vec<Neighbor>> = queries
                 .iter()
-                .map(|q| QueryBuilder::over(&tree, &store, q).metric(metric).knn(k).neighbors)
+                .map(|q| reference.query(q).metric(metric).knn(k).neighbors)
                 .collect();
             let seq_range: Vec<Vec<Neighbor>> = queries
                 .iter()
-                .map(|q| {
-                    QueryBuilder::over(&tree, &store, q)
-                        .metric(metric)
-                        .range(eps)
-                        .neighbors
-                })
+                .map(|q| reference.query(q).metric(metric).range(eps).neighbors)
                 .collect();
             for shards in [1usize, 2, 4] {
                 let session = Session::builder()
@@ -246,18 +249,18 @@ proptest! {
 /// answer: pooled and fresh-scratch runs are bitwise identical.
 #[test]
 fn pooled_scratch_does_not_change_results() {
-    let store = TrajStore::from(clustered_db(50, 11));
-    let tree = TrajTree::build(&store);
+    let reference = reference_epoch(clustered_db(50, 11));
     let mut scratch = EdwpScratch::new();
     let mut g = TrajGen::new(3);
     for metric in [Metric::Edwp, Metric::EdwpNormalized] {
         for _ in 0..6 {
             let q = g.random_walk(7);
-            let pooled = QueryBuilder::over(&tree, &store, &q)
+            let pooled = reference
+                .query(&q)
                 .metric(metric)
                 .scratch(&mut scratch)
                 .knn(5);
-            let fresh = QueryBuilder::over(&tree, &store, &q).metric(metric).knn(5);
+            let fresh = reference.query(&q).metric(metric).knn(5);
             assert_eq!(pooled, fresh);
         }
     }

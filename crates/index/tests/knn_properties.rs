@@ -5,36 +5,31 @@
 //! evaluating full EDwP on at most (and on clustered data far fewer than)
 //! `db_size` candidates.
 //!
-//! Exercises the borrowed [`QueryBuilder::over`] entry point directly, so
-//! the tree-level contract is tested below the session/shard layer;
+//! Every tree here is hand-built and wrapped as a single-shard epoch with
+//! [`Session::from_parts`], so the tree-level contract is tested on exactly
+//! the tree under test (custom configurations, incremental inserts);
 //! `tests/builder_equivalence.rs` ties the full sharded surface to it
 //! bit-for-bit.
 
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
 use traj_gen::{GenConfig, TrajGen};
-use traj_index::{Neighbor, QueryBuilder, QueryStats, TrajStore, TrajTree, TrajTreeConfig};
+use traj_index::{Neighbor, QueryStats, Session, Snapshot, TrajStore, TrajTree, TrajTreeConfig};
 
-/// Index k-NN through the borrowed builder, with stats.
-fn knn(
-    tree: &TrajTree,
-    store: &TrajStore,
-    query: &Trajectory,
-    k: usize,
-) -> (Vec<Neighbor>, QueryStats) {
-    let r = QueryBuilder::over(tree, store, query)
-        .collect_stats()
-        .knn(k);
+/// The hand-built `tree` over `store` as a queryable single-shard epoch.
+fn epoch(store: TrajStore, tree: TrajTree) -> Snapshot {
+    Session::from_parts(store, tree).snapshot()
+}
+
+/// Index k-NN over the epoch's tree, with stats.
+fn knn(snap: &Snapshot, query: &Trajectory, k: usize) -> (Vec<Neighbor>, QueryStats) {
+    let r = snap.query(query).collect_stats().knn(k);
     (r.neighbors, r.stats.expect("collect_stats() requested"))
 }
 
 /// Reference linear scan through the same builder with pruning disabled.
-fn brute_force_knn(store: &TrajStore, query: &Trajectory, k: usize) -> Vec<Neighbor> {
-    let tree = TrajTree::default();
-    QueryBuilder::over(&tree, store, query)
-        .brute_force()
-        .knn(k)
-        .neighbors
+fn brute_force_knn(snap: &Snapshot, query: &Trajectory, k: usize) -> Vec<Neighbor> {
+    snap.query(query).brute_force().knn(k).neighbors
 }
 
 /// A uniformly random trajectory in a 100×100 region.
@@ -65,10 +60,11 @@ fn clustered_db(size: usize, seed: u64) -> Vec<Trajectory> {
     g.database(size, 4, 10)
 }
 
-fn assert_knn_exact(store: &TrajStore, tree: &TrajTree, query: &Trajectory) {
+fn assert_knn_exact(store: TrajStore, tree: TrajTree, query: &Trajectory) {
+    let snap = epoch(store, tree);
     for k in [1usize, 5, 10] {
-        let (got, stats) = knn(tree, store, query, k);
-        let want = brute_force_knn(store, query, k);
+        let (got, stats) = knn(&snap, query, k);
+        let want = brute_force_knn(&snap, query, k);
         assert_eq!(
             got.len(),
             want.len(),
@@ -103,7 +99,7 @@ proptest! {
     ) {
         let store = TrajStore::from(db);
         let tree = TrajTree::build(&store);
-        assert_knn_exact(&store, &tree, &query);
+        assert_knn_exact(store, tree, &query);
         prop_assert!(true);
     }
 
@@ -115,7 +111,7 @@ proptest! {
     ) {
         let store = TrajStore::from(clustered_db(size, seed));
         let tree = TrajTree::build(&store);
-        assert_knn_exact(&store, &tree, &query);
+        assert_knn_exact(store, tree, &query);
         prop_assert!(true);
     }
 
@@ -134,7 +130,7 @@ proptest! {
                 internal_boxes: 4,
             },
         );
-        assert_knn_exact(&store, &tree, &query);
+        assert_knn_exact(store, tree, &query);
         prop_assert!(true);
     }
 
@@ -159,7 +155,7 @@ proptest! {
             tree.insert(&store, id);
         }
         assert_eq!(tree.len(), store.len());
-        assert_knn_exact(&store, &tree, &query);
+        assert_knn_exact(store, tree, &query);
         prop_assert!(true);
     }
 }
@@ -170,6 +166,7 @@ proptest! {
 fn clustered_queries_prune_most_of_the_database() {
     let store = TrajStore::from(clustered_db(120, 7));
     let tree = TrajTree::build(&store);
+    let snap = epoch(store, tree);
     let mut g = TrajGen::with_config(
         99,
         GenConfig {
@@ -183,16 +180,16 @@ fn clustered_queries_prune_most_of_the_database() {
     let mut queries = 0usize;
     for _ in 0..10 {
         let query = g.random_walk(8);
-        let (got, stats) = knn(&tree, &store, &query, 5);
-        assert_eq!(got, brute_force_knn(&store, &query, 5));
+        let (got, stats) = knn(&snap, &query, 5);
+        assert_eq!(got, brute_force_knn(&snap, &query, 5));
         total_evals += stats.edwp_evaluations;
         queries += 1;
     }
     let avg = total_evals as f64 / queries as f64;
     assert!(
-        avg < store.len() as f64 * 0.6,
+        avg < snap.len() as f64 * 0.6,
         "weak pruning: {avg:.1} EDwP evaluations per query on a {}-trajectory database",
-        store.len()
+        snap.len()
     );
 }
 
@@ -202,14 +199,15 @@ fn clustered_queries_prune_most_of_the_database() {
 fn variant_queries_retrieve_their_original() {
     let store = TrajStore::from(clustered_db(80, 21));
     let tree = TrajTree::build(&store);
+    let snap = epoch(store, tree);
     let mut g = TrajGen::new(5);
     let mut hits = 0usize;
     for id in [3u32, 17, 42, 65] {
-        let original = store.get(id).clone();
+        let original = snap.get(id).clone();
         let resampled = g.resample(&original, 0.5);
         let variant = g.perturb(&resampled, 0.2);
-        let (res, _) = knn(&tree, &store, &variant, 1);
-        assert_eq!(res, brute_force_knn(&store, &variant, 1));
+        let (res, _) = knn(&snap, &variant, 1);
+        assert_eq!(res, brute_force_knn(&snap, &variant, 1));
         if res[0].id == id {
             hits += 1;
         }

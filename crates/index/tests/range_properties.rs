@@ -7,36 +7,33 @@
 //! * batch `.knn(k)` / `.range(eps)` are bitwise identical to a sequential
 //!   loop of single queries, for any worker count.
 //!
-//! Exercises the borrowed [`QueryBuilder::over`] / [`BatchQueryBuilder::over`]
-//! entry points, below the session/shard layer; the sharded surface is
-//! tied to these in `tests/builder_equivalence.rs`.
+//! Every tree is hand-built and wrapped as a single-shard epoch with
+//! [`Session::from_parts`]; the sharded surface is tied to these in
+//! `tests/builder_equivalence.rs`.
 
 use proptest::prelude::*;
 use traj_core::{StPoint, TotalF64, Trajectory};
 use traj_dist::edwp;
 use traj_gen::{GenConfig, TrajGen};
-use traj_index::{BatchQueryBuilder, Neighbor, QueryBuilder, QueryStats, TrajStore, TrajTree};
+use traj_index::{Neighbor, QueryStats, Session, Snapshot, TrajStore, TrajTree};
 
-/// Index range search through the borrowed builder, with stats.
-fn range(
-    tree: &TrajTree,
-    store: &TrajStore,
-    query: &Trajectory,
-    eps: f64,
-) -> (Vec<Neighbor>, QueryStats) {
-    let r = QueryBuilder::over(tree, store, query)
-        .collect_stats()
-        .range(eps);
+/// A default-configuration tree built over `db`, as a queryable
+/// single-shard epoch.
+fn epoch(db: Vec<Trajectory>) -> Snapshot {
+    let store = TrajStore::from(db);
+    let tree = TrajTree::build(&store);
+    Session::from_parts(store, tree).snapshot()
+}
+
+/// Index range search over the epoch's tree, with stats.
+fn range(snap: &Snapshot, query: &Trajectory, eps: f64) -> (Vec<Neighbor>, QueryStats) {
+    let r = snap.query(query).collect_stats().range(eps);
     (r.neighbors, r.stats.expect("collect_stats() requested"))
 }
 
 /// Reference linear scan through the same builder with pruning disabled.
-fn brute_force_range(store: &TrajStore, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
-    let tree = TrajTree::default();
-    QueryBuilder::over(&tree, store, query)
-        .brute_force()
-        .range(eps)
-        .neighbors
+fn brute_force_range(snap: &Snapshot, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
+    snap.query(query).brute_force().range(eps).neighbors
 }
 
 /// A uniformly random trajectory in a 100×100 region.
@@ -70,8 +67,8 @@ fn clustered_db(size: usize, seed: u64) -> Vec<Trajectory> {
 /// Independent reference: filter the whole store through the plain `edwp`
 /// kernel, keeping everything within `eps`, ascending `(distance, id)`.
 /// Shares no code with the engine beyond the DP itself.
-fn manual_range_filter(store: &TrajStore, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
-    let mut hits: Vec<Neighbor> = store
+fn manual_range_filter(snap: &Snapshot, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
+    let mut hits: Vec<Neighbor> = snap
         .iter()
         .map(|(id, t)| Neighbor {
             id,
@@ -87,20 +84,20 @@ fn manual_range_filter(store: &TrajStore, query: &Trajectory, eps: f64) -> Vec<N
 /// quantile), so ranges are neither trivially empty nor always the full db —
 /// and sometimes land exactly *on* a distance, exercising the inclusive
 /// boundary.
-fn quantile_eps(store: &TrajStore, query: &Trajectory, sel: f64) -> f64 {
-    let mut ds: Vec<f64> = store.iter().map(|(_, t)| edwp(query, t)).collect();
+fn quantile_eps(snap: &Snapshot, query: &Trajectory, sel: f64) -> f64 {
+    let mut ds: Vec<f64> = snap.iter().map(|(_, t)| edwp(query, t)).collect();
     ds.sort_by_key(|&d| TotalF64(d));
     ds[((sel * (ds.len() - 1) as f64) as usize).min(ds.len() - 1)]
 }
 
-fn assert_range_exact(store: &TrajStore, tree: &TrajTree, query: &Trajectory, eps: f64) {
-    let (got, stats) = range(tree, store, query, eps);
-    let manual = manual_range_filter(store, query, eps);
+fn assert_range_exact(snap: &Snapshot, query: &Trajectory, eps: f64) {
+    let (got, stats) = range(snap, query, eps);
+    let manual = manual_range_filter(snap, query, eps);
     assert_eq!(
         got, manual,
         "eps={eps}: index range diverged from the manual filter"
     );
-    assert_eq!(got, brute_force_range(store, query, eps));
+    assert_eq!(got, brute_force_range(snap, query, eps));
     for w in got.windows(2) {
         assert!(
             (w[0].distance, w[0].id) < (w[1].distance, w[1].id),
@@ -124,13 +121,12 @@ proptest! {
         query in trajectory(2, 8),
         sel in 0.0..1.0f64,
     ) {
-        let store = TrajStore::from(db);
-        let tree = TrajTree::build(&store);
-        let eps = quantile_eps(&store, &query, sel);
-        assert_range_exact(&store, &tree, &query, eps);
+        let snap = epoch(db);
+        let eps = quantile_eps(&snap, &query, sel);
+        assert_range_exact(&snap, &query, eps);
         // The edges hold on every generated instance too.
-        assert_range_exact(&store, &tree, &query, 0.0);
-        assert_range_exact(&store, &tree, &query, f64::INFINITY);
+        assert_range_exact(&snap, &query, 0.0);
+        assert_range_exact(&snap, &query, f64::INFINITY);
         prop_assert!(true);
     }
 
@@ -141,12 +137,11 @@ proptest! {
         query in trajectory(2, 8),
         sel in 0.0..1.0f64,
     ) {
-        let store = TrajStore::from(clustered_db(size, seed));
-        let tree = TrajTree::build(&store);
-        let eps = quantile_eps(&store, &query, sel);
-        assert_range_exact(&store, &tree, &query, eps);
-        assert_range_exact(&store, &tree, &query, 0.0);
-        assert_range_exact(&store, &tree, &query, f64::INFINITY);
+        let snap = epoch(clustered_db(size, seed));
+        let eps = quantile_eps(&snap, &query, sel);
+        assert_range_exact(&snap, &query, eps);
+        assert_range_exact(&snap, &query, 0.0);
+        assert_range_exact(&snap, &query, f64::INFINITY);
         prop_assert!(true);
     }
 }
@@ -155,35 +150,32 @@ proptest! {
 /// duplicates) come back at distance exactly zero.
 #[test]
 fn range_zero_eps_finds_exact_members() {
-    let store = TrajStore::from(clustered_db(60, 3));
-    let tree = TrajTree::build(&store);
+    let snap = epoch(clustered_db(60, 3));
     for id in [0u32, 17, 41] {
-        let member = store.get(id).clone();
-        let (got, _) = range(&tree, &store, &member, 0.0);
+        let member = snap.get(id).clone();
+        let (got, _) = range(&snap, &member, 0.0);
         assert!(got.iter().any(|n| n.id == id), "member {id} not found");
         assert!(got.iter().all(|n| n.distance == 0.0));
-        assert_eq!(got, manual_range_filter(&store, &member, 0.0));
+        assert_eq!(got, manual_range_filter(&snap, &member, 0.0));
     }
 }
 
 /// `eps = ∞` returns the entire database in brute-force order.
 #[test]
 fn range_infinite_eps_returns_whole_db() {
-    let store = TrajStore::from(clustered_db(45, 11));
-    let tree = TrajTree::build(&store);
+    let snap = epoch(clustered_db(45, 11));
     let mut g = TrajGen::new(8);
     let query = g.random_walk(6);
-    let (got, _) = range(&tree, &store, &query, f64::INFINITY);
-    assert_eq!(got.len(), store.len());
-    assert_eq!(got, manual_range_filter(&store, &query, f64::INFINITY));
+    let (got, _) = range(&snap, &query, f64::INFINITY);
+    assert_eq!(got.len(), snap.len());
+    assert_eq!(got, manual_range_filter(&snap, &query, f64::INFINITY));
 }
 
 /// Batch determinism: `batch_knn`/`batch_range` over ≥ 4 workers are
 /// *bitwise* identical to sequential single-query loops.
 #[test]
 fn batch_queries_are_bitwise_identical_to_sequential() {
-    let store = TrajStore::from(clustered_db(100, 23));
-    let tree = TrajTree::build(&store);
+    let snap = epoch(clustered_db(100, 23));
     let mut g = TrajGen::with_config(
         51,
         GenConfig {
@@ -197,19 +189,16 @@ fn batch_queries_are_bitwise_identical_to_sequential() {
 
     let seq_knn: Vec<Vec<Neighbor>> = queries
         .iter()
-        .map(|q| QueryBuilder::over(&tree, &store, q).knn(6).neighbors)
+        .map(|q| snap.query(q).knn(6).neighbors)
         .collect();
-    let eps = quantile_eps(&store, &queries[0], 0.3);
+    let eps = quantile_eps(&snap, &queries[0], 0.3);
     let seq_range: Vec<Vec<Neighbor>> = queries
         .iter()
-        .map(|q| QueryBuilder::over(&tree, &store, q).range(eps).neighbors)
+        .map(|q| snap.query(q).range(eps).neighbors)
         .collect();
 
     for threads in [1usize, 2, 4, 7] {
-        let res = BatchQueryBuilder::over(&tree, &store, &queries)
-            .threads(threads)
-            .collect_stats()
-            .knn(6);
+        let res = snap.batch(&queries).threads(threads).collect_stats().knn(6);
         let (batch_knn, knn_stats) = (res.neighbors, res.stats.expect("requested"));
         // Vec<Neighbor> equality is f64 PartialEq — i.e. bitwise for these
         // finite distances — plus id equality, in order.
@@ -219,9 +208,10 @@ fn batch_queries_are_bitwise_identical_to_sequential() {
         );
         assert_eq!(knn_stats.queries, queries.len());
         // Merged db_size sums the per-query database sizes.
-        assert_eq!(knn_stats.db_size, store.len() * queries.len());
+        assert_eq!(knn_stats.db_size, snap.len() * queries.len());
 
-        let res = BatchQueryBuilder::over(&tree, &store, &queries)
+        let res = snap
+            .batch(&queries)
             .threads(threads)
             .collect_stats()
             .range(eps);
@@ -238,19 +228,15 @@ fn batch_queries_are_bitwise_identical_to_sequential() {
 /// counter is dropped in the fan-out/merge.
 #[test]
 fn batch_stats_equal_summed_sequential_stats() {
-    let store = TrajStore::from(clustered_db(80, 5));
-    let tree = TrajTree::build(&store);
+    let snap = epoch(clustered_db(80, 5));
     let mut g = TrajGen::new(77);
     let queries: Vec<Trajectory> = (0..9).map(|_| g.random_walk(6)).collect();
 
     let mut want = QueryStats::default();
     for q in &queries {
-        let r = QueryBuilder::over(&tree, &store, q).collect_stats().knn(4);
+        let r = snap.query(q).collect_stats().knn(4);
         want.merge(&r.stats.expect("requested"));
     }
-    let got = BatchQueryBuilder::over(&tree, &store, &queries)
-        .threads(4)
-        .collect_stats()
-        .knn(4);
+    let got = snap.batch(&queries).threads(4).collect_stats().knn(4);
     assert_eq!(got.stats.expect("requested"), want);
 }

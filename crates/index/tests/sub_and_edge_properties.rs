@@ -17,7 +17,10 @@
 
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
-use traj_dist::{edwp_sub_avg_with_scratch, edwp_sub_with_scratch, EdwpScratch, Metric, QueryMode};
+use traj_dist::{
+    edwp_avg, edwp_sub_avg, edwp_sub_with_scratch, edwp_with_scratch, EdwpScratch, Metric,
+    QueryMode,
+};
 use traj_gen::{GenConfig, TrajGen};
 use traj_index::{Neighbor, Session, TrajStore};
 
@@ -62,16 +65,10 @@ fn manual_scan<'a>(
         .map(|(id, t)| Neighbor {
             id,
             distance: match (metric, mode) {
-                (Metric::Edwp, QueryMode::Whole) => {
-                    traj_dist::edwp_with_scratch(query, t, &mut scratch)
-                }
+                (Metric::Edwp, QueryMode::Whole) => edwp_with_scratch(query, t, &mut scratch),
                 (Metric::Edwp, QueryMode::Sub) => edwp_sub_with_scratch(query, t, &mut scratch),
-                (Metric::EdwpNormalized, QueryMode::Whole) => {
-                    traj_dist::edwp_avg_with_scratch(query, t, &mut scratch)
-                }
-                (Metric::EdwpNormalized, QueryMode::Sub) => {
-                    edwp_sub_avg_with_scratch(query, t, &mut scratch)
-                }
+                (Metric::EdwpNormalized, QueryMode::Whole) => edwp_avg(query, t),
+                (Metric::EdwpNormalized, QueryMode::Sub) => edwp_sub_avg(query, t),
             },
         })
         .collect();

@@ -13,7 +13,6 @@ use crate::snapshot::{
     load_snapshot, parse_generation, snapshot_file_name, sync_dir, write_snapshot,
 };
 use crate::wal::{replay_wal, wal_file_name, FsyncPolicy, WalRecord, WalWriter};
-use crate::FORMAT_VERSION;
 use std::fs;
 use std::path::{Path, PathBuf};
 use traj_core::{TrajId, Trajectory};
@@ -103,14 +102,11 @@ impl StorageEngine {
     ///   between snapshot rename and WAL creation) or torn within its
     ///   header (crash during creation, when no record can exist yet) is
     ///   replaced by a fresh empty one.
-    /// * A generation written in an older format version is **upgraded on
-    ///   open**: its recovered state is immediately compacted into a
-    ///   fresh current-version generation, because the live WAL writer
-    ///   only speaks the current record framing. Old files load forever;
-    ///   they just stop being the live generation the moment a writer
-    ///   opens them.
-    /// * If snapshots exist but none verifies, opening fails with
-    ///   [`PersistError::NoUsableSnapshot`] — silently starting empty
+    /// * If snapshots exist but none verifies — corrupt, or stamped with a
+    ///   format version other than [`crate::FORMAT_VERSION`] — opening
+    ///   fails with [`PersistError::NoUsableSnapshot`]; a WAL of another
+    ///   version under a valid snapshot fails with
+    ///   [`PersistError::UnsupportedVersion`]. Silently starting empty
     ///   would be data loss.
     pub fn open(dir: &Path, cfg: DurabilityConfig) -> Result<(Recovered, Self), PersistError> {
         fs::create_dir_all(dir)?;
@@ -150,7 +146,6 @@ impl StorageEngine {
                     continue;
                 }
             };
-            let snapshot_version = contents.version;
             let snapshot_shards = contents.sections.len();
             // Ascending per section with pairwise-distinct residues, so a
             // plain merge-by-id reconstructs global order.
@@ -162,7 +157,7 @@ impl StorageEngine {
             let mut layout = snapshot_shards;
 
             let wal_path = dir.join(wal_file_name(generation));
-            let (wal, wal_version, wal_records, wal_tail_error) = match replay_wal(&wal_path) {
+            let (wal, wal_records, wal_tail_error) = match replay_wal(&wal_path) {
                 Ok(replay) => {
                     if replay.base_count != base_live {
                         return Err(PersistError::StateMismatch {
@@ -179,32 +174,27 @@ impl StorageEngine {
                     }
                     let writer =
                         WalWriter::reopen(&wal_path, replay.valid_len, records, cfg.fsync)?;
-                    (writer, replay.version, records, replay.tail_error)
+                    (writer, records, replay.tail_error)
                 }
-                Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // Crash between snapshot rename and WAL creation.
-                    (
-                        WalWriter::create(dir, generation, base_live, cfg.fsync)?,
-                        FORMAT_VERSION,
-                        0,
-                        None,
-                    )
-                }
+                // Crash between snapshot rename and WAL creation (no
+                // file), or torn during creation (the header never
+                // finished, so no record was ever appended): start the
+                // generation's log afresh.
+                Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => (
+                    WalWriter::create(dir, generation, base_live, cfg.fsync)?,
+                    0,
+                    None,
+                ),
                 Err(PersistError::Truncated {
                     what: "wal header", ..
-                }) => {
-                    // Torn during creation: the header never finished, so
-                    // no record was ever appended. Recreate it.
-                    (
-                        WalWriter::create(dir, generation, base_live, cfg.fsync)?,
-                        FORMAT_VERSION,
-                        0,
-                        None,
-                    )
-                }
+                }) => (
+                    WalWriter::create(dir, generation, base_live, cfg.fsync)?,
+                    0,
+                    None,
+                ),
                 Err(e) => return Err(e),
             };
-            let mut engine = StorageEngine {
+            let engine = StorageEngine {
                 dir: dir.to_path_buf(),
                 cfg,
                 generation,
@@ -212,13 +202,6 @@ impl StorageEngine {
                 next_id,
                 wal,
             };
-            if snapshot_version < FORMAT_VERSION || wal_version < FORMAT_VERSION {
-                // Upgrade on open: the recovered state becomes a fresh
-                // current-version generation before any append happens —
-                // the live writer must never extend an old-format file.
-                let sections = deal_sections(&trajs, layout);
-                engine.compact(&sections)?;
-            }
             return Ok((
                 Recovered {
                     trajs,
@@ -461,17 +444,6 @@ fn apply_record(
     Ok(())
 }
 
-/// Deals live `(id, trajectory)` pairs (ascending) into `n` borrowed
-/// sections by the id router — the layout compaction writes.
-fn deal_sections(trajs: &[(TrajId, Trajectory)], n: usize) -> Vec<Vec<(TrajId, &Trajectory)>> {
-    let n = n.max(1);
-    let mut sections: Vec<Vec<(TrajId, &Trajectory)>> = vec![Vec::new(); n];
-    for &(gid, ref t) in trajs {
-        sections[gid as usize % n].push((gid, t));
-    }
-    sections
-}
-
 /// Generation numbers of every `snapshot-*.snap` in `dir`.
 fn snapshot_generations(dir: &Path) -> Result<Vec<u64>, PersistError> {
     let mut generations = Vec::new();
@@ -488,9 +460,17 @@ fn snapshot_generations(dir: &Path) -> Result<Vec<u64>, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc::crc32;
     use crate::tempdir::TempDir;
-    use traj_core::codec::{put_u32, put_u64};
+
+    /// Deals live `(id, trajectory)` pairs (ascending) into `n` borrowed
+    /// sections by the id router — the layout a session hands compaction.
+    fn deal_sections(trajs: &[(TrajId, Trajectory)], n: usize) -> Vec<Vec<(TrajId, &Trajectory)>> {
+        let mut sections: Vec<Vec<(TrajId, &Trajectory)>> = vec![Vec::new(); n];
+        for &(gid, ref t) in trajs {
+            sections[gid as usize % n].push((gid, t));
+        }
+        sections
+    }
 
     fn traj(x: f64) -> Trajectory {
         Trajectory::from_xy(&[(x, 0.0), (x + 1.0, 1.0)])
@@ -748,85 +728,5 @@ mod tests {
             StorageEngine::open(dir.path(), cfg()),
             Err(PersistError::StateMismatch { .. })
         ));
-    }
-
-    /// Hand-writes a complete version-1 generation (36-byte snapshot
-    /// header, id-less sections, kind-less WAL records) so upgrades can
-    /// be tested without keeping a v1 writer around.
-    fn write_v1_generation(
-        dir: &Path,
-        generation: u64,
-        sections: &[&[Trajectory]],
-        wal_tail: &[Trajectory],
-    ) {
-        let total: u64 = sections.iter().map(|s| s.len() as u64).sum();
-        let mut body = Vec::new();
-        for section in sections {
-            put_u64(&mut body, section.len() as u64);
-            for t in *section {
-                t.encode_into(&mut body);
-            }
-        }
-        let mut snap = Vec::new();
-        snap.extend_from_slice(b"TRJSNAP1");
-        put_u32(&mut snap, 1);
-        put_u32(&mut snap, sections.len() as u32);
-        put_u64(&mut snap, total);
-        put_u64(&mut snap, body.len() as u64);
-        let header_crc = crc32(&snap);
-        put_u32(&mut snap, header_crc);
-        let body_crc = crc32(&body);
-        snap.extend_from_slice(&body);
-        put_u32(&mut snap, body_crc);
-        fs::write(dir.join(snapshot_file_name(generation)), &snap).unwrap();
-
-        let mut wal = Vec::new();
-        wal.extend_from_slice(b"TRJWAL01");
-        put_u32(&mut wal, 1);
-        put_u64(&mut wal, total);
-        let crc = crc32(&wal);
-        put_u32(&mut wal, crc);
-        for t in wal_tail {
-            let payload = t.encode();
-            put_u32(&mut wal, payload.len() as u32);
-            put_u32(&mut wal, crc32(&payload));
-            wal.extend_from_slice(&payload);
-        }
-        fs::write(dir.join(wal_file_name(generation)), &wal).unwrap();
-    }
-
-    #[test]
-    fn version_1_generations_are_upgraded_on_open() {
-        let dir = TempDir::new("engine-upgrade");
-        // Dense dealing over 2 shards of ids 0..4, plus one WAL insert.
-        let s0 = [traj(0.0), traj(2.0)];
-        let s1 = [traj(1.0), traj(3.0)];
-        write_v1_generation(dir.path(), 7, &[&s0, &s1], &[traj(4.0)]);
-
-        let (rec, mut engine) = StorageEngine::open(dir.path(), cfg()).expect("upgrade open");
-        let want: Vec<Trajectory> = (0..5).map(|i| traj(i as f64)).collect();
-        assert_eq!(rec.trajs, dense_pairs(&want));
-        assert_eq!(rec.snapshot_shards, 2);
-        assert_eq!(rec.next_id, 5);
-        assert_eq!(
-            engine.generation(),
-            8,
-            "upgrade compacts into a fresh generation"
-        );
-        // The old-format files are gone and the new generation loads as
-        // the current version.
-        assert!(!dir.path().join(snapshot_file_name(7)).exists());
-        assert!(!dir.path().join(wal_file_name(7)).exists());
-        let reloaded = load_snapshot(&dir.path().join(snapshot_file_name(8))).expect("reload");
-        assert_eq!(reloaded.version, FORMAT_VERSION);
-        assert_eq!(reloaded.next_id, 5);
-        // Typed records now append cleanly.
-        engine
-            .append_tombstones(&[0])
-            .expect("tombstone after upgrade");
-        drop(engine);
-        let (rec, _) = StorageEngine::open(dir.path(), cfg()).expect("reopen");
-        assert_eq!(rec.trajs, dense_pairs(&want)[1..].to_vec());
-        assert_eq!(rec.next_id, 5);
     }
 }

@@ -22,14 +22,15 @@ pub enum PersistError {
         /// The eight bytes actually found.
         found: [u8; 8],
     },
-    /// The file's format version is newer than this build understands.
-    /// Old readers must refuse new formats rather than misread them.
+    /// The file's format version is not the one this build reads. A
+    /// reader must refuse another revision's layout — newer or retired —
+    /// rather than misread it.
     UnsupportedVersion {
         /// Which structure was being read.
         what: &'static str,
         /// Version stamped in the file.
         found: u32,
-        /// Newest version this build can read.
+        /// The version this build reads.
         supported: u32,
     },
     /// Stored and recomputed CRC-32 disagree: the bytes rotted, were torn
@@ -98,7 +99,7 @@ impl fmt::Display for PersistError {
                 supported,
             } => write!(
                 f,
-                "{what}: format version {found} is newer than the supported {supported}"
+                "{what}: format version {found} is not the supported version {supported}"
             ),
             PersistError::Checksum {
                 what,

@@ -34,15 +34,12 @@ pub mod snapshot;
 pub mod tempdir;
 pub mod wal;
 
-/// Version stamped into every snapshot and WAL header. Readers refuse
-/// anything newer with [`PersistError::UnsupportedVersion`]; version-1
-/// files (insert-only WALs, snapshots without per-entry ids or an id
-/// watermark) still load, and the engine upgrades them by compacting
-/// into a fresh version-2 generation the first time the directory is
-/// opened for writing.
+/// Version stamped into every snapshot and WAL header — the one on-disk
+/// format this build reads and writes. Readers refuse any other version,
+/// older or newer, with [`PersistError::UnsupportedVersion`].
 ///
-/// Version 2 (the trajectory lifecycle rev): WAL payloads start with a
-/// record kind byte (`Insert | Tombstone | Reshard`), snapshot sections
+/// Version 2 is the trajectory lifecycle format: WAL payloads start with
+/// a record kind byte (`Insert | Tombstone | Reshard`), snapshot sections
 /// carry each trajectory's explicit global id, and the snapshot header
 /// carries the `next_id` watermark — ids are never reused after removal.
 pub const FORMAT_VERSION: u32 = 2;

@@ -18,20 +18,17 @@
 //! 44+body 4     CRC-32 over the body bytes (u32 LE)
 //! ```
 //!
-//! Since format version 2 every entry carries its **explicit global id**
-//! (ascending within a section, `≡ s (mod n)`, below the `next_id`
-//! watermark) — removals punch holes in the id space, so ids can no
-//! longer be derived from position. Version-1 snapshots (36-byte header,
-//! no per-entry ids, no watermark) still load: their dense round-robin
-//! dealing makes every id derivable, and `next_id` is the total count.
+//! Every entry carries its **explicit global id** (ascending within a
+//! section, `≡ s (mod n)`, below the `next_id` watermark) — removals punch
+//! holes in the id space, so ids cannot be derived from position.
 //!
 //! A snapshot is **valid** only if the magic, version and both checksums
 //! verify, the declared body length matches the file's actual size, every
 //! trajectory decodes, the section counts sum to the declared total, and
-//! (version ≥ 2) every id respects the section/ordering/watermark rules —
-//! anything less surfaces a typed [`PersistError`] and the loader moves on
-//! to an older generation (or refuses to open). Loading never panics on
-//! untrusted bytes.
+//! every id respects the section/ordering/watermark rules — anything less
+//! (including any format version other than the current one) surfaces a
+//! typed [`PersistError`] and the loader moves on to an older generation
+//! (or refuses to open). Loading never panics on untrusted bytes.
 //!
 //! Trees are **not** serialized: on open the TrajTree of every shard is
 //! rebuilt from the recovered trajectories (deterministic STR bulk-load +
@@ -51,11 +48,9 @@ use traj_core::{StPoint, TrajId, Trajectory};
 
 /// First eight bytes of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"TRJSNAP1";
-/// Fixed header size (version ≥ 2): magic + version + shard count +
-/// live count + next_id watermark + body length + header CRC.
+/// Fixed header size: magic + version + shard count + live count +
+/// next_id watermark + body length + header CRC.
 pub const SNAPSHOT_HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 8 + 4;
-/// Version-1 header size: no `next_id` field.
-const V1_HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8 + 4;
 
 /// Canonical file name of the snapshot for `generation`.
 pub fn snapshot_file_name(generation: u64) -> String {
@@ -94,9 +89,6 @@ pub struct SnapshotContents {
     /// written. Ids are never reused, so replayed inserts are numbered
     /// from here.
     pub next_id: u64,
-    /// Format version the file was written in. Version-1 files load with
-    /// synthesized dense ids; the engine upgrades them on first open.
-    pub version: u32,
 }
 
 /// Serialises the full snapshot payload for the given shard sections
@@ -160,55 +152,40 @@ pub fn write_snapshot(
 /// and never a partial result.
 pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
     let bytes = fs::read(path)?;
-    // Magic and version live in the first 12 bytes and decide how long
-    // the header is; anything shorter is a torn header either way.
-    if bytes.len() < 12 {
+    if bytes.len() < SNAPSHOT_HEADER_LEN {
         return Err(PersistError::Truncated {
             what: "snapshot header",
             needed: SNAPSHOT_HEADER_LEN as u64,
             got: bytes.len() as u64,
         });
     }
-    let magic: [u8; 8] = bytes[..8].try_into().expect("8-byte slice");
+    let (header, rest) = bytes.split_at(SNAPSHOT_HEADER_LEN);
+    let mut r = ByteReader::new(header);
+    let magic: [u8; 8] = r.bytes(8).expect("header length checked")[..8]
+        .try_into()
+        .expect("8-byte slice");
     if magic != SNAPSHOT_MAGIC {
         return Err(PersistError::BadMagic {
             what: "snapshot",
             found: magic,
         });
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
-    if version > FORMAT_VERSION {
+    // Checked before the header CRC: another revision's header has another
+    // layout, so its checksum would not sit where this one's does.
+    let version = r.u32().expect("header length checked");
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             what: "snapshot",
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let header_len = if version <= 1 {
-        V1_HEADER_LEN
-    } else {
-        SNAPSHOT_HEADER_LEN
-    };
-    if bytes.len() < header_len {
-        return Err(PersistError::Truncated {
-            what: "snapshot header",
-            needed: header_len as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    let (header, rest) = bytes.split_at(header_len);
-    let mut r = ByteReader::new(&header[12..]);
     let shard_count = r.u32().expect("header length checked");
     let total = r.u64().expect("header length checked");
-    let next_id = if version <= 1 {
-        // Version 1 had no watermark: ids were dense, so the total is it.
-        total
-    } else {
-        r.u64().expect("header length checked")
-    };
+    let next_id = r.u64().expect("header length checked");
     let body_len = r.u64().expect("header length checked");
     let stored_header_crc = r.u32().expect("header length checked");
-    let computed_header_crc = crc32(&header[..header_len - 4]);
+    let computed_header_crc = crc32(&header[..SNAPSHOT_HEADER_LEN - 4]);
     if stored_header_crc != computed_header_crc {
         return Err(PersistError::Checksum {
             what: "snapshot header",
@@ -243,7 +220,7 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
         });
     }
 
-    let sections = decode_sections(body, shard_count, version)?;
+    let sections = decode_sections(body, shard_count)?;
     let seen: u64 = sections.iter().map(|s| s.len() as u64).sum();
     if seen != total {
         return Err(PersistError::StateMismatch {
@@ -252,8 +229,7 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
     }
     // The id discipline the router and replay rely on: ascending per
     // section, residue matches the section, nothing at or above the
-    // watermark. Version-1 ids are synthesized and satisfy this by
-    // construction, but checking is cheap and uniform.
+    // watermark.
     for (s, section) in sections.iter().enumerate() {
         let mut prev: Option<TrajId> = None;
         for &(gid, _) in section {
@@ -275,11 +251,7 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
             prev = Some(gid);
         }
     }
-    Ok(SnapshotContents {
-        sections,
-        next_id,
-        version,
-    })
+    Ok(SnapshotContents { sections, next_id })
 }
 
 /// Entry floor below which parallel decode is not worth the thread spawns.
@@ -287,8 +259,8 @@ const PARALLEL_DECODE_MIN: usize = 1024;
 
 /// Decodes the checksum-verified body into per-shard sections. Large
 /// bodies on multi-core hosts take the parallel path: a cheap boundary
-/// scan (each entry is an optional `u32` id, a `u64` point count and
-/// `count` fixed-size points, so spans are found without touching the
+/// scan (each entry is a `u32` id, a `u64` point count and `count`
+/// fixed-size points, so spans are found without touching the
 /// floats) splits the body into independent chunks decoded on scoped
 /// worker threads. Any irregularity — a scan that doesn't tile the body
 /// exactly, or a chunk that fails to decode — falls back to the
@@ -297,43 +269,29 @@ const PARALLEL_DECODE_MIN: usize = 1024;
 fn decode_sections(
     body: &[u8],
     shard_count: u32,
-    version: u32,
 ) -> Result<Vec<Vec<(TrajId, Trajectory)>>, PersistError> {
-    let with_gids = version >= 2;
-    if let Some(sections) = try_parallel_decode(body, shard_count, with_gids) {
+    if let Some(sections) = try_parallel_decode(body, shard_count) {
         return Ok(sections);
     }
-    decode_sections_sequential(body, shard_count, with_gids)
+    decode_sections_sequential(body, shard_count)
 }
 
-/// The dense round-robin id a version-1 snapshot implies for entry `j` of
-/// section `s`: `s + j * n`. `None` when it would overflow the id space.
-fn v1_gid(s: usize, j: usize, shard_count: u32) -> Option<TrajId> {
-    let gid = (s as u64).checked_add((j as u64).checked_mul(shard_count as u64)?)?;
-    TrajId::try_from(gid).ok()
-}
+/// Bytes every entry consumes before its points: `u32` id + `u64` count.
+const ENTRY_PREFIX_LEN: usize = 4 + 8;
 
 fn decode_sections_sequential(
     body: &[u8],
     shard_count: u32,
-    with_gids: bool,
 ) -> Result<Vec<Vec<(TrajId, Trajectory)>>, PersistError> {
     let mut r = ByteReader::new(body);
     let mut sections = Vec::with_capacity(shard_count as usize);
-    for s in 0..shard_count as usize {
-        // Every entry consumes at least its count field (plus its id in
-        // version 2), which bounds plausible section counts.
-        let count = r.checked_count(if with_gids { 12 } else { 8 })?;
+    for _ in 0..shard_count {
+        // Every entry consumes at least its prefix, which bounds plausible
+        // section counts.
+        let count = r.checked_count(ENTRY_PREFIX_LEN)?;
         let mut section = Vec::with_capacity(count);
-        for j in 0..count {
-            let gid = if with_gids {
-                r.u32()?
-            } else {
-                v1_gid(s, j, shard_count).ok_or_else(|| PersistError::StateMismatch {
-                    detail: format!("section {s} entry {j} overflows the trajectory id space"),
-                })?
-            };
-            section.push((gid, Trajectory::decode(&mut r)?));
+        for _ in 0..count {
+            section.push((r.u32()?, Trajectory::decode(&mut r)?));
         }
         sections.push(section);
     }
@@ -358,9 +316,7 @@ type SectionScan = (Vec<usize>, Vec<(usize, usize)>);
 /// section's entry count and the byte span of every entry in body order.
 /// `None` if the declared lengths do not tile the body exactly — the
 /// sequential decoder then reports the canonical error.
-fn scan_sections(body: &[u8], shard_count: u32, with_gids: bool) -> Option<SectionScan> {
-    let gid_len = if with_gids { 4 } else { 0 };
-    let min_entry = gid_len + 8;
+fn scan_sections(body: &[u8], shard_count: u32) -> Option<SectionScan> {
     let mut pos = 0usize;
     let mut counts = Vec::with_capacity(shard_count as usize);
     let mut spans = Vec::new();
@@ -368,13 +324,13 @@ fn scan_sections(body: &[u8], shard_count: u32, with_gids: bool) -> Option<Secti
         let count = usize::try_from(read_u64_at(body, pos)?).ok()?;
         pos += 8;
         // Each entry consumes at least its fixed-size prefix.
-        if count > (body.len() - pos) / min_entry {
+        if count > (body.len() - pos) / ENTRY_PREFIX_LEN {
             return None;
         }
         counts.push(count);
         for _ in 0..count {
-            let points = usize::try_from(read_u64_at(body, pos.checked_add(gid_len)?)?).ok()?;
-            let len = min_entry.checked_add(points.checked_mul(StPoint::ENCODED_SIZE)?)?;
+            let points = usize::try_from(read_u64_at(body, pos.checked_add(4)?)?).ok()?;
+            let len = ENTRY_PREFIX_LEN.checked_add(points.checked_mul(StPoint::ENCODED_SIZE)?)?;
             let end = pos.checked_add(len)?;
             if end > body.len() {
                 return None;
@@ -386,11 +342,10 @@ fn scan_sections(body: &[u8], shard_count: u32, with_gids: bool) -> Option<Secti
     (pos == body.len()).then_some((counts, spans))
 }
 
-/// Decodes one scanned entry span. `gid` is the explicit id (version 2)
-/// or `None` for a version-1 entry whose id the caller synthesizes.
-fn decode_entry(bytes: &[u8], with_gids: bool) -> Option<(TrajId, Trajectory)> {
+/// Decodes one scanned entry span.
+fn decode_entry(bytes: &[u8]) -> Option<(TrajId, Trajectory)> {
     let mut r = ByteReader::new(bytes);
-    let gid = if with_gids { r.u32().ok()? } else { 0 };
+    let gid = r.u32().ok()?;
     let t = Trajectory::decode(&mut r).ok()?;
     r.is_empty().then_some((gid, t))
 }
@@ -398,18 +353,14 @@ fn decode_entry(bytes: &[u8], with_gids: bool) -> Option<(TrajId, Trajectory)> {
 /// The parallel decode path: `None` means "use the sequential decoder"
 /// (small body, single core, malformed lengths, or a decode failure that
 /// must be re-reported with its canonical typed error).
-fn try_parallel_decode(
-    body: &[u8],
-    shard_count: u32,
-    with_gids: bool,
-) -> Option<Vec<Vec<(TrajId, Trajectory)>>> {
+fn try_parallel_decode(body: &[u8], shard_count: u32) -> Option<Vec<Vec<(TrajId, Trajectory)>>> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     if workers < 2 {
         return None;
     }
-    let (counts, spans) = scan_sections(body, shard_count, with_gids)?;
+    let (counts, spans) = scan_sections(body, shard_count)?;
     if spans.len() < PARALLEL_DECODE_MIN {
         return None;
     }
@@ -421,7 +372,7 @@ fn try_parallel_decode(
                 scope.spawn(move || {
                     chunk
                         .iter()
-                        .map(|&(start, end)| decode_entry(&body[start..end], with_gids))
+                        .map(|&(start, end)| decode_entry(&body[start..end]))
                         .collect::<Option<Vec<_>>>()
                 })
             })
@@ -432,17 +383,12 @@ fn try_parallel_decode(
             .collect::<Option<Vec<_>>>()
     })?;
     let mut flat = decoded.into_iter().flatten();
-    let mut sections = Vec::with_capacity(counts.len());
-    for (s, &c) in counts.iter().enumerate() {
-        let mut section: Vec<(TrajId, Trajectory)> = flat.by_ref().take(c).collect();
-        if !with_gids {
-            for (j, entry) in section.iter_mut().enumerate() {
-                entry.0 = v1_gid(s, j, shard_count)?;
-            }
-        }
-        sections.push(section);
-    }
-    Some(sections)
+    Some(
+        counts
+            .iter()
+            .map(|&c| flat.by_ref().take(c).collect())
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -464,7 +410,7 @@ mod tests {
             .map(|(s, sec)| {
                 sec.iter()
                     .enumerate()
-                    .map(|(j, t)| (v1_gid(s, j, n).unwrap(), t))
+                    .map(|(j, t)| (s as TrajId + j as TrajId * n, t))
                     .collect()
             })
             .collect()
@@ -488,7 +434,6 @@ mod tests {
         let loaded = load_snapshot(&path).expect("load");
         assert_eq!(loaded.sections, owned(sections));
         assert_eq!(loaded.next_id, 4);
-        assert_eq!(loaded.version, FORMAT_VERSION);
     }
 
     #[test]
@@ -615,44 +560,35 @@ mod tests {
     }
 
     #[test]
-    fn loads_version_1_snapshots_with_synthesized_ids() {
-        // Hand-craft a version-1 file: 36-byte header without the
-        // watermark, sections without per-entry ids.
+    fn a_real_version_1_header_is_unsupported_not_misread() {
+        // The retired revision-1 layout: a 36-byte header without the
+        // watermark, sections without per-entry ids. Its bytes must never
+        // be parsed under this revision's layout.
         let dir = TempDir::new("snapshot-v1");
         let path = dir.path().join(snapshot_file_name(0));
-        let s0 = [traj(0.0), traj(2.0)];
-        let s1 = [traj(1.0)];
         let mut body = Vec::new();
-        for section in [&s0[..], &s1[..]] {
-            put_u64(&mut body, section.len() as u64);
-            for t in section {
-                t.encode_into(&mut body);
-            }
-        }
+        put_u64(&mut body, 1);
+        traj(0.0).encode_into(&mut body);
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 2);
-        put_u64(&mut bytes, 3);
+        put_u32(&mut bytes, 1); // version
+        put_u32(&mut bytes, 1); // shards
+        put_u64(&mut bytes, 1); // total
         put_u64(&mut bytes, body.len() as u64);
         let header_crc = crc32(&bytes);
         put_u32(&mut bytes, header_crc);
-        assert_eq!(bytes.len(), V1_HEADER_LEN);
         let body_crc = crc32(&body);
         bytes.extend_from_slice(&body);
         put_u32(&mut bytes, body_crc);
         fs::write(&path, &bytes).unwrap();
-
-        let loaded = load_snapshot(&path).expect("load v1");
-        assert_eq!(loaded.version, 1);
-        assert_eq!(loaded.next_id, 3, "v1 watermark is the dense total");
-        assert_eq!(
-            loaded.sections,
-            vec![
-                vec![(0, s0[0].clone()), (2, s0[1].clone())],
-                vec![(1, s1[0].clone())],
-            ]
-        );
+        assert!(matches!(
+            load_snapshot(&path),
+            Err(PersistError::UnsupportedVersion {
+                what: "snapshot",
+                found: 1,
+                supported: FORMAT_VERSION,
+            })
+        ));
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! 24      ...   records: [u32 payload len][u32 payload CRC-32][payload]
 //! ```
 //!
-//! Since format version 2 every payload starts with a **kind byte**:
-//! `0` = insert (an encoded `Trajectory`), `1` = tombstone (the `u32`
-//! global id being removed), `2` = reshard (the `u32` new shard count).
-//! Version-1 files carry bare trajectory payloads and replay as
-//! all-inserts — old logs stay readable forever; a kind byte this build
-//! does not know is a hard [`PersistError::UnknownRecordKind`], because
-//! new kinds only ship with a header-version bump.
+//! Every payload starts with a **kind byte**: `0` = insert (an encoded
+//! `Trajectory`), `1` = tombstone (the `u32` global id being removed),
+//! `2` = reshard (the `u32` new shard count). A kind byte this build does
+//! not know is a hard [`PersistError::UnknownRecordKind`], because new
+//! kinds only ship with a header-version bump — and a header stamped with
+//! any other version is refused outright
+//! ([`PersistError::UnsupportedVersion`]).
 //!
 //! Replay walks records until the file ends or a frame fails to verify
 //! (short length field, payload shorter than declared, checksum mismatch)
@@ -44,7 +44,7 @@ pub const WAL_HEADER_LEN: usize = 8 + 4 + 8 + 4;
 /// Per-record framing overhead: payload length + payload CRC.
 pub const WAL_FRAME_LEN: usize = 4 + 4;
 
-/// Kind byte of an insert record (format version ≥ 2).
+/// Kind byte of an insert record.
 pub(crate) const KIND_INSERT: u8 = 0;
 /// Kind byte of a tombstone record.
 pub(crate) const KIND_TOMBSTONE: u8 = 1;
@@ -97,9 +97,7 @@ pub enum FsyncPolicy {
     OsManaged,
 }
 
-/// An open WAL positioned for appending. Only ever writes the current
-/// format version: old-version files are upgraded (compacted into a new
-/// generation) before a writer touches them.
+/// An open WAL positioned for appending.
 #[derive(Debug)]
 pub(crate) struct WalWriter {
     file: File,
@@ -270,11 +268,6 @@ pub struct WalReplay {
     /// Base count from the header: live trajectories in the paired
     /// snapshot.
     pub base_count: u64,
-    /// Format version stamped in the header. Version-1 logs replay fine
-    /// but cannot be appended to (their records carry no kind byte), so
-    /// the engine compacts them into a fresh current-version generation
-    /// on open.
-    pub version: u32,
     /// Byte offset of the end of the last intact record — what recovery
     /// truncates the file to.
     pub valid_len: u64,
@@ -286,17 +279,9 @@ pub struct WalReplay {
     pub tail_error: Option<PersistError>,
 }
 
-/// Decodes one checksum-verified payload under the header's format
-/// version. Any failure here is a hard error: the bytes are what the
-/// writer wrote, so they must decode.
-fn decode_record(payload: &[u8], version: u32, index: usize) -> Result<WalRecord, PersistError> {
-    if version <= 1 {
-        // Legacy framing: the whole payload is one encoded trajectory.
-        let mut pr = ByteReader::new(payload);
-        let t = Trajectory::decode(&mut pr)?;
-        expect_drained(&pr, index)?;
-        return Ok(WalRecord::Insert(t));
-    }
+/// Decodes one checksum-verified payload. Any failure here is a hard
+/// error: the bytes are what the writer wrote, so they must decode.
+fn decode_record(payload: &[u8], index: usize) -> Result<WalRecord, PersistError> {
     let Some((&kind, body)) = payload.split_first() else {
         return Err(PersistError::StateMismatch {
             detail: format!("wal record {index} has an empty payload"),
@@ -322,25 +307,19 @@ fn decode_record(payload: &[u8], version: u32, index: usize) -> Result<WalRecord
             })
         }
     };
-    expect_drained(&pr, index)?;
-    Ok(record)
-}
-
-fn expect_drained(pr: &ByteReader<'_>, index: usize) -> Result<(), PersistError> {
-    if pr.is_empty() {
-        Ok(())
-    } else {
-        Err(PersistError::StateMismatch {
+    if !pr.is_empty() {
+        return Err(PersistError::StateMismatch {
             detail: format!(
                 "wal record {index} carries {} trailing bytes",
                 pr.remaining()
             ),
-        })
+        });
     }
+    Ok(record)
 }
 
-/// Scans the WAL at `path`. Header problems (bad magic, future version,
-/// header checksum) are hard errors — the file as a whole is not a log
+/// Scans the WAL at `path`. Header problems (bad magic, another format
+/// version, header checksum) are hard errors — the file as a whole is not a log
 /// this build can trust — while torn frames *after* the header are
 /// reported as the `tail_error` of an otherwise successful replay,
 /// because the valid prefix is still good data. A checksum-valid payload
@@ -367,7 +346,7 @@ pub fn replay_wal(path: &Path) -> Result<WalReplay, PersistError> {
         });
     }
     let version = r.u32().expect("header length checked");
-    if version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             what: "wal",
             found: version,
@@ -419,13 +398,12 @@ pub fn replay_wal(path: &Path) -> Result<WalReplay, PersistError> {
             });
             break;
         }
-        records.push(decode_record(payload, version, records.len())?);
+        records.push(decode_record(payload, records.len())?);
         offset += WAL_FRAME_LEN + len;
     }
     Ok(WalReplay {
         records,
         base_count,
-        version,
         valid_len: (WAL_HEADER_LEN + offset) as u64,
         tail_error,
     })
@@ -458,7 +436,6 @@ mod tests {
         let replay = replay_wal(&path).expect("replay");
         assert_eq!(replay.records, inserts(&trajs));
         assert_eq!(replay.base_count, 5);
-        assert_eq!(replay.version, FORMAT_VERSION);
         assert!(replay.tail_error.is_none());
         assert_eq!(replay.valid_len, std::fs::metadata(&path).unwrap().len());
     }
@@ -614,6 +591,23 @@ mod tests {
                 ..
             })
         ));
+
+        // The retired revision 1 shared this header layout but framed
+        // records without a kind byte: refused, never replayed as if its
+        // payloads were typed (CRC fixed up so only the version is wrong).
+        let mut bad = good;
+        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bad[..WAL_HEADER_LEN - 4]);
+        bad[WAL_HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            replay_wal(&path),
+            Err(PersistError::UnsupportedVersion {
+                what: "wal",
+                found: 1,
+                supported: FORMAT_VERSION,
+            })
+        ));
     }
 
     #[test]
@@ -638,32 +632,5 @@ mod tests {
             }
             other => panic!("expected UnknownRecordKind, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn version_1_files_replay_as_bare_inserts() {
-        let dir = TempDir::new("wal-v1");
-        let path = dir.path().join(wal_file_name(0));
-        let trajs: Vec<Trajectory> = (0..3).map(|i| traj(i as f64)).collect();
-        // Hand-craft a version-1 file: same header layout, bare
-        // trajectory payloads with no kind byte.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        put_u32(&mut bytes, 1);
-        put_u64(&mut bytes, 7);
-        let crc = crc32(&bytes);
-        put_u32(&mut bytes, crc);
-        for t in &trajs {
-            let payload = t.encode();
-            put_u32(&mut bytes, payload.len() as u32);
-            put_u32(&mut bytes, crc32(&payload));
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let replay = replay_wal(&path).expect("replay v1");
-        assert_eq!(replay.version, 1);
-        assert_eq!(replay.base_count, 7);
-        assert_eq!(replay.records, inserts(&trajs));
-        assert!(replay.tail_error.is_none());
     }
 }

@@ -6,12 +6,16 @@
 //!
 //! * geometry: [`Point`], [`StPoint`], [`Segment`], [`StBox`],
 //!   [`Trajectory`], and the error types [`CoreError`] / [`TrajError`];
-//! * distances: [`edwp`], [`edwp_avg`], [`edwp_sub`], [`edwp_sub_avg`],
-//!   the pooled-scratch hot-path variants ([`EdwpScratch`],
-//!   [`edwp_with_scratch`], [`edwp_avg_with_scratch`],
-//!   [`edwp_sub_with_scratch`]), the early-exit bound kernels' [`Cutoff`]
-//!   (constant or shared-atomic pruning threshold), the [`TrajDistance`]
-//!   trait and the paper's baselines in [`baselines`]. The bound kernels
+//! * distances: the one-off conveniences [`edwp`], [`edwp_avg`],
+//!   [`edwp_sub`], [`edwp_sub_avg`] and the plain Theorem 2 bounds
+//!   [`edwp_lower_bound_boxes`] / [`edwp_lower_bound_trajectory`]; for
+//!   hot paths, [`Metric`]'s four entry points (`distance`,
+//!   `distance_bounded`, `lower_bound_boxes`, `lower_bound_trajectory` —
+//!   one per (metric × mode), all on a pooled [`EdwpScratch`] under a
+//!   [`Cutoff`], the constant or shared-atomic pruning threshold) with
+//!   the raw pooled DPs [`edwp_with_scratch`] / [`edwp_sub_with_scratch`]
+//!   beneath them; the [`TrajDistance`] trait and the paper's baselines
+//!   in [`baselines`]. The bound kernels
 //!   run on runtime-dispatched SIMD ([`Isa`], [`force_isa`], the
 //!   `TRAJ_FORCE_SCALAR` environment variable) with a scalar fallback —
 //!   results are exact on either path;
@@ -57,19 +61,11 @@
 pub use traj_core::{
     approx_eq, CoreError, Point, Segment, StBox, StPoint, TotalF64, TrajError, Trajectory, EPSILON,
 };
+pub use traj_dist::simd::force_isa;
 pub use traj_dist::{
-    baselines, edwp, edwp_avg, edwp_avg_lower_bound_boxes, edwp_avg_lower_bound_boxes_bounded,
-    edwp_avg_lower_bound_boxes_with_scratch, edwp_avg_lower_bound_trajectory,
-    edwp_avg_lower_bound_trajectory_bounded, edwp_avg_lower_bound_trajectory_with_scratch,
-    edwp_avg_with_scratch, edwp_lower_bound_boxes, edwp_lower_bound_boxes_bounded,
-    edwp_lower_bound_boxes_with_scratch, edwp_lower_bound_trajectory,
-    edwp_lower_bound_trajectory_bounded, edwp_lower_bound_trajectory_with_scratch, edwp_sub,
-    edwp_sub_avg, edwp_sub_avg_with_scratch, edwp_sub_lower_bound_boxes,
-    edwp_sub_lower_bound_boxes_bounded, edwp_sub_lower_bound_boxes_with_scratch,
-    edwp_sub_lower_bound_trajectory, edwp_sub_lower_bound_trajectory_bounded,
-    edwp_sub_lower_bound_trajectory_with_scratch, edwp_sub_with_scratch, edwp_with_scratch,
-    force_isa, BoxSeq, Cutoff, EdwpDistance, EdwpRawDistance, EdwpScratch, Isa, Metric, QueryMode,
-    TrajDistance,
+    baselines, edwp, edwp_avg, edwp_lower_bound_boxes, edwp_lower_bound_trajectory, edwp_sub,
+    edwp_sub_avg, edwp_sub_with_scratch, edwp_with_scratch, BoxSeq, Cutoff, EdwpDistance,
+    EdwpRawDistance, EdwpScratch, Isa, Metric, QueryMode, TrajDistance,
 };
 pub use traj_gen::{GenConfig, TrajGen};
 pub use traj_index::{
@@ -238,28 +234,10 @@ mod tests {
             value_item!(approx_eq),
             value_item!(edwp),
             value_item!(edwp_avg),
-            value_item!(edwp_avg_lower_bound_boxes),
-            value_item!(edwp_avg_lower_bound_boxes_bounded),
-            value_item!(edwp_avg_lower_bound_boxes_with_scratch),
-            value_item!(edwp_avg_lower_bound_trajectory),
-            value_item!(edwp_avg_lower_bound_trajectory_bounded),
-            value_item!(edwp_avg_lower_bound_trajectory_with_scratch),
-            value_item!(edwp_avg_with_scratch),
             value_item!(edwp_lower_bound_boxes),
-            value_item!(edwp_lower_bound_boxes_bounded),
-            value_item!(edwp_lower_bound_boxes_with_scratch),
             value_item!(edwp_lower_bound_trajectory),
-            value_item!(edwp_lower_bound_trajectory_bounded),
-            value_item!(edwp_lower_bound_trajectory_with_scratch),
             value_item!(edwp_sub),
             value_item!(edwp_sub_avg),
-            value_item!(edwp_sub_avg_with_scratch),
-            value_item!(edwp_sub_lower_bound_boxes),
-            value_item!(edwp_sub_lower_bound_boxes_bounded),
-            value_item!(edwp_sub_lower_bound_boxes_with_scratch),
-            value_item!(edwp_sub_lower_bound_trajectory),
-            value_item!(edwp_sub_lower_bound_trajectory_bounded),
-            value_item!(edwp_sub_lower_bound_trajectory_with_scratch),
             value_item!(edwp_sub_with_scratch),
             value_item!(edwp_with_scratch),
             value_item!(force_isa),
@@ -267,7 +245,7 @@ mod tests {
         ];
         assert_eq!(
             functions.len(),
-            29,
+            11,
             "function/const surface changed — update the snapshot"
         );
     }
