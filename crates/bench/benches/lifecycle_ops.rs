@@ -13,22 +13,14 @@
 //!   the tombstone group's append cost is visible but fsync latency is
 //!   not).
 //! * `reshard/4` — [`Session::reshard`] on a durable 600-trip session:
-//!   re-deal the live set from memory, STR-rebuild the trees with
-//!   rolled-up internal summaries, append one Reshard record, publish
-//!   one epoch.
-//! * `full_rebuild/4` — the offline alternative the online path must
-//!   beat: a cold [`SessionBuilder::build`] over the same 600
-//!   trajectories at 4 shards (full merge-DP summaries at every level).
-//!   `check_regression reshard` gates `reshard/4` at no more than 0.5×
-//!   this row — online rebalancing must stay at least twice as fast as
-//!   rebuilding from scratch.
+//!   re-deal the live set from memory, STR-bulk-load the trees (the one
+//!   build path `build` and `open` share), append one Reshard record,
+//!   publish one epoch.
 //! * `post_delete_query/<row>` — 10-NN latency over a session with a
 //!   third of its base tombstoned versus a clean session holding only
 //!   the survivors. Tombstones leave node summaries stale-but-admissible
 //!   (dead members are skipped at refinement, never re-summarised), so
 //!   this pair shows what the skip costs before a vacuum reclaims it.
-//!
-//! [`SessionBuilder::build`]: traj_index::SessionBuilder::build
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::PathBuf;
@@ -116,10 +108,8 @@ fn lifecycle_ops(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // Online reshard versus the cold rebuild it replaces. Both rows end
-    // on a 4-shard layout over the same 600 live trips; `reshard`
-    // re-deals from live memory with rolled-up summaries (plus one WAL
-    // record), `full_rebuild` runs the full offline bulk load.
+    // Online reshard: re-deal the 600 live trips from memory onto a
+    // 4-shard layout, plus one WAL record.
     group.bench_function(BenchmarkId::new("reshard", "4"), |b| {
         let dir = scratch("reshard");
         let session = Session::builder()
@@ -138,15 +128,6 @@ fn lifecycle_ops(c: &mut Criterion) {
         });
         drop(session);
         let _ = std::fs::remove_dir_all(&dir);
-    });
-
-    group.bench_function(BenchmarkId::new("full_rebuild", "4"), |b| {
-        b.iter(|| {
-            let session = Session::builder()
-                .shards(4)
-                .build(TrajStore::from(trajs.clone()));
-            black_box(session.num_shards())
-        });
     });
 
     // Query latency with a third of the base dead versus a clean session

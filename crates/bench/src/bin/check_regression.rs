@@ -44,10 +44,7 @@ struct Row {
 ///   64 one-record inserts cost at least 3× one 64-record group commit
 ///   (one fsync per group instead of one per record; both rows move the
 ///   same 64 records, so their means compare directly).
-/// * `reshard` — online resharding keeps its reason to exist:
-///   `Session::reshard(4)` costs at most half a cold reopen onto the same
-///   4-shard layout, or callers may as well bounce the process.
-const GATES: [Row; 4] = [
+const GATES: [Row; 3] = [
     Row {
         gate: "shard",
         suite: "query_vs_shards",
@@ -72,21 +69,13 @@ const GATES: [Row; 4] = [
         bound: 3.0,
         direction: Direction::AtLeast,
     },
-    Row {
-        gate: "reshard",
-        suite: "lifecycle_ops",
-        numerator: "reshard/4",
-        denominator: "full_rebuild/4",
-        bound: 0.5,
-        direction: Direction::AtMost,
-    },
 ];
 
 fn main() -> ExitCode {
     let gate = std::env::args().nth(1).unwrap_or_default();
     let rows: Vec<&Row> = GATES.iter().filter(|r| r.gate == gate).collect();
     if rows.is_empty() {
-        eprintln!("usage: check_regression <shard|ingest|reshard>");
+        eprintln!("usage: check_regression <shard|ingest>");
         return ExitCode::FAILURE;
     }
     let mut failed = false;
@@ -186,17 +175,17 @@ mod tests {
     use super::*;
 
     const FIXTURE: &str = r#"[
-  {"name": "lifecycle_ops/reshard/4", "mean_ns": 2000000.0, "iters": 19},
-  {"name": "lifecycle_ops/full_rebuild/4", "mean_ns": 8.0e6, "iters": 7},
-  {"name": "lifecycle_ops/reshard/40", "mean_ns": 1.0, "iters": 1}
+  {"name": "ingest_throughput/single_64/always", "mean_ns": 8000000.0, "iters": 7},
+  {"name": "ingest_throughput/batch_64/always", "mean_ns": 2.0e6, "iters": 19},
+  {"name": "ingest_throughput/single_64/always_held", "mean_ns": 1.0, "iters": 1}
 ]"#;
 
     fn row(bound: f64, direction: Direction) -> Row {
         Row {
-            gate: "reshard",
-            suite: "lifecycle_ops",
-            numerator: "reshard/4",
-            denominator: "full_rebuild/4",
+            gate: "ingest",
+            suite: "ingest_throughput",
+            numerator: "single_64/always",
+            denominator: "batch_64/always",
             bound,
             direction,
         }
@@ -204,29 +193,30 @@ mod tests {
 
     #[test]
     fn finds_rows_by_exact_name() {
-        assert_eq!(mean_ns(FIXTURE, "lifecycle_ops/reshard/4"), Some(2e6));
-        assert_eq!(mean_ns(FIXTURE, "lifecycle_ops/full_rebuild/4"), Some(8e6));
+        let mean = |bench: &str| mean_ns(FIXTURE, &format!("ingest_throughput/{bench}"));
+        assert_eq!(mean("single_64/always"), Some(8e6));
+        assert_eq!(mean("batch_64/always"), Some(2e6));
         // A name that only prefixes another row's is not that row.
-        assert_eq!(mean_ns(FIXTURE, "lifecycle_ops/reshard"), None);
-        assert_eq!(mean_ns(FIXTURE, "lifecycle_ops/compact/4"), None);
+        assert_eq!(mean("single_64"), None);
+        assert_eq!(mean("batch_64/always_held"), None);
     }
 
     #[test]
     fn a_missing_row_fails_the_check() {
-        let mut absent = row(0.5, Direction::AtMost);
-        absent.denominator = "cold_open/4";
+        let mut absent = row(3.0, Direction::AtLeast);
+        absent.denominator = "batch_64/every_n";
         let err = check(&absent, FIXTURE).unwrap_err();
-        assert!(err.contains("lifecycle_ops/cold_open/4"), "{err}");
+        assert!(err.contains("ingest_throughput/batch_64/every_n"), "{err}");
     }
 
     #[test]
     fn the_ratio_is_judged_on_each_side_of_the_bound() {
-        // The fixture's ratio is 2 ms / 8 ms = 0.25.
-        assert!(check(&row(0.5, Direction::AtMost), FIXTURE).is_ok());
-        assert!(check(&row(0.25, Direction::AtMost), FIXTURE).is_ok());
-        assert!(check(&row(0.2, Direction::AtMost), FIXTURE).is_err());
-        assert!(check(&row(0.2, Direction::AtLeast), FIXTURE).is_ok());
-        assert!(check(&row(0.25, Direction::AtLeast), FIXTURE).is_ok());
-        assert!(check(&row(0.5, Direction::AtLeast), FIXTURE).is_err());
+        // The fixture's ratio is 8 ms / 2 ms = 4.
+        assert!(check(&row(5.0, Direction::AtMost), FIXTURE).is_ok());
+        assert!(check(&row(4.0, Direction::AtMost), FIXTURE).is_ok());
+        assert!(check(&row(3.0, Direction::AtMost), FIXTURE).is_err());
+        assert!(check(&row(3.0, Direction::AtLeast), FIXTURE).is_ok());
+        assert!(check(&row(4.0, Direction::AtLeast), FIXTURE).is_ok());
+        assert!(check(&row(5.0, Direction::AtLeast), FIXTURE).is_err());
     }
 }

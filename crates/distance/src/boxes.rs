@@ -101,6 +101,12 @@ impl BoxSeq {
         self.boxes.is_empty()
     }
 
+    /// The overall bounding box: the union of all boxes, `None` when the
+    /// sequence is empty.
+    pub fn bbox(&self) -> Option<StBox> {
+        self.boxes.iter().copied().reduce(|acc, b| acc.union(&b))
+    }
+
     /// `Vol(B)`: the sum of box volumes (Definition 5).
     pub fn volume(&self) -> f64 {
         self.boxes.iter().map(|b| b.volume()).sum()

@@ -58,7 +58,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use traj_core::{StBox, TotalF64, Trajectory};
-use traj_dist::{edwp_lower_bound_aabb_batch, BoxSeq, Cutoff, EdwpScratch, Metric, QueryMode};
+use traj_dist::{edwp_lower_bound_aabb_batch, Cutoff, EdwpScratch, Metric, QueryMode};
 
 /// One query answer: a trajectory id and its exact distance to the query
 /// under the query's [`Metric`] and [`QueryMode`] (whole-trajectory raw
@@ -566,14 +566,6 @@ fn node_bound<C: Collector>(
     value
 }
 
-/// The overall bounding box of a summary sequence: the union fold of its
-/// boxes. `None` for an empty summary.
-fn summary_bbox(seq: &BoxSeq) -> Option<StBox> {
-    let mut boxes = seq.boxes().iter();
-    let first = *boxes.next()?;
-    Some(boxes.fold(first, |acc, b| acc.union(b)))
-}
-
 /// Fills `out` with each child's overall bounding box for the batched
 /// prescreen. Returns `false` (prescreen disabled for this node) when any
 /// child has an empty summary — such a child's bound is `+inf` and must
@@ -582,7 +574,7 @@ fn summary_bbox(seq: &BoxSeq) -> Option<StBox> {
 fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
     out.clear();
     for child in children {
-        match summary_bbox(child.summary()) {
+        match child.summary().bbox() {
             Some(b) => out.push(b),
             None => return false,
         }

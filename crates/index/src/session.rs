@@ -196,18 +196,13 @@ fn shard_sections(snap: &Snapshot) -> Vec<Vec<(TrajId, &Trajectory)>> {
 /// Deals `(global id, trajectory)` pairs across `n` shards by the id-hash
 /// router and STR-bulk-loads one tree per shard — one `fan_out` worker per
 /// shard, since the bulk loads are independent (and deterministic, so the
-/// parallel build is bit-identical to the sequential one). The shared unit
-/// of [`SessionBuilder::build`], [`SessionBuilder::open`] and
-/// [`Session::reshard`]. `rollup` picks the per-tree internal-summary
-/// strategy: offline builds pass `false` (full merge-DP summaries); online
-/// resharding passes `true` (child summaries rolled up — a fraction of the
-/// cost, identical results, marginally coarser internal pruning until the
-/// next offline build).
+/// parallel build is bit-identical to the sequential one). The one build
+/// path: [`SessionBuilder::build`], [`SessionBuilder::open`] and
+/// [`Session::reshard`] all reach their trees through this call.
 fn build_shards(
     pairs: Vec<(TrajId, Trajectory)>,
     n: usize,
     config: &TrajTreeConfig,
-    rollup: bool,
 ) -> Vec<Arc<Shard>> {
     debug_assert!(n >= 1, "the shard count is clamped before routing");
     let mut parts: Vec<Vec<(TrajId, Trajectory)>> = (0..n).map(|_| Vec::new()).collect();
@@ -215,7 +210,7 @@ fn build_shards(
         parts[shard_of(gid, n)].push((gid, t));
     }
     fan_out(parts, n, &mut (), |part, _| {
-        Arc::new(Shard::bulk(part, config.clone(), rollup))
+        Arc::new(Shard::bulk(part, config.clone()))
     })
 }
 
@@ -562,18 +557,13 @@ impl Session {
     /// in results — and global ids are stable across the move (unlike
     /// [`Session::into_store`] round-trips, which re-densify).
     ///
-    /// This is a rebuild of the *live* set, not a full-database rebuild
-    /// plus replay: live trajectories are re-dealt by the id-hash router
-    /// and one tree per shard is STR-bulk-loaded on parallel workers —
-    /// with **rolled-up internal summaries** (child tBoxSeqs concatenated
-    /// and coalesced instead of re-aligning every trajectory at every
-    /// level), so the rebalance costs a fraction of a cold
-    /// [`SessionBuilder::build`]. Rolled-up summaries still cover every
-    /// member, so answers stay exact; only internal-node pruning is
-    /// marginally coarser until the next offline build (a reopen)
-    /// re-derives full-quality summaries. Resharding to the **current**
-    /// count is deliberately not a no-op: it folds every delta buffer and
-    /// evicts every tombstone from memory, so
+    /// This is a rebuild of the *live* set from memory: live trajectories
+    /// are re-dealt by the id-hash router and one tree per shard is
+    /// STR-bulk-loaded on parallel workers — the same bulk load
+    /// [`SessionBuilder::build`] and [`SessionBuilder::open`] run, so the
+    /// new trees are what a fresh build over the live set would produce.
+    /// Resharding to the **current** count is deliberately not a no-op: it
+    /// folds every delta buffer and evicts every tombstone from memory, so
     /// `session.reshard(session.num_shards())` doubles as an in-memory
     /// vacuum.
     ///
@@ -588,7 +578,7 @@ impl Session {
         let snap = self.snapshot();
         let pairs: Vec<(TrajId, Trajectory)> =
             snap.iter().map(|(gid, t)| (gid, t.clone())).collect();
-        let built = build_shards(pairs, n, &self.config, true);
+        let built = build_shards(pairs, n, &self.config);
         // Durable half, off the epoch lock: the old layout is compacted
         // first if due (its snapshot still describes the published epoch),
         // then the layout change becomes one logged record. Log then
@@ -808,9 +798,10 @@ impl SessionBuilder {
     /// Opens (or initialises) the durable database in `dir` and builds a
     /// session over it: recovery finds the newest valid snapshot, replays
     /// the write-ahead log (truncating a torn tail — the normal crash
-    /// artifact), rebuilds the shard trees from the recovered
-    /// trajectories, and wires [`Session::insert`] to log through the
-    /// engine. Trees are *rebuilt*, not deserialized: queries are exact
+    /// artifact), bulk-loads the shard trees from the recovered
+    /// trajectories — the same bulk load as [`SessionBuilder::build`] and
+    /// [`Session::reshard`] — and wires [`Session::insert`] to log through
+    /// the engine. Trees are *rebuilt*, not deserialized: queries are exact
     /// regardless of tree shape, so a reopened session answers every query
     /// bitwise-identically to one that never went down.
     ///
@@ -833,7 +824,6 @@ impl SessionBuilder {
                 recovered.trajs,
                 shards,
                 &self.config,
-                false,
             ))),
             next_id: AtomicU32::new(next_id),
             config: self.config,
@@ -885,7 +875,7 @@ impl SessionBuilder {
             .map(|(i, t)| (i as TrajId, t))
             .collect();
         let next_id = pairs.len() as u32;
-        let shards = build_shards(pairs, n, &config, false);
+        let shards = build_shards(pairs, n, &config);
         Session {
             shards: RwLock::new(Arc::new(shards)),
             next_id: AtomicU32::new(next_id),

@@ -103,14 +103,7 @@ pub(crate) struct Shard {
 impl Shard {
     /// Bulk-loads a shard over its `(global id, trajectory)` pairs, which
     /// must be ascending by id; the delta and tombstone set start empty.
-    /// `rollup` picks the tree's internal-summary strategy: `false` is the
-    /// full merge-DP build, `true` the cheaper rolled-up build online
-    /// resharding uses ([`TrajTree::bulk_load_rollup`]).
-    pub(crate) fn bulk(
-        pairs: Vec<(TrajId, Trajectory)>,
-        config: TrajTreeConfig,
-        rollup: bool,
-    ) -> Self {
+    pub(crate) fn bulk(pairs: Vec<(TrajId, Trajectory)>, config: TrajTreeConfig) -> Self {
         let mut globals = Vec::with_capacity(pairs.len());
         let mut trajs = Vec::with_capacity(pairs.len());
         for (gid, t) in pairs {
@@ -122,11 +115,7 @@ impl Shard {
             trajs.push(t);
         }
         let store = TrajStore::from(trajs);
-        let tree = if rollup {
-            TrajTree::bulk_load_rollup(&store, config)
-        } else {
-            TrajTree::bulk_load(&store, config)
-        };
+        let tree = TrajTree::bulk_load(&store, config);
         Shard {
             base: Arc::new(store),
             base_globals: Arc::new(globals),
@@ -194,19 +183,19 @@ impl Shard {
     /// via the least-volume-growth descent. Copy-on-write at the base
     /// level: in place when no snapshot shares the base `Arc`s, one base
     /// copy otherwise — the amortised cost the delta buffer bounds to
-    /// once per threshold crossing.
+    /// once per threshold crossing, and never paid when no entry survives.
     pub(crate) fn merge_delta(&mut self) {
+        if self.dead_delta > 0 {
+            let dead = Arc::make_mut(&mut self.dead);
+            self.delta.retain(|(gid, _)| !dead.remove(gid));
+            self.dead_delta = 0;
+        }
         if self.delta.is_empty() {
             return;
         }
         let store = Arc::make_mut(&mut self.base);
         let globals = Arc::make_mut(&mut self.base_globals);
         let tree = Arc::make_mut(&mut self.tree);
-        if self.dead_delta > 0 {
-            let dead = Arc::make_mut(&mut self.dead);
-            self.delta.retain(|(gid, _)| !dead.remove(gid));
-            self.dead_delta = 0;
-        }
         for (gid, t) in self.delta.drain(..) {
             let local = store.insert(t);
             globals.push(gid);
@@ -460,7 +449,7 @@ mod tests {
         let shards: Vec<Arc<Shard>> = (0..3)
             .map(|s| {
                 let part = dense((0..7u32).filter(|g| *g as usize % 3 == s));
-                Arc::new(Shard::bulk(part, TrajTreeConfig::default(), false))
+                Arc::new(Shard::bulk(part, TrajTreeConfig::default()))
             })
             .collect();
         let snap = Snapshot {
@@ -482,7 +471,7 @@ mod tests {
 
     #[test]
     fn delta_inserts_route_and_merge_at_the_threshold() {
-        let mut shard = Shard::bulk(dense(0..4), TrajTreeConfig::default(), false);
+        let mut shard = Shard::bulk(dense(0..4), TrajTreeConfig::default());
         assert_eq!((shard.indexed_len(), shard.delta_len()), (4, 0));
         // Below the threshold: inserts buffer in the delta, lookups cover
         // both sides of the split.
@@ -505,7 +494,7 @@ mod tests {
 
     #[test]
     fn tombstones_hide_members_and_fold_out_of_the_delta() {
-        let mut shard = Shard::bulk(dense([0, 2, 4]), TrajTreeConfig::default(), false);
+        let mut shard = Shard::bulk(dense([0, 2, 4]), TrajTreeConfig::default());
         shard.insert(6, t(6.0), 100);
         shard.insert(8, t(8.0), 100);
         assert_eq!(shard.len(), 5);
@@ -535,7 +524,7 @@ mod tests {
     fn holey_ids_keep_resolving_after_a_fold() {
         // Ids with gaps (as removal + fresh inserts produce): the globals
         // table, not arithmetic, maps slots to ids.
-        let mut shard = Shard::bulk(dense([1, 5, 9]), TrajTreeConfig::default(), false);
+        let mut shard = Shard::bulk(dense([1, 5, 9]), TrajTreeConfig::default());
         shard.insert(13, t(13.0), 1); // threshold 1: folds immediately
         assert_eq!(shard.base_globals(), &[1, 5, 9, 13]);
         for g in [1u32, 5, 9, 13] {
@@ -546,8 +535,8 @@ mod tests {
 
     #[test]
     fn snapshot_len_and_sizes_report_live_counts() {
-        let mut a = Shard::bulk(dense([0, 2]), TrajTreeConfig::default(), false);
-        let mut b = Shard::bulk(dense([1, 3]), TrajTreeConfig::default(), false);
+        let mut a = Shard::bulk(dense([0, 2]), TrajTreeConfig::default());
+        let mut b = Shard::bulk(dense([1, 3]), TrajTreeConfig::default());
         a.insert(4, t(4.0), 100);
         b.insert(5, t(5.0), 100);
         a.remove(2);
@@ -582,7 +571,7 @@ mod tests {
 
     #[test]
     fn shard_clone_shares_the_base_and_copies_only_the_delta() {
-        let mut shard = Shard::bulk(dense(0..16), TrajTreeConfig::default(), false);
+        let mut shard = Shard::bulk(dense(0..16), TrajTreeConfig::default());
         shard.insert(16, t(16.0), 1000);
         shard.remove(3);
         let clone = shard.clone();
@@ -606,5 +595,25 @@ mod tests {
         clone2.remove(0);
         assert!(clone.get_global(0).is_some());
         assert!(clone2.get_global(0).is_none());
+    }
+
+    #[test]
+    fn folding_an_all_dead_delta_leaves_the_shared_base_alone() {
+        let mut shard = Shard::bulk(dense(0..16), TrajTreeConfig::default());
+        shard.insert(16, t(16.0), 1000);
+        shard.insert(17, t(17.0), 1000);
+        assert!(shard.remove(16) && shard.remove(17));
+        let held = shard.clone(); // a snapshot shares the base Arcs
+        shard.merge_delta();
+        assert!(Arc::ptr_eq(&shard.base, &held.base), "base store copied");
+        assert!(Arc::ptr_eq(&shard.tree, &held.tree), "base tree copied");
+        assert!(
+            Arc::ptr_eq(&shard.base_globals, &held.base_globals),
+            "globals table copied"
+        );
+        // The dead entries and their tombstones are gone all the same.
+        assert_eq!((shard.indexed_len(), shard.delta_len()), (16, 0));
+        assert!(shard.delta().is_empty() && shard.dead().is_empty());
+        assert_eq!(held.dead().len(), 2, "the held epoch is untouched");
     }
 }

@@ -1,5 +1,5 @@
 use crate::store::{TrajId, TrajStore};
-use traj_core::{Point, StBox, TotalF64, Trajectory};
+use traj_core::{Point, TotalF64, Trajectory};
 use traj_dist::BoxSeq;
 
 /// Tuning parameters of a [`TrajTree`].
@@ -27,8 +27,9 @@ impl Default for TrajTreeConfig {
     }
 }
 
-/// A TrajTree node (Sec. V): internal nodes summarise the trajectories of
-/// their subtree with a coarsened tBoxSeq; leaves hold trajectory ids.
+/// A TrajTree node (Sec. V): leaves hold trajectory ids under a tBoxSeq
+/// aligned over their members; internal nodes summarise their subtree by
+/// rolling their children's tBoxSeqs up ([`make_internal`]).
 /// `max_len` upper-bounds the spatial length of every trajectory in the
 /// subtree — the bookkeeping the length-normalised metric's admissible
 /// node bound divides by. `id` is the node's pre-order position, reassigned
@@ -122,7 +123,10 @@ impl Node {
     /// Centre of the summary's overall bounding box, used as the node's
     /// sort key during bulk-loading and splits.
     fn center(&self) -> Point {
-        boxseq_bbox(self.summary()).center()
+        self.summary()
+            .bbox()
+            .expect("node summaries are never empty")
+            .center()
     }
 }
 
@@ -132,10 +136,12 @@ impl Node {
 /// [`crate::Session`] shards the database across several trees, and
 /// [`crate::Session::from_parts`] wraps one hand-built tree.
 ///
-/// Every node's summary is built over exactly the set of trajectories in
-/// its subtree, so the admissible bound
-/// [`traj_dist::edwp_lower_bound_boxes`] applies to each of them
-/// (Theorem 2), which is what makes pruned search exact.
+/// Every node's summary covers every trajectory in its subtree, so the
+/// admissible bound [`traj_dist::edwp_lower_bound_boxes`] applies to each
+/// of them (Theorem 2), which is what makes pruned search exact. Leaf
+/// summaries come from the paper's iterative alignment (Sec. IV-B);
+/// internal summaries from the one roll-up rule (`make_internal`), on every
+/// build path.
 #[derive(Debug, Clone)]
 pub struct TrajTree {
     pub(crate) root: Option<Node>,
@@ -161,29 +167,6 @@ impl TrajTree {
     /// full leaves, and parent levels are packed the same way until a
     /// single root remains.
     pub fn bulk_load(store: &TrajStore, config: TrajTreeConfig) -> Self {
-        TrajTree::bulk_load_with(store, config, false)
-    }
-
-    /// Bulk-loads with **rolled-up internal summaries**: the STR packing
-    /// and the leaf summaries are identical to [`TrajTree::bulk_load`],
-    /// but each internal node's tBoxSeq is formed by concatenating its
-    /// children's box sequences and coalescing to the internal budget —
-    /// no per-trajectory alignment DP above the leaf level. Coverage is
-    /// preserved (every member's polyline lies in some child's boxes, and
-    /// coalescing only unions boxes), and the admissible bounds take a
-    /// minimum over all boxes, so search through a rolled-up tree is
-    /// exactly as correct — just marginally less selective at internal
-    /// nodes than the merge-DP summaries the full build computes.
-    ///
-    /// This is the online-rebalancing build ([`crate::Session::reshard`]):
-    /// it trades a sliver of internal-node pruning for an epoch swap that
-    /// costs a fraction of a cold rebuild. Offline builds (bulk load,
-    /// reopen, compaction) keep the full-quality path.
-    pub(crate) fn bulk_load_rollup(store: &TrajStore, config: TrajTreeConfig) -> Self {
-        TrajTree::bulk_load_with(store, config, true)
-    }
-
-    fn bulk_load_with(store: &TrajStore, config: TrajTreeConfig, rollup: bool) -> Self {
         let mut items: Vec<(TrajId, Point)> =
             store.iter().map(|(id, t)| (id, centroid(t))).collect();
         if items.is_empty() {
@@ -214,11 +197,7 @@ impl TrajTree {
                         .iter()
                         .map(|&i| slots[i].take().expect("each node tiled once"))
                         .collect();
-                    if rollup {
-                        make_internal_rollup(children, &config)
-                    } else {
-                        make_internal(store, children, &config)
-                    }
+                    make_internal(children, &config)
                 })
                 .collect();
         }
@@ -251,8 +230,7 @@ impl TrajTree {
             }
             Some(mut root) => {
                 if let Some(sibling) = insert_rec(&mut root, store, id, t, &self.config, None) {
-                    let children = vec![root, sibling];
-                    self.root = Some(make_internal(store, children, &self.config));
+                    self.root = Some(make_internal(vec![root, sibling], &self.config));
                 } else {
                     self.root = Some(root);
                 }
@@ -339,9 +317,12 @@ fn str_tiles<T: Copy>(items: &mut [(T, Point)], cap: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Builds a leaf over `ids` with a coalesced summary over all members.
+/// Builds a leaf over `ids`, its summary the coalesced tBoxSeq aligned over
+/// all members (Sec. IV-B).
 fn make_leaf(store: &TrajStore, ids: &[TrajId], config: &TrajTreeConfig) -> Node {
-    let summary = summary_over(store, ids, config.leaf_boxes);
+    let members = ids.iter().map(|&id| store.get(id));
+    let summary = BoxSeq::from_trajectories(members, Some(config.leaf_boxes))
+        .expect("leaves hold at least one trajectory");
     let max_len = ids
         .iter()
         .map(|&id| store.get(id).length())
@@ -354,28 +335,14 @@ fn make_leaf(store: &TrajStore, ids: &[TrajId], config: &TrajTreeConfig) -> Node
     }
 }
 
-/// Builds an internal node over `children`, summarising every descendant
-/// trajectory with a coarse tBoxSeq.
-fn make_internal(store: &TrajStore, children: Vec<Node>, config: &TrajTreeConfig) -> Node {
-    let mut ids = Vec::new();
-    for c in &children {
-        c.collect_ids(&mut ids);
-    }
-    let summary = summary_over(store, &ids, config.internal_boxes);
-    let max_len = children.iter().map(Node::max_len).fold(0.0, f64::max);
-    Node::Internal {
-        id: 0, // placeholder until the post-change renumber pass
-        children,
-        summary,
-        max_len,
-    }
-}
-
-/// Builds an internal node by rolling its children's summaries up —
-/// concatenate their box sequences, coalesce to the internal budget —
-/// instead of re-aligning every descendant trajectory. See
-/// [`TrajTree::bulk_load_rollup`] for the admissibility argument.
-fn make_internal_rollup(children: Vec<Node>, config: &TrajTreeConfig) -> Node {
+/// Builds an internal node over `children` — the one rule for internal
+/// summaries, on every build path (bulk load, internal splits, root
+/// growth): concatenate the children's box sequences and coalesce to the
+/// internal budget. Admissible by coverage alone: every member's polyline
+/// lies inside some child's boxes and coalescing only unions boxes, and the
+/// bounds take a minimum over all boxes, so they never depend on the order
+/// the concatenation happens to produce.
+fn make_internal(children: Vec<Node>, config: &TrajTreeConfig) -> Node {
     let boxes: Vec<_> = children
         .iter()
         .flat_map(|c| c.summary().boxes().iter().copied())
@@ -389,12 +356,6 @@ fn make_internal_rollup(children: Vec<Node>, config: &TrajTreeConfig) -> Node {
         summary,
         max_len,
     }
-}
-
-/// The coalesced tBoxSeq over a set of member trajectories.
-fn summary_over(store: &TrajStore, ids: &[TrajId], max_boxes: usize) -> BoxSeq {
-    BoxSeq::from_trajectories(ids.iter().map(|&id| store.get(id)), Some(max_boxes))
-        .expect("summaries are built over at least one trajectory")
 }
 
 /// Recursive insertion; returns a split-off sibling when `node` overflowed.
@@ -453,7 +414,7 @@ fn insert_rec(
             ) {
                 children.push(sibling);
                 if children.len() > config.fanout {
-                    return Some(split_internal(children, summary, max_len, store, config));
+                    return Some(split_internal(children, summary, max_len, config));
                 }
             }
             None
@@ -502,7 +463,6 @@ fn split_internal(
     children: &mut Vec<Node>,
     summary: &mut BoxSeq,
     max_len: &mut f64,
-    store: &TrajStore,
     config: &TrajTreeConfig,
 ) -> Node {
     let mut items: Vec<(usize, Point)> = children
@@ -519,8 +479,8 @@ fn split_internal(
         .map(|&i| slots[i].take().expect("child moved once"))
         .collect();
     let keep: Vec<Node> = slots.into_iter().flatten().collect();
-    let kept = make_internal(store, keep, config);
-    let sibling = make_internal(store, give, config);
+    let kept = make_internal(keep, config);
+    let sibling = make_internal(give, config);
     if let Node::Internal {
         children: new_children,
         summary: new_summary,
@@ -553,17 +513,6 @@ fn sort_along_dominant_axis<T>(items: &mut [(T, Point)]) {
     }
 }
 
-/// Re-exported for summary statistics: the overall bounding box of a
-/// node-summary tBoxSeq.
-pub(crate) fn boxseq_bbox(seq: &BoxSeq) -> StBox {
-    let boxes = seq.boxes();
-    let mut bb = boxes[0];
-    for b in &boxes[1..] {
-        bb = bb.union(b);
-    }
-    bb
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +530,64 @@ mod tests {
             ]));
         }
         store
+    }
+
+    fn small_nodes() -> TrajTreeConfig {
+        TrajTreeConfig {
+            leaf_capacity: 3,
+            fanout: 3,
+            ..TrajTreeConfig::default()
+        }
+    }
+
+    /// Walks every node of a tree that indexes all of `store` and asserts
+    /// what each build path owes the search: coverage (every subtree
+    /// member's box bound against the node's summary is 0 — the premise of
+    /// Theorem 2), the box / capacity / fanout budgets, `max_len` equal to
+    /// the exact subtree maximum, and dense pre-order ids.
+    fn check_invariants(tree: &TrajTree, store: &TrajStore) {
+        fn walk(node: &Node, store: &TrajStore, config: &TrajTreeConfig, next: &mut u32) {
+            assert_eq!(node.id(), *next, "ids are dense pre-order");
+            *next += 1;
+            match node {
+                Node::Leaf { ids, summary, .. } => {
+                    assert!((1..=config.leaf_capacity).contains(&ids.len()));
+                    assert!(summary.len() <= config.leaf_boxes);
+                }
+                Node::Internal {
+                    children, summary, ..
+                } => {
+                    assert!((1..=config.fanout).contains(&children.len()));
+                    assert!(summary.len() <= config.internal_boxes);
+                    for c in children {
+                        walk(c, store, config, next);
+                    }
+                }
+            }
+            let mut members = Vec::new();
+            node.collect_ids(&mut members);
+            let mut longest = 0.0f64;
+            for &id in &members {
+                let t = store.get(id);
+                let lb = traj_dist::edwp_lower_bound_boxes(t, node.summary());
+                assert!(
+                    approx_eq(lb.max(0.0), 0.0),
+                    "member {id} has bound {lb} against node {}",
+                    node.id()
+                );
+                longest = longest.max(t.length());
+            }
+            assert_eq!(node.max_len(), longest, "max_len of node {}", node.id());
+        }
+        let mut next = 0;
+        if let Some(root) = &tree.root {
+            walk(root, store, tree.config(), &mut next);
+        }
+        assert_eq!(next as usize, tree.node_count());
+        let mut ids = tree.ids();
+        ids.sort_unstable();
+        assert_eq!(ids, store.ids().collect::<Vec<_>>());
+        assert_eq!(tree.len(), store.len());
     }
 
     #[test]
@@ -602,24 +609,7 @@ mod tests {
             ..TrajTreeConfig::default()
         };
         let tree = TrajTree::bulk_load(&store, config);
-        fn check(node: &Node, config: &TrajTreeConfig) {
-            match node {
-                Node::Leaf { ids, summary, .. } => {
-                    assert!(ids.len() <= config.leaf_capacity);
-                    assert!(summary.len() <= config.leaf_boxes);
-                }
-                Node::Internal {
-                    children, summary, ..
-                } => {
-                    assert!(children.len() <= config.fanout);
-                    assert!(summary.len() <= config.internal_boxes);
-                    for c in children {
-                        check(c, config);
-                    }
-                }
-            }
-        }
-        check(tree.root.as_ref().unwrap(), tree.config());
+        check_invariants(&tree, &store);
         assert!(tree.height() >= 3, "height {}", tree.height());
     }
 
@@ -629,6 +619,7 @@ mod tests {
         assert!(tree.is_empty());
         assert_eq!(tree.height(), 0);
         assert_eq!(tree.node_count(), 0);
+        check_invariants(&tree, &TrajStore::new());
     }
 
     #[test]
@@ -653,104 +644,67 @@ mod tests {
     }
 
     #[test]
-    fn summaries_cover_members_after_inserts() {
-        let store = store_of(30);
-        let mut tree = TrajTree::bulk_load(
-            &TrajStore::new(),
-            TrajTreeConfig {
-                leaf_capacity: 3,
-                fanout: 3,
-                ..TrajTreeConfig::default()
-            },
-        );
-        for id in store.ids() {
-            tree.insert(&store, id);
-        }
-        // The admissible bound must be (near) zero for members against the
-        // summary of every node on their path; check at the root.
-        let root = tree.root.as_ref().unwrap();
-        for (_, t) in store.iter() {
-            let lb = traj_dist::edwp_lower_bound_boxes(t, root.summary());
-            assert!(
-                approx_eq(lb.max(0.0), 0.0),
-                "member has nonzero root bound {lb}"
-            );
-        }
-    }
-
-    #[test]
-    fn max_len_bounds_every_member_after_build_and_inserts() {
-        // Two construction paths; in both, every node's max_len must be at
-        // least the length of every trajectory in its subtree (what the
-        // normalised metric's admissible bound divides by).
-        fn check(node: &Node, store: &TrajStore) {
-            let mut ids = Vec::new();
-            node.collect_ids(&mut ids);
-            let actual = ids
-                .iter()
-                .map(|&id| store.get(id).length())
-                .fold(0.0, f64::max);
-            // Exact, not merely admissible: inserts only grow a node's
-            // member set, and splits rebuild both halves' max_len, so no
-            // construction path leaves slack behind.
-            assert!(
-                (node.max_len() - actual).abs() <= 1e-12 * (1.0 + actual),
-                "node max_len {} != subtree max {actual}",
-                node.max_len()
-            );
-            if let Node::Internal { children, .. } = node {
-                for c in children {
-                    check(c, store);
-                }
-            }
-        }
+    fn invariants_hold_on_every_build_path() {
+        // Bulk load: every internal summary is a roll-up of its children's.
+        // (The insert-only path is walked step by step in
+        // `node_ids_stay_dense_preorder_through_builds_and_inserts`.)
         let store = store_of(60);
-        let bulk = TrajTree::build(&store);
-        check(bulk.root.as_ref().unwrap(), &store);
+        check_invariants(&TrajTree::build(&store), &store);
+        let bulk = TrajTree::bulk_load(&store, small_nodes());
+        assert!(bulk.height() >= 4, "height {}", bulk.height());
+        check_invariants(&bulk, &store);
 
-        let mut incremental = TrajTree::bulk_load(
-            &TrajStore::new(),
-            TrajTreeConfig {
-                leaf_capacity: 3,
-                fanout: 3,
-                ..TrajTreeConfig::default()
-            },
-        );
-        for id in store.ids() {
-            incremental.insert(&store, id);
+        // Mixed: inserts merge into rolled-up summaries and split nodes the
+        // bulk load packed full.
+        let mut mixed = store_of(30);
+        let mut tree = TrajTree::bulk_load(&mixed, small_nodes());
+        let before = tree.node_count();
+        for (_, t) in store.iter().skip(15) {
+            let id = mixed.insert(t.clone());
+            tree.insert(&mixed, id);
         }
-        check(incremental.root.as_ref().unwrap(), &store);
+        assert!(tree.node_count() > before);
+        check_invariants(&tree, &mixed);
     }
 
     #[test]
     fn node_ids_stay_dense_preorder_through_builds_and_inserts() {
-        fn collect(node: &Node, out: &mut Vec<u32>) {
-            out.push(node.id());
-            if let Node::Internal { children, .. } = node {
-                for c in children {
-                    collect(c, out);
-                }
-            }
+        // The incremental path, walked after every insert (ids are
+        // reassigned wholesale by each structural change): 3-way nodes
+        // reaching height 4 mean leaf splits, internal splits and root
+        // growth — from a leaf root and from an internal one — all ran.
+        let mut grown = TrajStore::new();
+        let mut tree = TrajTree::bulk_load(&grown, small_nodes());
+        for (_, t) in store_of(60).iter() {
+            let id = grown.insert(t.clone());
+            tree.insert(&grown, id);
+            check_invariants(&tree, &grown);
         }
-        let store = store_of(40);
-        let config = TrajTreeConfig {
-            leaf_capacity: 3,
-            fanout: 3,
-            ..TrajTreeConfig::default()
-        };
-        let bulk = TrajTree::bulk_load(&store, config.clone());
-        let mut ids = Vec::new();
-        collect(bulk.root.as_ref().unwrap(), &mut ids);
-        assert_eq!(ids, (0..bulk.node_count() as u32).collect::<Vec<_>>());
+        assert!(tree.height() >= 4, "height {}", tree.height());
+    }
 
-        // The incremental path goes through every split/renumber route.
-        let mut tree = TrajTree::bulk_load(&TrajStore::new(), config);
-        for id in store.ids() {
-            tree.insert(&store, id);
-            let mut ids = Vec::new();
-            collect(tree.root.as_ref().unwrap(), &mut ids);
-            assert_eq!(ids, (0..tree.node_count() as u32).collect::<Vec<_>>());
+    #[test]
+    fn max_len_bounds_every_member_after_build_and_inserts() {
+        // Trajectories of distinct lengths, so a stale or merely admissible
+        // `max_len` (the normalised metric's bound divides by it) would
+        // differ from the exact subtree maximum the walker demands.
+        let mut store = TrajStore::new();
+        for i in 0..60 {
+            let (x, reach) = (i as f64 * 3.0, 1.0 + (i * 7 % 11) as f64);
+            store.insert(Trajectory::from_xy(&[
+                (x, 0.0),
+                (x + 1.0, reach),
+                (x + 2.0, 0.0),
+            ]));
         }
+        check_invariants(&TrajTree::build(&store), &store);
+        let mut grown = TrajStore::new();
+        let mut incremental = TrajTree::bulk_load(&grown, small_nodes());
+        for (_, t) in store.iter() {
+            let id = grown.insert(t.clone());
+            incremental.insert(&grown, id);
+        }
+        check_invariants(&incremental, &grown);
     }
 
     #[test]

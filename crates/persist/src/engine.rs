@@ -223,7 +223,9 @@ impl StorageEngine {
     /// policy, issuing the next id from the watermark. On `Ok` the record
     /// is in the log (and as durable as the policy promises); on `Err`
     /// nothing is logically appended — a torn tail, if any, is truncated
-    /// by the next recovery.
+    /// by the next recovery — and every later append or sync answers
+    /// [`PersistError::WalPoisoned`] until the directory is reopened or
+    /// compacted, so nothing is ever acknowledged behind a failed write.
     pub fn append(&mut self, t: &Trajectory) -> Result<(), PersistError> {
         self.wal.append_insert(t)?;
         self.live += 1;

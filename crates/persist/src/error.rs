@@ -75,6 +75,12 @@ pub enum PersistError {
         /// Human-readable description of the disagreement.
         detail: String,
     },
+    /// An earlier write or fsync on this write-ahead log failed, so the
+    /// file may end in a torn frame and its tail's durability is unknown:
+    /// the log refuses every further append and sync until the database
+    /// directory is reopened (recovery truncates the torn tail) or a
+    /// compaction replaces the log with the next generation's.
+    WalPoisoned,
     /// A directory holds snapshot files but none of them loads cleanly;
     /// carries the error from the newest candidate. Starting empty here
     /// would silently discard data, so opening fails instead.
@@ -120,6 +126,11 @@ impl fmt::Display for PersistError {
             PersistError::StateMismatch { detail } => {
                 write!(f, "inconsistent on-disk state: {detail}")
             }
+            PersistError::WalPoisoned => write!(
+                f,
+                "an earlier write or fsync on the write-ahead log failed; \
+                 reopen the database directory to resume appending"
+            ),
             PersistError::NoUsableSnapshot { dir, cause } => write!(
                 f,
                 "no usable snapshot in {}: newest candidate failed with: {cause}",

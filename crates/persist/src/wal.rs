@@ -105,6 +105,8 @@ pub(crate) struct WalWriter {
     unsynced: u32,
     policy: FsyncPolicy,
     scratch: Vec<u8>,
+    /// Latched by the first failed write or fsync (see [`WalWriter::io`]).
+    poisoned: bool,
 }
 
 impl WalWriter {
@@ -134,6 +136,7 @@ impl WalWriter {
             unsynced: 0,
             policy,
             scratch: Vec::new(),
+            poisoned: false,
         })
     }
 
@@ -158,12 +161,13 @@ impl WalWriter {
             unsynced: 0,
             policy,
             scratch: Vec::new(),
+            poisoned: false,
         })
     }
 
     /// Appends one framed insert record and applies the fsync policy. On
-    /// `Err` the file may hold a torn tail; the next replay truncates it,
-    /// so a failed append is never visible as data.
+    /// `Err` nothing is logically appended and the writer is poisoned
+    /// (see [`WalWriter::io`]).
     pub(crate) fn append_insert(&mut self, t: &Trajectory) -> Result<(), PersistError> {
         self.append_inserts(std::slice::from_ref(t))
     }
@@ -179,7 +183,8 @@ impl WalWriter {
     /// Crash/error exposure is the same class as a crash during a run of
     /// single appends: a *prefix* of the group may survive (each record's
     /// framing verifies independently), and the next replay truncates at
-    /// the first torn frame. On `Err` nothing is logically appended.
+    /// the first torn frame. On `Err` nothing is logically appended and the
+    /// writer is poisoned (see [`WalWriter::io`]).
     pub(crate) fn append_inserts(&mut self, batch: &[Trajectory]) -> Result<(), PersistError> {
         if batch.is_empty() {
             return Ok(());
@@ -228,28 +233,50 @@ impl WalWriter {
     }
 
     /// Writes an already-framed run of `n` records and applies the fsync
-    /// policy once.
+    /// policy once. The counters move only after every I/O step succeeded,
+    /// so on `Err` they still describe the acknowledged records.
     fn commit_group(&mut self, group: &[u8], n: u64) -> Result<(), PersistError> {
-        self.file.write_all(group)?;
-        self.records += n;
+        self.io(|file| file.write_all(group))?;
+        let unsynced = self.unsynced.saturating_add(n as u32);
         match self.policy {
             FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(k) => {
-                self.unsynced = self.unsynced.saturating_add(n as u32);
-                if self.unsynced >= k.max(1) {
-                    self.sync()?;
-                }
-            }
+            FsyncPolicy::EveryN(k) if unsynced >= k.max(1) => self.sync()?,
+            FsyncPolicy::EveryN(_) => self.unsynced = unsynced,
             FsyncPolicy::OsManaged => {}
         }
+        self.records += n;
         Ok(())
     }
 
     /// Forces everything appended so far to stable storage.
     pub(crate) fn sync(&mut self) -> Result<(), PersistError> {
-        self.file.sync_data()?;
+        self.io(|file| file.sync_data())?;
         self.unsynced = 0;
         Ok(())
+    }
+
+    /// Runs one write or fsync — unless an earlier one failed, in which
+    /// case the writer is **poisoned** and answers
+    /// [`PersistError::WalPoisoned`] from then on. After a short write the
+    /// file ends in a torn frame, and anything appended behind it would be
+    /// acknowledged and then truncated away by the next recovery; after a
+    /// failed fsync the kernel may have dropped the dirty pages, so a later
+    /// "successful" fsync proves nothing. Only reopening the directory
+    /// (replay truncates the torn tail) or a compaction (which starts the
+    /// next generation's log) yields a writer at a known offset; like a
+    /// crash mid-append, the group that failed may or may not survive a
+    /// reopen, but no acknowledged record sits behind it.
+    fn io(
+        &mut self,
+        step: impl FnOnce(&mut File) -> std::io::Result<()>,
+    ) -> Result<(), PersistError> {
+        if self.poisoned {
+            return Err(PersistError::WalPoisoned);
+        }
+        step(&mut self.file).map_err(|e| {
+            self.poisoned = true;
+            PersistError::Io(e)
+        })
     }
 
     /// Records appended since the WAL's base snapshot.
@@ -554,6 +581,47 @@ mod tests {
         let replay = replay_wal(&path).expect("replay");
         assert!(replay.tail_error.is_none());
         assert_eq!(replay.records, inserts(&[traj(0.0), traj(2.0)]));
+    }
+
+    #[test]
+    fn a_failed_append_poisons_the_writer_and_loses_nothing_acknowledged() {
+        let dir = TempDir::new("wal-poison");
+        let path = dir.path().join(wal_file_name(0));
+        let mut w = WalWriter::create(dir.path(), 0, 0, FsyncPolicy::EveryN(8)).expect("create");
+        w.append_inserts(&[traj(0.0), traj(1.0)]).expect("acked");
+        w.append_tombstones(&[0]).expect("acked");
+        // Inject the failure: writes through a read-only handle fail the
+        // way a full disk does — after the caller built the whole group.
+        let healthy = std::mem::replace(&mut w.file, File::open(&path).expect("read-only handle"));
+        let err = w.append_inserts(&[traj(2.0), traj(3.0)]).unwrap_err();
+        assert!(matches!(err, PersistError::Io(_)), "{err:?}");
+        assert_eq!((w.records(), w.unsynced), (3, 3), "counters moved on Err");
+        // Even with a working handle back, the writer stays shut: the file
+        // may end in a torn frame, and nothing may be acknowledged behind it.
+        w.file = healthy;
+        for refused in [
+            w.append_insert(&traj(4.0)),
+            w.append_tombstones(&[1]),
+            w.append_reshard(2),
+            w.sync(),
+        ] {
+            assert!(matches!(refused, Err(PersistError::WalPoisoned)));
+        }
+        assert_eq!((w.records(), w.unsynced), (3, 3));
+        drop(w);
+        // Reopen: exactly the acknowledged records, in order — so the ids
+        // replay numbers the inserts with are the ids the caller was given.
+        let acked = vec![
+            WalRecord::Insert(traj(0.0)),
+            WalRecord::Insert(traj(1.0)),
+            WalRecord::Tombstone(0),
+        ];
+        let replay = replay_wal(&path).expect("replay");
+        assert_eq!(replay.records, acked);
+        let mut w =
+            WalWriter::reopen(&path, replay.valid_len, 3, FsyncPolicy::Always).expect("reopen");
+        w.append_insert(&traj(5.0)).expect("a reopened log appends");
+        assert_eq!(w.records(), 4);
     }
 
     #[test]
