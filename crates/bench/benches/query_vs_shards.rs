@@ -1,14 +1,13 @@
-//! Scatter-gather cost and benefit as the shard count grows, on a fixed
+//! Cost and benefit of sharding as the shard count grows, on a fixed
 //! database and workload. Three rows per shard count:
 //!
 //! * `single_knn` — one query, every shard root seeded into one best-first
-//!   forest queue (or descended on parallel workers sharing one atomic
-//!   threshold when threads > 1): cross-shard pruning keeps the exact-EDwP
-//!   count flat as shards grow, so wall time should stay near the 1-shard
-//!   row — `check_regression shard` enforces this;
-//! * `batch_knn_t4` — 16 queries over 4 workers, one work item per query
-//!   with a per-batch bound cache shared across queries: on multi-core
-//!   runners higher shard counts expose more parallelism per query;
+//!   forest queue on the calling thread: cross-shard pruning keeps the
+//!   exact-EDwP count flat as shards grow, so wall time should stay near
+//!   the 1-shard row (the work counts behind it are pinned by
+//!   `traj-index`'s `tests/pruning_pin.rs`);
+//! * `batch_knn_t4` — 16 queries over 4 workers, one work item per query:
+//!   the parallelism is across queries, whatever the shard count;
 //! * `insert` — one streaming insert (copy-on-write epoch publication):
 //!   more shards mean a smaller copied unit when snapshots are held.
 //!

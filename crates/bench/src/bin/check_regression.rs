@@ -2,8 +2,8 @@
 //! <gate>` reads the JSON summary the vendored criterion shim wrote to
 //! `target/bench-results/<suite>.json` and checks every row of [`GATES`]
 //! that belongs to the named gate — each a ratio of two bench rows' means
-//! against a fixed bound. Exits 1 with the measured ratios when any row
-//! is on the wrong side of its bound or missing from the file.
+//! that must reach a fixed bound. Exits 1 with the measured ratios when
+//! any row falls short of its bound or is missing from the file.
 //!
 //! Usage: `cargo run -p traj-bench --bin check_regression <gate>`, after
 //! `cargo bench -p traj-bench --bench <suite>`. CI is the caller: the
@@ -15,67 +15,35 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Which side of the bound the ratio must stay on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Direction {
-    /// `numerator / denominator <= bound`: a cost ceiling.
-    AtMost,
-    /// `numerator / denominator >= bound`: a required speed-up.
-    AtLeast,
-}
-
-/// One gated ratio: `<suite>/<numerator>` over `<suite>/<denominator>`.
+/// One gated ratio — a required speed-up: `<suite>/<numerator>` over
+/// `<suite>/<denominator>` must be at least `bound`.
 struct Row {
     gate: &'static str,
     suite: &'static str,
     numerator: &'static str,
     denominator: &'static str,
     bound: f64,
-    direction: Direction,
 }
 
 /// Every gate CI enforces, and why.
 ///
-/// * `shard` — sharding must not regress query latency: 4-shard single
-///   k-NN and t4 batch stay within 1.5× their 1-shard wall time (PR 5
-///   shipped ~1.7× slower; the forest / shared-threshold traversal
-///   removed that).
 /// * `ingest` — group commit keeps its win: under `FsyncPolicy::Always`,
 ///   64 one-record inserts cost at least 3× one 64-record group commit
 ///   (one fsync per group instead of one per record; both rows move the
 ///   same 64 records, so their means compare directly).
-const GATES: [Row; 3] = [
-    Row {
-        gate: "shard",
-        suite: "query_vs_shards",
-        numerator: "single_knn/4",
-        denominator: "single_knn/1",
-        bound: 1.5,
-        direction: Direction::AtMost,
-    },
-    Row {
-        gate: "shard",
-        suite: "query_vs_shards",
-        numerator: "batch_knn_t4/4",
-        denominator: "batch_knn_t4/1",
-        bound: 1.5,
-        direction: Direction::AtMost,
-    },
-    Row {
-        gate: "ingest",
-        suite: "ingest_throughput",
-        numerator: "single_64/always",
-        denominator: "batch_64/always",
-        bound: 3.0,
-        direction: Direction::AtLeast,
-    },
-];
+const GATES: [Row; 1] = [Row {
+    gate: "ingest",
+    suite: "ingest_throughput",
+    numerator: "single_64/always",
+    denominator: "batch_64/always",
+    bound: 3.0,
+}];
 
 fn main() -> ExitCode {
     let gate = std::env::args().nth(1).unwrap_or_default();
     let rows: Vec<&Row> = GATES.iter().filter(|r| r.gate == gate).collect();
     if rows.is_empty() {
-        eprintln!("usage: check_regression <shard|ingest>");
+        eprintln!("usage: check_regression <ingest>");
         return ExitCode::FAILURE;
     }
     let mut failed = false;
@@ -105,8 +73,8 @@ fn main() -> ExitCode {
 }
 
 /// Checks one row against the suite's results text: `Ok` with the
-/// measured ratio when it is on the right side of the bound, `Err` with
-/// the reason (wrong side, or a row absent from the file) otherwise.
+/// measured ratio when it reaches the bound, `Err` with the reason (short
+/// of it, or a row absent from the file) otherwise.
 fn check(row: &Row, text: &str) -> Result<String, String> {
     let mean = |bench: &str| {
         mean_ns(text, &format!("{}/{bench}", row.suite))
@@ -114,12 +82,8 @@ fn check(row: &Row, text: &str) -> Result<String, String> {
     };
     let (num, den) = (mean(row.numerator)?, mean(row.denominator)?);
     let ratio = num / den;
-    let (holds, relation) = match row.direction {
-        Direction::AtMost => (ratio <= row.bound, "at most"),
-        Direction::AtLeast => (ratio >= row.bound, "at least"),
-    };
     let line = format!(
-        "{}: {} {:.3} ms / {} {:.3} ms = {ratio:.2} (must be {relation} {})",
+        "{}: {} {:.3} ms / {} {:.3} ms = {ratio:.2} (must be at least {})",
         row.gate,
         row.numerator,
         num / 1e6,
@@ -127,7 +91,7 @@ fn check(row: &Row, text: &str) -> Result<String, String> {
         den / 1e6,
         row.bound
     );
-    if holds {
+    if ratio >= row.bound {
         Ok(line)
     } else {
         Err(line)
@@ -180,14 +144,13 @@ mod tests {
   {"name": "ingest_throughput/single_64/always_held", "mean_ns": 1.0, "iters": 1}
 ]"#;
 
-    fn row(bound: f64, direction: Direction) -> Row {
+    fn row(bound: f64) -> Row {
         Row {
             gate: "ingest",
             suite: "ingest_throughput",
             numerator: "single_64/always",
             denominator: "batch_64/always",
             bound,
-            direction,
         }
     }
 
@@ -203,7 +166,7 @@ mod tests {
 
     #[test]
     fn a_missing_row_fails_the_check() {
-        let mut absent = row(3.0, Direction::AtLeast);
+        let mut absent = row(3.0);
         absent.denominator = "batch_64/every_n";
         let err = check(&absent, FIXTURE).unwrap_err();
         assert!(err.contains("ingest_throughput/batch_64/every_n"), "{err}");
@@ -212,11 +175,8 @@ mod tests {
     #[test]
     fn the_ratio_is_judged_on_each_side_of_the_bound() {
         // The fixture's ratio is 8 ms / 2 ms = 4.
-        assert!(check(&row(5.0, Direction::AtMost), FIXTURE).is_ok());
-        assert!(check(&row(4.0, Direction::AtMost), FIXTURE).is_ok());
-        assert!(check(&row(3.0, Direction::AtMost), FIXTURE).is_err());
-        assert!(check(&row(3.0, Direction::AtLeast), FIXTURE).is_ok());
-        assert!(check(&row(4.0, Direction::AtLeast), FIXTURE).is_ok());
-        assert!(check(&row(5.0, Direction::AtLeast), FIXTURE).is_err());
+        assert!(check(&row(3.0), FIXTURE).is_ok());
+        assert!(check(&row(4.0), FIXTURE).is_ok());
+        assert!(check(&row(5.0), FIXTURE).is_err());
     }
 }

@@ -24,19 +24,13 @@
 //! admissible, so early exit saves work without touching exactness.
 //!
 //! One traversal serves a **forest** of [`SearchView`]s — every shard of a
-//! scatter-gather search at once, each view's local ids rewritten to global
-//! ids as candidates are offered, so thresholds and tie-breaking work on
-//! the global id space and a close neighbour in shard 1 prunes shard 2's
-//! subtrees without ever walking the shards sequentially. The *parallel*
-//! scatter path instead runs one traversal per shard, all sharing one
-//! [`SharedThreshold`] through [`SharedKnnCollector`]: an atomic-`f64`
-//! minimum (bit-ordered `AtomicU64`, sound for non-negative distances) that
-//! every worker's kernels re-load mid-accumulation, so pruning crosses
-//! shard boundaries without serialising the walks. A stale read only ever
-//! sees a *larger* threshold — less pruning, never a wrong result — and
-//! the gather re-sorts merged candidates by `(distance, id)`, so results
-//! stay bitwise identical to the sequential path regardless of arrival
-//! order.
+//! sharded search at once, each view's local ids rewritten to global ids
+//! as candidates are offered, so thresholds and tie-breaking work on the
+//! global id space and a close neighbour in shard 1 prunes shard 2's
+//! subtrees without ever walking the shards sequentially. A query is one
+//! such traversal on the thread that runs it, under one collector and
+//! hence one threshold; parallelism is whole queries over workers, never
+//! threads inside one traversal.
 //!
 //! Exactness: every queue key is a true lower bound of the query's
 //! metric-and-mode distance (whole-trajectory EDwP or sub-trajectory
@@ -47,16 +41,12 @@
 //! refinement paths), so when the queue's minimum exceeds the collector's
 //! threshold, no unexplored trajectory can change the result. Ties on the
 //! threshold keep expanding so id-order tie-breaking matches the
-//! brute-force reference exactly. The shared threshold never undershoots:
-//! it is the minimum over workers' *local* k-th-best distances, each of
-//! which is at least the true global k-th distance.
+//! brute-force reference exactly.
 
-use crate::cache::{BoundCache, BoundEntry};
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{Node, TrajTree};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use traj_core::{StBox, TotalF64, Trajectory};
 use traj_dist::{edwp_lower_bound_aabb_batch, Cutoff, EdwpScratch, Metric, QueryMode};
 
@@ -79,8 +69,8 @@ pub struct Neighbor {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Total candidate universe of the aggregated searches: the database
-    /// size for a single query (per-shard partials sum to it), and the sum
-    /// of per-query database sizes for a merged batch.
+    /// size for a single query, and the sum of per-query database sizes
+    /// for a merged batch.
     pub db_size: usize,
     /// Number of searches aggregated into these counters (1 for a single
     /// `knn`/`range` call; the query count after a batch merge).
@@ -88,8 +78,6 @@ pub struct QueryStats {
     /// Tree nodes (internal + leaf) popped and refined.
     pub nodes_visited: usize,
     /// Lower-bound evaluations (node summaries + per-trajectory bounds).
-    /// Bounds answered from the per-batch cache are *not* counted — the
-    /// counter measures kernel work actually done.
     pub bound_evaluations: usize,
     /// Full EDwP dynamic programs evaluated — the expensive operation a
     /// linear scan performs `db_size` times per query.
@@ -115,18 +103,6 @@ impl QueryStats {
         }
     }
 
-    /// Fresh counters for one shard's share of a scatter-gather search:
-    /// `db_size` carries this shard's segment size and `queries` counts
-    /// only on the designated first shard, so summing every shard's
-    /// partial yields exactly one search over the full database.
-    pub(crate) fn for_shard_partial(shard_len: usize, counts_query: bool) -> Self {
-        QueryStats {
-            db_size: shard_len,
-            queries: usize::from(counts_query),
-            ..QueryStats::default()
-        }
-    }
-
     /// Fraction of the candidate universe whose full EDwP evaluation was
     /// avoided (0 for an empty database). `db_size` already aggregates
     /// across merged queries, so no per-query scaling is needed.
@@ -145,10 +121,8 @@ impl QueryStats {
     }
 
     /// Folds another stats block into this one: every counter adds,
-    /// saturating — **including `db_size`**, so the per-shard partials of
-    /// one scatter-gather search sum to the database total instead of
-    /// reporting a single shard's segment size, and a merged batch reports
-    /// the total candidate universe its queries faced.
+    /// saturating — **including `db_size`**, so a merged batch reports the
+    /// total candidate universe its queries faced.
     pub fn merge(&mut self, other: &QueryStats) {
         self.db_size = self.db_size.saturating_add(other.db_size);
         self.queries = self.queries.saturating_add(other.queries);
@@ -187,50 +161,6 @@ impl QueryStats {
     }
 }
 
-/// An atomic floating-point minimum shared by the per-shard workers of one
-/// parallel scatter: the global k-NN pruning threshold. Stored as the bits
-/// of a non-negative `f64` in an [`AtomicU64`] — for sign-bit-clear IEEE
-/// doubles, integer bit order equals float order, so `fetch_min` on bits
-/// is an atomic float min without a compare-exchange loop.
-///
-/// Relaxed ordering is enough: a stale load only ever observes a larger
-/// (older) threshold, which weakens pruning but never the result, and the
-/// final gather re-validates everything by exact distance.
-pub(crate) struct SharedThreshold(AtomicU64);
-
-impl SharedThreshold {
-    pub(crate) fn new() -> Self {
-        SharedThreshold(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// The current global threshold (one relaxed load).
-    #[inline]
-    pub(crate) fn load(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Folds a worker's local threshold into the global minimum. Finite
-    /// non-negative values only take effect (`+inf` is the initial state
-    /// and a no-op; NaN never arrives — thresholds are k-th best
-    /// *distances*, and distances are non-negative numbers).
-    #[inline]
-    pub(crate) fn tighten(&self, value: f64) {
-        debug_assert!(
-            value >= 0.0 || value.is_nan(),
-            "thresholds are non-negative distances"
-        );
-        if value < f64::INFINITY {
-            self.0.fetch_min(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// The raw bits, for handing the kernels a live [`Cutoff::shared`].
-    #[inline]
-    pub(crate) fn bits(&self) -> &AtomicU64 {
-        &self.0
-    }
-}
-
 /// Accumulates exact distances for one query type and tells the traversal
 /// how far it still has to look.
 ///
@@ -243,14 +173,6 @@ pub(crate) trait Collector {
     /// Largest lower bound that could still contribute to the result; queue
     /// entries keyed strictly above this are pruned unexplored.
     fn threshold(&self) -> f64;
-
-    /// The threshold as the kernels see it mid-accumulation. The default
-    /// captures `threshold()` as a constant (the classic contract);
-    /// [`SharedKnnCollector`] overrides it with a live atomic view so
-    /// concurrent workers' discoveries deepen this worker's early exits.
-    fn cutoff(&self) -> Cutoff<'_> {
-        Cutoff::constant(self.threshold())
-    }
 
     /// Records one exact `(id, distance)` evaluation.
     fn offer(&mut self, id: TrajId, distance: f64);
@@ -310,58 +232,6 @@ impl Collector for KnnCollector {
     }
 }
 
-/// One shard's k-NN collector in a parallel scatter: a private
-/// [`KnnCollector`] plus the scatter-wide [`SharedThreshold`]. Every offer
-/// folds the local k-th-best into the shared minimum, and both pruning
-/// checks (`threshold()` at pop time, [`Cutoff::shared`] inside the
-/// kernels) read the shared value — so a neighbour found in any shard
-/// immediately prunes every other shard's traversal.
-///
-/// Soundness of the shared minimum: each worker's local threshold is its
-/// own k-th best so far, which can only *overestimate* the true global
-/// k-th distance (a shard sees a subset of candidates). The minimum of
-/// overestimates is still an overestimate, so the shared threshold never
-/// undershoots — the collector contract. The per-shard top-k lists are a
-/// superset of each shard's contribution to the global top-k, so the
-/// gather (merge, sort by `(distance, id)`, truncate to `k`) is exact and
-/// deterministic regardless of which worker tightened first.
-pub(crate) struct SharedKnnCollector<'t> {
-    local: KnnCollector,
-    shared: &'t SharedThreshold,
-}
-
-impl<'t> SharedKnnCollector<'t> {
-    pub(crate) fn new(k: usize, shared: &'t SharedThreshold) -> Self {
-        SharedKnnCollector {
-            local: KnnCollector::new(k),
-            shared,
-        }
-    }
-}
-
-impl Collector for SharedKnnCollector<'_> {
-    fn threshold(&self) -> f64 {
-        // The shared minimum already folds in this worker's own offers
-        // (tightened on every offer below); the extra local min is a
-        // belt-and-braces guard that costs one comparison.
-        self.shared.load().min(self.local.threshold())
-    }
-
-    fn cutoff(&self) -> Cutoff<'_> {
-        Cutoff::shared(self.shared.bits())
-    }
-
-    fn offer(&mut self, id: TrajId, distance: f64) {
-        self.local.offer(id, distance);
-        self.shared.tighten(self.local.threshold());
-    }
-
-    /// This shard's top-k partial, for the gather step.
-    fn into_neighbors(self) -> Vec<Neighbor> {
-        self.local.into_neighbors()
-    }
-}
-
 /// Range collection: keep everything within a fixed `eps` (inclusive).
 pub(crate) struct RangeCollector {
     eps: f64,
@@ -394,9 +264,8 @@ impl Collector for RangeCollector {
 }
 
 /// The one result ordering every query type uses: ascending
-/// `(distance, id)` — also what the scatter-gather layer re-sorts merged
-/// per-shard partials with, so sharded results stay bitwise identical.
-pub(crate) fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
+/// `(distance, id)`.
+fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
     neighbors.sort_by_key(|n| (TotalF64(n.distance), n.id));
     neighbors
 }
@@ -419,7 +288,6 @@ pub(crate) struct SearchView<'v> {
     pub(crate) delta: &'v [(TrajId, Trajectory)],
     pub(crate) globals: &'v [TrajId],
     pub(crate) dead: Option<&'v BTreeSet<TrajId>>,
-    pub(crate) shard: usize,
 }
 
 impl SearchView<'_> {
@@ -432,13 +300,6 @@ impl SearchView<'_> {
         } else {
             self.delta[(local - base) as usize].0
         }
-    }
-
-    /// **Live** trajectories this view answers over (base + delta minus
-    /// tombstones).
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.store.len() + self.delta.len() - self.dead.map_or(0, |d| d.len())
     }
 
     /// Whether the member at `local` is tombstoned (must be skipped at
@@ -462,18 +323,6 @@ impl SearchView<'_> {
             &self.delta[(local - base) as usize].1
         }
     }
-}
-
-/// Hook for the per-batch bound cache: which cache to consult and the
-/// querying trajectory's canonical index (see
-/// [`crate::cache::canonical_queries`]). Only node-summary bounds go
-/// through the cache — they are the shareable unit (stable node ids,
-/// repeated across a batch's items); per-trajectory refinement bounds are
-/// each needed at most once per (query, trajectory).
-#[derive(Clone, Copy)]
-pub(crate) struct BoundReuse<'b> {
-    pub(crate) cache: &'b BoundCache,
-    pub(crate) query: u32,
 }
 
 /// Priority-queue entry: a subtree or a single trajectory of one view,
@@ -519,51 +368,25 @@ pub(crate) struct Matching {
     pub(crate) mode: QueryMode,
 }
 
-/// A node-summary bound, through the per-batch cache when one is active.
-///
-/// Cache discipline (see `cache.rs` for why): a `full` entry answers
-/// unconditionally; a partial entry answers only when it already prunes
-/// for this caller (`value > threshold` — admissible, so pruning on it is
-/// sound); otherwise the kernel runs and the entry is (re)recorded.
-/// Fullness is certified post-hoc: the raw metric's bounded contract says
-/// a result at or below the cutoff's *current* value never bailed
-/// (cutoffs only tighten, so the final value is the strictest any bail
-/// compared against); the normalised metric's rescaling breaks that
-/// implication, so its results are full only under an infinite cutoff.
-/// Cache hits skip `bump_bounds` — the counter measures kernel work done,
-/// so the saving is visible in collected stats.
-#[allow(clippy::too_many_arguments)]
+/// The exact Theorem 2 bound of `node`'s summary under the collector's
+/// current threshold, counted as one bound evaluation.
 fn node_bound<C: Collector>(
-    view: &SearchView<'_>,
     node: &Node,
     query: &Trajectory,
     matching: Matching,
     collector: &C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
-    reuse: Option<BoundReuse<'_>>,
 ) -> f64 {
-    let Matching { metric, mode } = matching;
-    let key = reuse.map(|r| (view.shard as u32, node.id(), r.query));
-    if let (Some(r), Some(key)) = (reuse, key) {
-        if let Some(e) = r.cache.get(key) {
-            if e.full || e.value > collector.threshold() {
-                return e.value;
-            }
-        }
-    }
     stats.bump_bounds();
-    let cutoff = collector.cutoff();
-    let value =
-        metric.lower_bound_boxes(mode, query, node.summary(), node.max_len(), cutoff, scratch);
-    if let (Some(r), Some(key)) = (reuse, key) {
-        let full = match metric {
-            Metric::Edwp => value <= cutoff.current(),
-            Metric::EdwpNormalized => cutoff.current() == f64::INFINITY,
-        };
-        r.cache.put(key, BoundEntry { value, full });
-    }
-    value
+    matching.metric.lower_bound_boxes(
+        matching.mode,
+        query,
+        node.summary(),
+        node.max_len(),
+        Cutoff::constant(collector.threshold()),
+        scratch,
+    )
 }
 
 /// Fills `out` with each child's overall bounding box for the batched
@@ -582,11 +405,9 @@ fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
     true
 }
 
-/// Runs one best-first search over a forest of `views` — every shard of a
-/// scatter at once for the single-threaded path, or a single view per
-/// worker for the parallel path — feeding every exact evaluation into
-/// `collector` (with ids rewritten to global) and every unit of work into
-/// `stats`.
+/// Runs one best-first search over a forest of `views` — every shard of
+/// the session at once — feeding every exact evaluation into `collector`
+/// (with ids rewritten to global) and every unit of work into `stats`.
 ///
 /// Seeding all roots into one queue gives the forest the same global
 /// pruning a single tree enjoys: the shard holding the nearest neighbours
@@ -598,9 +419,7 @@ fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
 /// one of its trajectories inserted (a store id never indexed is invisible
 /// to the search). `scratch` is the worker's pooled kernel memory; the
 /// query is (re)pinned here, so one scratch can serve many consecutive
-/// searches. `reuse` optionally routes node bounds through a per-batch
-/// [`BoundCache`].
-#[allow(clippy::too_many_arguments)]
+/// searches.
 pub(crate) fn best_first<C: Collector>(
     views: &[SearchView<'_>],
     query: &Trajectory,
@@ -608,7 +427,6 @@ pub(crate) fn best_first<C: Collector>(
     collector: &mut C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
-    reuse: Option<BoundReuse<'_>>,
 ) {
     let Matching { metric, mode } = matching;
     scratch.set_query(query);
@@ -642,9 +460,7 @@ pub(crate) fn best_first<C: Collector>(
     // tighten, so the pruning decision can never be invalidated later).
     for (vi, view) in views.iter().enumerate() {
         if let Some(root) = view.tree.root.as_ref() {
-            let root_key = node_bound(
-                view, root, query, matching, collector, scratch, stats, reuse,
-            );
+            let root_key = node_bound(root, query, matching, collector, scratch, stats);
             push(
                 &mut queue,
                 &mut seq,
@@ -657,15 +473,20 @@ pub(crate) fn best_first<C: Collector>(
         // polyline bound. From here they compete in the same queue under
         // the same threshold and the same exact-distance refinement as
         // tree-routed candidates, so a shard mid-delta answers bitwise
-        // identically to one whose tree covers everything. Never routed
-        // through the bound cache — cache keys are stable *node* ids.
+        // identically to one whose tree covers everything.
         let base = view.store.len() as TrajId;
         for (di, (gid, t)) in view.delta.iter().enumerate() {
             if view.dead.is_some_and(|d| d.contains(gid)) {
                 continue;
             }
             stats.bump_bounds();
-            let lb = metric.lower_bound_trajectory(mode, query, t, collector.cutoff(), scratch);
+            let lb = metric.lower_bound_trajectory(
+                mode,
+                query,
+                t,
+                Cutoff::constant(collector.threshold()),
+                scratch,
+            );
             push(
                 &mut queue,
                 &mut seq,
@@ -745,9 +566,7 @@ pub(crate) fn best_first<C: Collector>(
                                     continue;
                                 }
                             }
-                            let lb = node_bound(
-                                view, child, query, matching, collector, scratch, stats, reuse,
-                            );
+                            let lb = node_bound(child, query, matching, collector, scratch, stats);
                             // Clamp to the parent key: both are valid
                             // bounds, and monotone keys keep the traversal
                             // order stable.
@@ -776,7 +595,7 @@ pub(crate) fn best_first<C: Collector>(
                                 mode,
                                 query,
                                 view.traj(id),
-                                collector.cutoff(),
+                                Cutoff::constant(collector.threshold()),
                                 scratch,
                             );
                             push(
@@ -806,7 +625,7 @@ pub(crate) fn best_first<C: Collector>(
                     mode,
                     query,
                     view.traj(id),
-                    collector.cutoff(),
+                    Cutoff::constant(collector.threshold()),
                     scratch,
                 );
                 if d <= collector.threshold() {
@@ -856,19 +675,6 @@ mod tests {
         );
         assert!((a.mean_edwp_evaluations() - 5.0).abs() < 1e-12);
         assert!((a.pruning_ratio() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shard_partials_sum_to_one_search_over_the_database() {
-        // Satellite regression: a sharded query's merged stats must report
-        // the database total, not one shard's segment size (the old merge
-        // kept the max).
-        let mut agg = QueryStats::default();
-        for (shard_len, first) in [(7usize, true), (7, false), (6, false)] {
-            agg.merge(&QueryStats::for_shard_partial(shard_len, first));
-        }
-        assert_eq!(agg.db_size, 20);
-        assert_eq!(agg.queries, 1);
     }
 
     #[test]
@@ -958,47 +764,6 @@ mod tests {
         c.offer(7, 5.0);
         c.offer(3, 5.0);
         assert_eq!(c.into_neighbors()[0].id, 3);
-    }
-
-    #[test]
-    fn shared_threshold_is_a_monotone_float_min() {
-        let t = SharedThreshold::new();
-        assert_eq!(t.load(), f64::INFINITY);
-        t.tighten(f64::INFINITY); // no-op, not a poisoning
-        assert_eq!(t.load(), f64::INFINITY);
-        t.tighten(8.0);
-        assert_eq!(t.load(), 8.0);
-        t.tighten(12.0); // looser values never widen the threshold
-        assert_eq!(t.load(), 8.0);
-        t.tighten(0.5);
-        assert_eq!(t.load(), 0.5);
-        t.tighten(0.0);
-        assert_eq!(t.load(), 0.0);
-    }
-
-    #[test]
-    fn shared_knn_collectors_prune_across_each_other() {
-        let shared = SharedThreshold::new();
-        let mut a = SharedKnnCollector::new(2, &shared);
-        let mut b = SharedKnnCollector::new(2, &shared);
-        assert_eq!(a.threshold(), f64::INFINITY);
-        // Worker A fills its k: the global threshold tightens for B too.
-        a.offer(0, 5.0);
-        a.offer(2, 3.0);
-        assert_eq!(a.threshold(), 5.0);
-        assert_eq!(b.threshold(), 5.0, "B prunes against A's incumbent");
-        // B finds closer candidates: A's cutoff deepens mid-traversal.
-        b.offer(1, 1.0);
-        b.offer(3, 2.0);
-        assert_eq!(a.threshold(), 2.0);
-        // The kernels' live view agrees with the pop-time threshold.
-        assert_eq!(a.cutoff().current(), 2.0);
-        // Gather: merged locals, sorted and truncated, are the exact top-2.
-        let mut merged = a.into_neighbors();
-        merged.extend(b.into_neighbors());
-        let mut merged = sort_neighbors(merged);
-        merged.truncate(2);
-        assert_eq!(merged.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! TrajTree (Sec. V of Ranu et al., ICDE 2015): a sharded hierarchical
 //! index over a trajectory database with an **exact** query engine —
 //! k-nearest-neighbour and range (ε) search under EDwP, single-query or
-//! parallel batch, with streaming ingestion that never blocks readers —
-//! that evaluates the full distance on only a fraction of the database.
+//! parallel batch, with streaming ingestion that never blocks a running
+//! query or a held [`Snapshot`] (only *acquiring* a new snapshot waits,
+//! behind an in-progress delta fold) — that evaluates the full distance
+//! on only a fraction of the database.
 //!
 //! # Architecture
 //!
@@ -30,12 +32,9 @@
 //!   — every kernel call goes through the four `Metric` entry points. One
 //!   traversal serves a whole *forest* of shard views — all roots seeded
 //!   into one queue, so an incumbent found in any shard prunes every
-//!   other shard's subtrees — and the parallel scatter path runs one
-//!   traversal per shard against a shared atomic threshold instead. The
-//!   traversal is generic over a result *collector*, which supplies the
-//!   pruning threshold and absorbs exact distances; the `cache` module
-//!   adds a per-batch `(shard, node, query)` bound cache so repeated
-//!   probes stop recomputing identical node bounds.
+//!   other shard's subtrees. The traversal is generic over a result
+//!   *collector*, which supplies the pruning threshold and absorbs exact
+//!   distances.
 //! * The `session` module is the public query surface: a [`Session`] owns
 //!   the shards and pooled scratch, and every query is phrased through the
 //!   typed [`QueryBuilder`] / [`BatchQueryBuilder`] —
@@ -44,16 +43,13 @@
 //!   `session.batch(&qs).threads(4).knn(k)` — with modifiers for the
 //!   [`traj_dist::Metric`] (raw vs length-normalised EDwP), the
 //!   [`traj_dist::QueryMode`] (whole vs best-portion `EDwP_sub`), the
-//!   brute-force reference, and [`QueryStats`] collection. Queries
-//!   scatter-gather: single queries run either one forest traversal over
-//!   all shards (one collector, one global threshold) or — when worker
-//!   threads are available — one per-shard descent per worker, all
-//!   tightening one shared atomic threshold; batch finishers schedule
-//!   work items over the same work-stealing worker loop (one
-//!   [`traj_dist::EdwpScratch`] per worker, node bounds shared through
-//!   the per-batch cache) and merge per-shard partials — results
-//!   are bitwise identical to a sequential single-shard loop at any shard
-//!   and thread count.
+//!   brute-force reference, and [`QueryStats`] collection. One
+//!   schedule: a query is one forest traversal over all shards (one
+//!   collector, one global threshold) on the thread that runs it, and
+//!   batch finishers hand whole queries to a work-stealing worker loop
+//!   (one [`traj_dist::EdwpScratch`] per worker) — results are bitwise
+//!   identical to a sequential single-shard loop at any shard and thread
+//!   count.
 //!
 //! # Adding a new query type
 //!
@@ -65,9 +61,8 @@
 //!    carries the query type's parameter, instantiates your collector and
 //!    hands it to the shared single-query executor — see
 //!    `QueryBuilder::range` in `session.rs` for the ~10-line shape. Batch,
-//!    brute-force and multi-shard support come with the executor for free
-//!    (for k-NN-like collectors, also teach the batch gather step how to
-//!    merge per-shard partials).
+//!    brute-force and multi-shard support come with the executor for
+//!    free.
 //!
 //! A new *matching semantics* (rather than a new result shape) is a
 //! [`traj_dist::QueryMode`] instead: sub-trajectory search added no
@@ -86,7 +81,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod engine;
 mod session;
 mod shard;

@@ -16,48 +16,26 @@
 //! `threads` exists only on the batch builder, so a single query cannot be
 //! given a worker count.
 //!
-//! # Scatter-gather
+//! # One schedule
 //!
-//! Every query scatters over the shards and merges through the shared
-//! collectors, by one of two strategies that return bitwise-identical
-//! results:
+//! A query is one **forest** traversal on the thread that runs it: every
+//! shard's root is seeded into *one* best-first queue under one collector
+//! — a single global threshold, so an incumbent found in any shard prunes
+//! every other shard's subtrees and total work matches a one-shard search.
+//! Parallelism is whole queries: a batch finisher hands one item per query
+//! to scoped workers through one work-stealing queue (`fan_out`, one
+//! [`EdwpScratch`] per worker), and [`QueryStats::merge`] aggregates the
+//! per-query counters (saturating; `db_size` sums the per-query database
+//! sizes).
 //!
-//! * the **forest** traversal seeds every shard's root into *one*
-//!   best-first queue with one collector — a single global threshold, so
-//!   an incumbent found in any shard prunes every other shard's subtrees
-//!   and total work matches a one-shard search (the default for single
-//!   queries without spare CPUs, and the per-query unit of large
-//!   batches);
-//! * the **parallel** scatter runs one per-shard descent per worker
-//!   thread, every k-NN collector tightening one shared atomic threshold
-//!   (see `engine::SharedThreshold`), so the same cross-shard pruning
-//!   happens without serialising the walks (the default for single
-//!   queries with CPUs to spare; forced either way with
-//!   [`QueryBuilder::parallel_scatter`]).
-//!
-//! Batch finishers schedule work items over scoped workers through one
-//! work-stealing queue (`fan_out`, one [`EdwpScratch`] per worker): whole
-//! queries when the batch is large enough to occupy every worker,
-//! (query × shard) splits — with one shared threshold per query, the same
-//! scatter a parallel single query runs — when it is not. All
-//! items of a batch share a `(shard, node, query)` bound cache
-//! (`cache::BoundCache`), so repeated probes stop recomputing identical
-//! node bounds. The gather step merges each query's per-shard partials
-//! (sorted by `(distance, id)`, truncated to `k` for k-NN) — a shard's
-//! own top-k is a superset of its contribution to the global top-k, so
-//! the merge is exact — and [`QueryStats::merge`] aggregates per-item
-//! counters (saturating; `db_size` partials sum to the database total).
-//!
-//! Either way the result is **bitwise identical** to a single-shard
-//! sequential session: distances come from the same kernels on the same
-//! pairs, and ties break on global ids everywhere — property-tested
-//! across the shards × query type × threads × metric × scatter-strategy
-//! grid in `tests/builder_equivalence.rs`.
+//! The result is **bitwise identical** to a single-shard sequential
+//! session: distances come from the same kernels on the same pairs, and
+//! ties break on global ids everywhere — property-tested across the
+//! shards × query type × threads × metric grid in
+//! `tests/builder_equivalence.rs`.
 
-use crate::cache::{canonical_queries, BoundCache};
 use crate::engine::{
-    best_first, sort_neighbors, BoundReuse, Collector, KnnCollector, Matching, Neighbor,
-    QueryStats, RangeCollector, SearchView, SharedKnnCollector, SharedThreshold,
+    best_first, Collector, KnnCollector, Matching, Neighbor, QueryStats, RangeCollector, SearchView,
 };
 use crate::shard::{shard_of, Shard, Snapshot};
 use crate::store::{TrajId, TrajStore};
@@ -108,34 +86,32 @@ struct Spec {
     collect_stats: bool,
 }
 
-/// The shard views a query over `snap` scatters across, in shard order.
+/// The shard views a query over `snap` traverses, in shard order.
 fn views(snap: &Snapshot) -> Vec<SearchView<'_>> {
     snap.shards
         .iter()
-        .enumerate()
-        .map(|(shard, s)| SearchView {
+        .map(|s| SearchView {
             tree: s.tree(),
             store: s.base(),
             delta: s.delta(),
             globals: s.base_globals(),
             dead: (!s.dead().is_empty()).then(|| s.dead()),
-            shard,
         })
         .collect()
 }
 
 /// Runs `work` over every item on up to `workers` threads and returns the
-/// results in item order — the one scheduler behind batch queries, the
-/// parallel single-query scatter, `insert_batch` and shard bulk-loading.
+/// results in item order — the one scheduler behind batch queries,
+/// `insert_batch` and shard bulk-loading.
 ///
 /// Workers pull items off one shared queue (work-stealing: a slow item
 /// never straggles a pre-assigned chunk) and each result travels with its
 /// item's index, so stealing order never touches results. Every worker
 /// owns one `S` for its whole run — the per-worker [`EdwpScratch`] of the
 /// query paths. Worker 0 is the **calling thread** running on
-/// `caller_state` (a single query's warm session scratch keeps serving
-/// it); workers `1..` are scoped threads on fresh `S::default()`s, so no
-/// thread is spawned at all for one worker or one item.
+/// `caller_state`; workers `1..` are scoped threads on fresh
+/// `S::default()`s, so no thread is spawned at all for one worker or one
+/// item.
 fn fan_out<T: Send, S: Default, R: Send>(
     items: Vec<T>,
     workers: usize,
@@ -219,8 +195,8 @@ fn build_shards(
 /// query surface.
 ///
 /// The shard count is fixed at build time ([`SessionBuilder::shards`],
-/// default 1) and is invisible in results: queries scatter-gather over all
-/// shards and return exactly what a single-shard session would.
+/// default 1) and is invisible in results: every query traverses all
+/// shards at once and returns exactly what a single-shard session would.
 /// [`Session::insert`] routes new trajectories by id hash and publishes a
 /// new epoch copy-on-write, so concurrent [`Session::batch`] /
 /// [`Snapshot`] readers keep reading the epoch they started on.
@@ -371,8 +347,7 @@ impl Session {
     ///   ([`Arc::make_mut`] — in place when no snapshot holds the shard)
     ///   and published atomically. A [`Session::batch`] or [`Snapshot`]
     ///   that started earlier keeps reading its original epoch — it never
-    ///   observes a torn shard or a partially visible insert, whether its
-    ///   queries run sequentially or on the parallel scatter path. With a
+    ///   observes a torn shard or a partially visible insert. With a
     ///   snapshot held, the copied unit is the routed shard's *delta
     ///   buffer* (plus two `Arc` bumps for its immutable base), not the
     ///   whole shard — only a delta merge pays a base copy, once per
@@ -641,6 +616,10 @@ impl Session {
     /// Runs under the writer lock only — the epoch lock is taken just
     /// long enough to pin the snapshot being written, so concurrent
     /// readers never wait on compaction I/O.
+    ///
+    /// After a storage error here every later write is refused with the
+    /// poisoned-log error until a retried `compact` succeeds or the
+    /// directory is reopened (see [`StorageEngine::compact`]).
     pub fn compact(&self) -> Result<(), TrajError> {
         let Some(engine) = &self.durable else {
             return Ok(());
@@ -736,7 +715,6 @@ impl Session {
             snapshot: snap,
             query,
             scratch: Some(scratch),
-            parallel: None,
             spec: Spec::default(),
         }
     }
@@ -898,7 +876,6 @@ impl Snapshot {
             snapshot: self.clone(),
             query,
             scratch: None,
-            parallel: None,
             spec: Spec::default(),
         }
     }
@@ -938,7 +915,6 @@ pub struct QueryBuilder<'a> {
     snapshot: Snapshot,
     query: &'a Trajectory,
     scratch: Option<&'a mut EdwpScratch>,
-    parallel: Option<bool>,
     spec: Spec,
 }
 
@@ -951,16 +927,10 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Overrides the scatter strategy: `true` forces one worker thread per
-    /// shard, every k-NN descent tightening one shared atomic threshold;
-    /// `false` forces the single-threaded *forest* traversal (every shard
-    /// root in one best-first queue — one collector, one global
-    /// threshold). The default picks the parallel scatter only when the
-    /// session has multiple shards *and* the machine has CPUs to spare.
-    /// Results are bitwise identical either way; only wall-clock and the
-    /// work-counter split change.
-    pub fn parallel_scatter(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
+    // Accepted and ignored: the frozen `benchmark/src/probes.rs` still calls
+    // this with `false`, which asks for what is now the only schedule.
+    #[doc(hidden)]
+    pub fn parallel_scatter(self, _: bool) -> Self {
         self
     }
 
@@ -1030,18 +1000,13 @@ impl<'a> QueryBuilder<'a> {
         self.run(QueryKind::Range(eps))
     }
 
-    /// The one code path every single query runs through. The scatter
-    /// strategy defaults to the parallel per-shard descent when the
-    /// session is sharded and the machine has CPUs to spare, and to the
-    /// sequential forest traversal otherwise (on one core, threads only
-    /// add scheduling overhead; the forest gives cross-shard pruning
-    /// without them) — [`QueryBuilder::parallel_scatter`] overrides.
+    /// The one code path every single query runs through: one forest
+    /// traversal over all shards, on the calling thread.
     fn run(self, kind: QueryKind) -> QueryResult {
         let QueryBuilder {
             snapshot,
             query,
             scratch,
-            parallel,
             spec,
         } = self;
         let mut fresh = EdwpScratch::new();
@@ -1051,17 +1016,7 @@ impl<'a> QueryBuilder<'a> {
             kind,
             total: snapshot.len(),
         };
-        let views = views(&snapshot);
-        let parallel = parallel.unwrap_or_else(|| default_threads() > 1);
-        let (neighbors, stats) = if parallel && views.len() > 1 {
-            let queries = std::slice::from_ref(query);
-            scatter(plan, &views, queries, views.len(), scratch, |_| None)
-                .pop()
-                .expect("one query in, one answer out")
-        } else {
-            let stats = QueryStats::for_search(plan.total);
-            run_query(plan, &views, query, stats, None, scratch, None)
-        };
+        let (neighbors, stats) = run_query(plan, &views(&snapshot), query, scratch);
         QueryResult {
             neighbors,
             stats: spec.collect_stats.then_some(stats),
@@ -1139,13 +1094,8 @@ impl BatchQueryBuilder<'_> {
         self.run(QueryKind::Range(eps))
     }
 
-    /// Scatter-gather scheduling over [`fan_out`]; every item routes node
-    /// bounds through the batch's shared [`BoundCache`].
-    ///
-    /// Item granularity adapts: with enough queries to occupy every
-    /// worker, one item is a whole query (a forest traversal over all
-    /// shards — cross-shard pruning for free); a small batch over many
-    /// shards splits into (query × shard) items instead ([`scatter`]).
+    /// One [`fan_out`] item per query, each a whole forest traversal over
+    /// all shards.
     fn run(self, kind: QueryKind) -> BatchQueryResult {
         let BatchQueryBuilder {
             snapshot,
@@ -1160,24 +1110,12 @@ impl BatchQueryBuilder<'_> {
         };
         let views = views(&snapshot);
         let workers = threads.unwrap_or_else(default_threads).max(1);
-        let cache = BoundCache::new();
-        let canon = canonical_queries(queries);
-        let reuse = |qi: usize| {
-            Some(BoundReuse {
-                cache: &cache,
-                query: canon[qi],
-            })
-        };
-        let scratch = &mut EdwpScratch::new();
-        let answers = if views.len() == 1 || queries.len() >= 2 * workers {
-            let items = (0..queries.len()).collect();
-            fan_out(items, workers, scratch, |qi, scratch| {
-                let stats = QueryStats::for_search(plan.total);
-                run_query(plan, &views, &queries[qi], stats, None, scratch, reuse(qi))
-            })
-        } else {
-            scatter(plan, &views, queries, workers, scratch, reuse)
-        };
+        let answers = fan_out(
+            queries.iter().collect(),
+            workers,
+            &mut EdwpScratch::new(),
+            |query, scratch| run_query(plan, &views, query, scratch),
+        );
         let mut agg = QueryStats::default();
         let mut neighbors = Vec::with_capacity(queries.len());
         for (per_query, stats) in answers {
@@ -1221,90 +1159,28 @@ fn eps_can_match(eps: f64) -> bool {
     eps >= 0.0
 }
 
-/// The parallel scatter: one (query × shard) item per pair, scheduled by
-/// [`fan_out`], each a per-shard descent whose k-NN collector plugs into
-/// its query's [`SharedThreshold`] so sibling shards prune each other
-/// mid-descent; then the gather — each query's per-shard partials merged,
-/// re-sorted by `(distance, id)` and truncated to `k` (a shard's own top-k
-/// is a superset of its contribution to the global top-k, so this is
-/// exact). Answers come back in query order. A query's first item carries
-/// its [`QueryStats::queries`] count and every item its shard's live size,
-/// so the merged partials report one search over the full database.
-/// `reuse(qi)` is query `qi`'s hook into a batch's bound cache, if any.
-fn scatter<'b>(
-    plan: Plan,
-    views: &[SearchView<'_>],
-    queries: &[Trajectory],
-    workers: usize,
-    scratch: &mut EdwpScratch,
-    reuse: impl Fn(usize) -> Option<BoundReuse<'b>> + Sync,
-) -> Vec<(Vec<Neighbor>, QueryStats)> {
-    let thresholds: Vec<SharedThreshold> = queries.iter().map(|_| SharedThreshold::new()).collect();
-    let items = (0..queries.len())
-        .flat_map(|qi| (0..views.len()).map(move |vi| (qi, vi)))
-        .collect();
-    let partials = fan_out(items, workers, scratch, |(qi, vi), scratch| {
-        let view = &views[vi];
-        run_query(
-            plan,
-            std::slice::from_ref(view),
-            &queries[qi],
-            QueryStats::for_shard_partial(view.len(), vi == 0),
-            Some(&thresholds[qi]),
-            scratch,
-            reuse(qi),
-        )
-    });
-    // Items are query-major: `views.len()` partials per query.
-    partials
-        .chunks(views.len())
-        .map(|per_query| {
-            let mut stats = QueryStats::default();
-            let mut merged = Vec::new();
-            for (partial, partial_stats) in per_query {
-                merged.extend_from_slice(partial);
-                stats.merge(partial_stats);
-            }
-            let mut merged = sort_neighbors(merged);
-            if let QueryKind::Knn(k) = plan.kind {
-                merged.truncate(k.min(plan.total));
-            }
-            (merged, stats)
-        })
-        .collect()
-}
-
-/// One search over `views` under one collector — hence one pruning
-/// threshold: every shard at once for the forest traversal (the
-/// sequential single query, and the per-query batch item), or one shard
-/// with its query's `shared` threshold for a [`scatter`] item. `stats`
-/// arrives initialised for whichever share of the database this search
-/// accounts for.
+/// One search over every shard in `views` under one collector — hence one
+/// pruning threshold — with fresh counters for one search over the whole
+/// database.
 fn run_query(
     plan: Plan,
     views: &[SearchView<'_>],
     query: &Trajectory,
-    mut stats: QueryStats,
-    shared: Option<&SharedThreshold>,
     scratch: &mut EdwpScratch,
-    reuse: Option<BoundReuse<'_>>,
 ) -> (Vec<Neighbor>, QueryStats) {
     let Plan { spec, kind, total } = plan;
+    let mut stats = QueryStats::for_search(total);
     let neighbors = match kind {
-        QueryKind::Knn(k) => match (k.min(total), shared) {
-            (0, _) => Vec::new(),
-            (k, None) => {
+        QueryKind::Knn(k) => match k.min(total) {
+            0 => Vec::new(),
+            k => {
                 let collector = KnnCollector::new(k);
-                drive(views, query, spec, collector, scratch, &mut stats, reuse)
-            }
-            (k, Some(shared)) => {
-                let collector = SharedKnnCollector::new(k, shared);
-                drive(views, query, spec, collector, scratch, &mut stats, reuse)
+                drive(views, query, spec, collector, scratch, &mut stats)
             }
         },
         QueryKind::Range(eps) if eps_can_match(eps) => {
             let collector = RangeCollector::new(eps);
-            drive(views, query, spec, collector, scratch, &mut stats, reuse)
+            drive(views, query, spec, collector, scratch, &mut stats)
         }
         QueryKind::Range(_) => Vec::new(),
     };
@@ -1323,7 +1199,6 @@ fn drive<C: Collector>(
     mut collector: C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
-    reuse: Option<BoundReuse<'_>>,
 ) -> Vec<Neighbor> {
     if spec.brute_force {
         for view in views {
@@ -1357,14 +1232,12 @@ fn drive<C: Collector>(
             &mut collector,
             scratch,
             stats,
-            reuse,
         );
     }
     collector.into_neighbors()
 }
 
-/// Default worker fan-out: one per available CPU (cached — the default is
-/// consulted on every query).
+/// Default batch worker count: one per available CPU (cached).
 fn default_threads() -> usize {
     static CPUS: OnceLock<usize> = OnceLock::new();
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -1443,29 +1316,16 @@ mod tests {
         for shards in [2usize, 3, 4, 16] {
             let mut sharded = Session::builder().shards(shards).build(store.clone());
             assert_eq!(sharded.num_shards(), shards);
-            // Both scatter strategies, explicitly — whatever the default
-            // resolves to on this machine.
-            for parallel in [false, true] {
-                assert_eq!(
-                    sharded
-                        .query(&q)
-                        .parallel_scatter(parallel)
-                        .knn(5)
-                        .neighbors,
-                    want_knn.neighbors,
-                    "knn diverged at {shards} shards (parallel: {parallel})"
-                );
-                assert_eq!(
-                    sharded
-                        .query(&q)
-                        .parallel_scatter(parallel)
-                        .range(750.0)
-                        .neighbors,
-                    want_range.neighbors,
-                    "range diverged at {shards} shards (parallel: {parallel})"
-                );
-            }
-            assert_eq!(sharded.query(&q).knn(5).neighbors, want_knn.neighbors);
+            assert_eq!(
+                sharded.query(&q).knn(5).neighbors,
+                want_knn.neighbors,
+                "knn diverged at {shards} shards"
+            );
+            assert_eq!(
+                sharded.query(&q).range(750.0).neighbors,
+                want_range.neighbors,
+                "range diverged at {shards} shards"
+            );
             let batch = sharded.batch(std::slice::from_ref(&q)).threads(4).knn(5);
             assert_eq!(batch.neighbors[0], want_knn.neighbors);
         }
@@ -1482,11 +1342,9 @@ mod tests {
         assert!(!snap.iter().any(|(g, _)| g == 7));
         // Queries skip the dead member on every path.
         let q = snap.get(6).clone();
-        for parallel in [false, true] {
-            let res = snap.query(&q).parallel_scatter(parallel).knn(20);
-            assert_eq!(res.neighbors.len(), 19);
-            assert!(res.neighbors.iter().all(|nb| nb.id != 7));
-        }
+        let res = snap.query(&q).knn(20);
+        assert_eq!(res.neighbors.len(), 19);
+        assert!(res.neighbors.iter().all(|nb| nb.id != 7));
         let brute = snap.query(&q).brute_force().knn(20);
         assert!(brute.neighbors.iter().all(|nb| nb.id != 7));
         // The id is retired: the next insert gets a fresh watermark id,
@@ -1716,29 +1574,46 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scatter_reports_whole_database_stats() {
-        // Satellite regression: per-shard db_size partials must *sum* to
-        // the database total in the merged stats (the old merge kept the
-        // max, so a 4-shard query under-reported its candidate universe
-        // and inflated pruning_ratio).
+    fn sharded_query_reports_whole_database_stats() {
+        // A sharded query's stats describe one search over the whole
+        // database, not one shard's segment.
         let store = two_cluster_store();
         let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         for shards in [1usize, 2, 4] {
             let mut session = Session::builder().shards(shards).build(store.clone());
-            for parallel in [false, true] {
-                let res = session
-                    .query(&q)
-                    .parallel_scatter(parallel)
-                    .collect_stats()
-                    .knn(3);
-                let stats = res.stats.expect("requested");
-                assert_eq!(
-                    stats.db_size, 20,
-                    "db_size diverged at {shards} shards (parallel: {parallel})"
-                );
-                assert_eq!(stats.queries, 1);
-                assert!(stats.edwp_evaluations <= stats.db_size);
+            let res = session.query(&q).collect_stats().knn(3);
+            let stats = res.stats.expect("requested");
+            assert_eq!(stats.db_size, 20, "db_size diverged at {shards} shards");
+            assert_eq!(stats.queries, 1);
+            assert!(stats.edwp_evaluations <= stats.db_size);
+        }
+    }
+
+    #[test]
+    fn small_batches_on_many_shards_match_the_singles() {
+        // Fewer queries than workers and shards: each is still one whole
+        // search over the database, answers and counters alike.
+        let session = Session::builder().shards(4).build(two_cluster_store());
+        let snap = session.snapshot();
+        let queries = [
+            Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]),
+            Trajectory::from_xy(&[(480.0, 480.0), (520.0, 520.0)]),
+            Trajectory::from_xy(&[(250.0, 250.0), (260.0, 255.0)]),
+        ];
+        for n in [1usize, 3] {
+            let batch = session
+                .batch(&queries[..n])
+                .threads(4)
+                .collect_stats()
+                .knn(4);
+            let mut want = QueryStats::default();
+            for (q, got) in queries[..n].iter().zip(&batch.neighbors) {
+                let single = snap.query(q).collect_stats().knn(4);
+                assert_eq!(*got, single.neighbors, "{n} queries");
+                want.merge(&single.stats.expect("requested"));
             }
+            assert_eq!(batch.stats, Some(want), "{n} queries");
+            assert_eq!((want.queries, want.db_size), (n, n * 20));
         }
     }
 
@@ -1818,10 +1693,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_with_repeated_queries_hits_the_bound_cache() {
-        // A batch repeating one probe shares node bounds through the
-        // per-batch cache; answers must stay bitwise identical to the
-        // all-distinct path.
+    fn batch_with_repeated_queries_answers_each_repetition_identically() {
+        // A batch repeating one probe answers every repetition the same,
+        // and the same as the single query.
         let session = Session::builder().shards(3).build(two_cluster_store());
         let probe = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         let far = Trajectory::from_xy(&[(480.0, 480.0), (520.0, 520.0)]);

@@ -61,12 +61,9 @@
 //! # Queries over shards
 //!
 //! The query layer never walks shards one at a time under separate
-//! thresholds. A single query either seeds every shard root into one
-//! best-first *forest* queue (cross-shard pruning, one collector), or —
-//! on the parallel scatter path — descends each shard on its own worker
-//! while all workers tighten one shared atomic threshold
-//! ([`crate::engine::SharedThreshold`]). Either way the whole epoch is
-//! pinned once (`Arc` clone of the shard vector) before any traversal
+//! thresholds: a query seeds every shard root into one best-first
+//! *forest* queue (cross-shard pruning, one collector). The whole epoch
+//! is pinned once (`Arc` clone of the shard vector) before the traversal
 //! starts, so a concurrent write publishing a new epoch mid-query is
 //! invisible: every shard walked belongs to the same published
 //! generation, and results stay bitwise identical to the sequential
@@ -309,7 +306,7 @@ impl ShardOccupancy {
 }
 
 /// An immutable epoch of a [`crate::Session`]'s sharded database: every
-/// query scatter-gathers over exactly the shards captured here, so results
+/// query traverses exactly the shards captured here, so results
 /// are stable no matter how many inserts or removals land concurrently.
 ///
 /// Snapshots are cheap (a handful of `Arc` clones, no data copied) and

@@ -32,20 +32,15 @@ impl Default for TrajTreeConfig {
 /// rolling their children's tBoxSeqs up ([`make_internal`]).
 /// `max_len` upper-bounds the spatial length of every trajectory in the
 /// subtree — the bookkeeping the length-normalised metric's admissible
-/// node bound divides by. `id` is the node's pre-order position, reassigned
-/// wholesale after every structural change, so within one immutable epoch
-/// (the unit queries pin) ids are dense, stable and unique — the node key
-/// of the per-batch bound cache.
+/// node bound divides by.
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
     Leaf {
-        id: u32,
         ids: Vec<TrajId>,
         summary: BoxSeq,
         max_len: f64,
     },
     Internal {
-        id: u32,
         children: Vec<Node>,
         summary: BoxSeq,
         max_len: f64,
@@ -56,29 +51,6 @@ impl Node {
     pub(crate) fn summary(&self) -> &BoxSeq {
         match self {
             Node::Leaf { summary, .. } | Node::Internal { summary, .. } => summary,
-        }
-    }
-
-    /// Pre-order id within this tree epoch (see the type docs).
-    pub(crate) fn id(&self) -> u32 {
-        match self {
-            Node::Leaf { id, .. } | Node::Internal { id, .. } => *id,
-        }
-    }
-
-    fn assign_ids(&mut self, next: &mut u32) {
-        match self {
-            Node::Leaf { id, .. } => {
-                *id = *next;
-                *next += 1;
-            }
-            Node::Internal { id, children, .. } => {
-                *id = *next;
-                *next += 1;
-                for c in children {
-                    c.assign_ids(next);
-                }
-            }
         }
     }
 
@@ -201,13 +173,11 @@ impl TrajTree {
                 })
                 .collect();
         }
-        let mut tree = TrajTree {
+        TrajTree {
             root: nodes.pop(),
             config,
             len,
-        };
-        tree.renumber();
-        tree
+        }
     }
 
     /// Bulk-loads with the default configuration.
@@ -235,18 +205,6 @@ impl TrajTree {
                     self.root = Some(root);
                 }
             }
-        }
-        self.renumber();
-    }
-
-    /// Reassigns dense pre-order node ids — called after every structural
-    /// change. A tree walk, negligible next to the merge-DP work the
-    /// change itself performed; crucially it keeps ids unique within the
-    /// epoch a query pins, no matter how splits shuffled subtrees.
-    fn renumber(&mut self) {
-        if let Some(root) = &mut self.root {
-            let mut next = 0u32;
-            root.assign_ids(&mut next);
         }
     }
 
@@ -328,7 +286,6 @@ fn make_leaf(store: &TrajStore, ids: &[TrajId], config: &TrajTreeConfig) -> Node
         .map(|&id| store.get(id).length())
         .fold(0.0, f64::max);
     Node::Leaf {
-        id: 0, // placeholder until the post-change renumber pass
         ids: ids.to_vec(),
         summary,
         max_len,
@@ -351,7 +308,6 @@ fn make_internal(children: Vec<Node>, config: &TrajTreeConfig) -> Node {
     summary.coalesce(Some(config.internal_boxes));
     let max_len = children.iter().map(Node::max_len).fold(0.0, f64::max);
     Node::Internal {
-        id: 0, // placeholder until the post-change renumber pass
         children,
         summary,
         max_len,
@@ -543,12 +499,10 @@ mod tests {
     /// Walks every node of a tree that indexes all of `store` and asserts
     /// what each build path owes the search: coverage (every subtree
     /// member's box bound against the node's summary is 0 — the premise of
-    /// Theorem 2), the box / capacity / fanout budgets, `max_len` equal to
-    /// the exact subtree maximum, and dense pre-order ids.
+    /// Theorem 2), the box / capacity / fanout budgets, and `max_len` equal
+    /// to the exact subtree maximum.
     fn check_invariants(tree: &TrajTree, store: &TrajStore) {
-        fn walk(node: &Node, store: &TrajStore, config: &TrajTreeConfig, next: &mut u32) {
-            assert_eq!(node.id(), *next, "ids are dense pre-order");
-            *next += 1;
+        fn walk(node: &Node, store: &TrajStore, config: &TrajTreeConfig) {
             match node {
                 Node::Leaf { ids, summary, .. } => {
                     assert!((1..=config.leaf_capacity).contains(&ids.len()));
@@ -560,7 +514,7 @@ mod tests {
                     assert!((1..=config.fanout).contains(&children.len()));
                     assert!(summary.len() <= config.internal_boxes);
                     for c in children {
-                        walk(c, store, config, next);
+                        walk(c, store, config);
                     }
                 }
             }
@@ -572,18 +526,15 @@ mod tests {
                 let lb = traj_dist::edwp_lower_bound_boxes(t, node.summary());
                 assert!(
                     approx_eq(lb.max(0.0), 0.0),
-                    "member {id} has bound {lb} against node {}",
-                    node.id()
+                    "member {id} has bound {lb} against the node over {members:?}"
                 );
                 longest = longest.max(t.length());
             }
-            assert_eq!(node.max_len(), longest, "max_len of node {}", node.id());
+            assert_eq!(node.max_len(), longest, "max_len over {members:?}");
         }
-        let mut next = 0;
         if let Some(root) = &tree.root {
-            walk(root, store, tree.config(), &mut next);
+            walk(root, store, tree.config());
         }
-        assert_eq!(next as usize, tree.node_count());
         let mut ids = tree.ids();
         ids.sort_unstable();
         assert_eq!(ids, store.ids().collect::<Vec<_>>());
@@ -647,7 +598,7 @@ mod tests {
     fn invariants_hold_on_every_build_path() {
         // Bulk load: every internal summary is a roll-up of its children's.
         // (The insert-only path is walked step by step in
-        // `node_ids_stay_dense_preorder_through_builds_and_inserts`.)
+        // `invariants_hold_after_every_incremental_insert`.)
         let store = store_of(60);
         check_invariants(&TrajTree::build(&store), &store);
         let bulk = TrajTree::bulk_load(&store, small_nodes());
@@ -668,9 +619,8 @@ mod tests {
     }
 
     #[test]
-    fn node_ids_stay_dense_preorder_through_builds_and_inserts() {
-        // The incremental path, walked after every insert (ids are
-        // reassigned wholesale by each structural change): 3-way nodes
+    fn invariants_hold_after_every_incremental_insert() {
+        // The incremental path, walked after every insert: 3-way nodes
         // reaching height 4 mean leaf splits, internal splits and root
         // growth — from a leaf root and from an internal one — all ran.
         let mut grown = TrajStore::new();

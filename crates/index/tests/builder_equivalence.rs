@@ -1,7 +1,7 @@
 //! The sharded-surface contract: every combination the typed query surface
 //! can express — k-NN / range × index / brute-force × shards 1/2/4 ×
-//! threads 1/4 × raw / length-normalised metric × forest / parallel
-//! scatter — is **bitwise identical** to a hand-built single-shard tree
+//! threads 1/4 × raw / length-normalised metric — is **bitwise
+//! identical** to a hand-built single-shard tree
 //! (wrapped with `Session::from_parts`) and to an independent manual scan, and inserts land while concurrent
 //! batches keep reading a stable epoch. This is what makes the shard count
 //! an invisible deployment knob.
@@ -141,25 +141,15 @@ proptest! {
                 let mut session = Session::builder()
                     .shards(shards)
                     .build(TrajStore::from(db.clone()));
-                // Both scatter strategies, forced explicitly: the forest
-                // traversal and the shared-threshold parallel descent must
-                // agree with the reference bitwise.
-                for parallel in [false, true] {
-                    let indexed = session
-                        .query(&query)
-                        .metric(metric)
-                        .parallel_scatter(parallel)
-                        .collect_stats()
-                        .knn(k);
-                    prop_assert_eq!(&indexed.neighbors, &want_knn);
-                    prop_assert_eq!(indexed.stats.expect("requested").db_size, size);
-                    let in_ball = session
-                        .query(&query)
-                        .metric(metric)
-                        .parallel_scatter(parallel)
-                        .range(eps);
-                    prop_assert_eq!(&in_ball.neighbors, &want_ball);
-                }
+                let indexed = session
+                    .query(&query)
+                    .metric(metric)
+                    .collect_stats()
+                    .knn(k);
+                prop_assert_eq!(&indexed.neighbors, &want_knn);
+                prop_assert_eq!(indexed.stats.expect("requested").db_size, size);
+                let in_ball = session.query(&query).metric(metric).range(eps);
+                prop_assert_eq!(&in_ball.neighbors, &want_ball);
                 let brute = session.query(&query).metric(metric).brute_force().knn(k);
                 prop_assert_eq!(&brute.neighbors, &want_knn);
                 let brute_ball = session
@@ -340,14 +330,6 @@ fn concurrent_inserts_never_tear_an_epoch() {
                         assert_eq!(
                             got, want,
                             "torn epoch observed after {checks} consistent reads"
-                        );
-                        // The parallel scatter path reads the same pinned
-                        // epoch from its per-shard worker threads — racing
-                        // it against the writer is the point.
-                        let par = snap.query(&query).parallel_scatter(true).knn(4).neighbors;
-                        assert_eq!(
-                            par, want,
-                            "parallel scatter tore after {checks} consistent reads"
                         );
                         checks += 1;
                         if stop.load(Ordering::Relaxed) {

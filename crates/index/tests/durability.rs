@@ -379,6 +379,42 @@ fn storage_failures_surface_as_typed_traj_errors() {
 }
 
 #[test]
+fn a_failed_compaction_refuses_writes_until_a_retry_succeeds() {
+    let trajs = fleet(6, 11);
+    let dir = TempDir::new("durability-compact-fail");
+    let session = Session::builder()
+        .durability(DurabilityConfig::default().compact_after(None))
+        .open(dir.path())
+        .expect("open");
+    session
+        .insert_batch(trajs[..4].to_vec())
+        .expect("durable batch");
+    // A directory squatting on the next generation's log name fails the
+    // compaction after its snapshot landed — from where a reopen would
+    // ignore the current log.
+    let squatter = dir.path().join(traj_persist::wal_file_name(1));
+    fs::create_dir(&squatter).expect("squat");
+    assert!(matches!(session.compact(), Err(TrajError::Persist { .. })));
+    match session.insert(trajs[4].clone()) {
+        Err(TrajError::Persist { message }) => {
+            assert!(message.contains("compact or reopen"), "{message}")
+        }
+        other => panic!("expected the poisoned-log error, got {other:?}"),
+    }
+    assert!(session.remove(0).is_err());
+    assert_eq!(session.len(), 4, "a refused write publishes nothing");
+
+    fs::remove_dir(&squatter).expect("clear");
+    session.compact().expect("retried compact");
+    assert_eq!(session.insert(trajs[4].clone()), Ok(4), "ids stay monotone");
+    drop(session);
+    let reopened = Session::builder().open(dir.path()).expect("reopen");
+    let reference = Session::build(TrajStore::from(trajs[..5].to_vec()));
+    assert_equivalent(&reopened, &reference, &trajs[5..]);
+    assert_eq!(reopened.insert(trajs[5].clone()), Ok(5));
+}
+
+#[test]
 fn in_memory_sessions_report_non_durable_and_noop_maintenance() {
     let session = Session::build(TrajStore::new());
     assert!(!session.is_durable());

@@ -124,17 +124,9 @@ proptest! {
                 let mut session = Session::builder()
                     .shards(shards)
                     .build(TrajStore::from(db.clone()));
-                for parallel in [false, true] {
-                    let indexed = session
-                        .query(&queries[0])
-                        .metric(metric)
-                        .sub()
-                        .parallel_scatter(parallel)
-                        .knn(k);
-                    prop_assert!(indexed.neighbors == want_knn,
-                        "sub knn diverged at {} shards under {:?} (parallel: {})",
-                        shards, metric, parallel);
-                }
+                let indexed = session.query(&queries[0]).metric(metric).sub().knn(k);
+                prop_assert!(indexed.neighbors == want_knn,
+                    "sub knn diverged at {} shards under {:?}", shards, metric);
                 // The brute-force escape hatch of the new mode.
                 let brute = session
                     .query(&queries[0])

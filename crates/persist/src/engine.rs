@@ -344,6 +344,13 @@ impl StorageEngine {
     /// missing WAL handled as empty. Pruning old files is the last step
     /// and best-effort — a leftover older generation costs disk, not
     /// correctness, and the next compaction retries the removal.
+    ///
+    /// An I/O failure past the validation leaves it unknown whether the
+    /// new snapshot already supersedes the current log on disk, so the
+    /// current log is poisoned on the way out: every later append or sync
+    /// answers [`PersistError::WalPoisoned`] until a retried compaction
+    /// succeeds or the directory is reopened — nothing is acknowledged
+    /// into a log the next recovery would ignore.
     pub fn compact(&mut self, shards: &[Vec<(TrajId, &Trajectory)>]) -> Result<(), PersistError> {
         let total: u64 = shards.iter().map(|s| s.len() as u64).sum();
         if total != self.live {
@@ -376,9 +383,13 @@ impl StorageEngine {
             }
         }
         let next = self.generation + 1;
-        write_snapshot(&self.dir, next, shards, self.next_id)?;
-        let wal = WalWriter::create(&self.dir, next, total, self.cfg.fsync)?;
-        sync_dir(&self.dir)?;
+        let swap = || -> Result<WalWriter, PersistError> {
+            write_snapshot(&self.dir, next, shards, self.next_id)?;
+            let wal = WalWriter::create(&self.dir, next, total, self.cfg.fsync)?;
+            sync_dir(&self.dir)?;
+            Ok(wal)
+        };
+        let wal = swap().inspect_err(|_| self.wal.poison())?;
         self.generation = next;
         self.live = total;
         self.wal = wal;
@@ -644,6 +655,72 @@ mod tests {
             engine.compact(&bad),
             Err(PersistError::StateMismatch { .. })
         ));
+    }
+
+    /// What a crash-and-reopen right now would recover, without disturbing
+    /// the live engine: the directory's regular files copied aside (a
+    /// squatting directory is the injected fault, not database state) and
+    /// opened there.
+    fn recovered_from_a_copy(dir: &Path) -> Recovered {
+        let copy = TempDir::new("engine-copy");
+        for entry in fs::read_dir(dir).unwrap().flatten() {
+            if entry.file_type().unwrap().is_file() {
+                fs::copy(entry.path(), copy.path().join(entry.file_name())).unwrap();
+            }
+        }
+        StorageEngine::open(copy.path(), cfg())
+            .expect("copy opens")
+            .0
+    }
+
+    #[test]
+    fn a_failed_compaction_poisons_the_log_until_a_retry_succeeds() {
+        let dir = TempDir::new("engine-compact-fail");
+        let (_, mut engine) = StorageEngine::open(dir.path(), cfg()).expect("open");
+        engine.append(&traj(0.0)).expect("append");
+        let acked = vec![(0u32, traj(0.0))];
+
+        // A directory squatting on the next generation's WAL name: the
+        // snapshot rename lands, creating the log behind it fails.
+        let squatter = dir.path().join(wal_file_name(1));
+        fs::create_dir(&squatter).unwrap();
+        assert!(matches!(
+            engine.compact(&deal_sections(&acked, 1)),
+            Err(PersistError::Io(_))
+        ));
+        // Recovery would now read snapshot 1 and ignore the old log, so the
+        // old log must not acknowledge anything more.
+        assert!(matches!(
+            engine.append(&traj(1.0)),
+            Err(PersistError::WalPoisoned)
+        ));
+        assert!(matches!(
+            engine.append_group(&[traj(1.0), traj(2.0)]),
+            Err(PersistError::WalPoisoned)
+        ));
+        assert!(matches!(
+            engine.append_tombstones(&[0]),
+            Err(PersistError::WalPoisoned)
+        ));
+        assert!(matches!(engine.sync(), Err(PersistError::WalPoisoned)));
+        assert_eq!((engine.live(), engine.next_id()), (1, 1));
+        let rec = recovered_from_a_copy(dir.path());
+        assert_eq!((rec.trajs, rec.next_id), (acked.clone(), 1));
+
+        // With the obstacle gone the retry installs a fresh log.
+        fs::remove_dir(&squatter).unwrap();
+        engine
+            .compact(&deal_sections(&acked, 1))
+            .expect("retried compact");
+        assert_eq!(engine.generation(), 1);
+        engine.append(&traj(1.0)).expect("appends flow again");
+        let acked = vec![(0u32, traj(0.0)), (1, traj(1.0))];
+        let rec = recovered_from_a_copy(dir.path());
+        assert_eq!((rec.trajs, rec.next_id), (acked.clone(), 2));
+        drop(engine);
+        let (rec, engine) = StorageEngine::open(dir.path(), cfg()).expect("reopen");
+        assert_eq!((rec.trajs, rec.next_id), (acked, 2));
+        assert_eq!(engine.generation(), 1);
     }
 
     #[test]

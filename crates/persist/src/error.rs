@@ -76,10 +76,12 @@ pub enum PersistError {
         detail: String,
     },
     /// An earlier write or fsync on this write-ahead log failed, so the
-    /// file may end in a torn frame and its tail's durability is unknown:
-    /// the log refuses every further append and sync until the database
-    /// directory is reopened (recovery truncates the torn tail) or a
-    /// compaction replaces the log with the next generation's.
+    /// file may end in a torn frame and its tail's durability is unknown —
+    /// or a compaction failed part-way, so the next recovery may already
+    /// read the new snapshot instead of this log: the log refuses every
+    /// further append and sync until the database directory is reopened
+    /// (recovery truncates the torn tail) or a compaction replaces the log
+    /// with the next generation's.
     WalPoisoned,
     /// A directory holds snapshot files but none of them loads cleanly;
     /// carries the error from the newest candidate. Starting empty here
@@ -128,8 +130,8 @@ impl fmt::Display for PersistError {
             }
             PersistError::WalPoisoned => write!(
                 f,
-                "an earlier write or fsync on the write-ahead log failed; \
-                 reopen the database directory to resume appending"
+                "an earlier write, fsync or compaction of the write-ahead log failed; \
+                 compact or reopen the database directory to resume appending"
             ),
             PersistError::NoUsableSnapshot { dir, cause } => write!(
                 f,

@@ -44,7 +44,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use traj_core::codec::{put_u32, put_u64, ByteReader};
-use traj_core::{StPoint, TrajId, Trajectory};
+use traj_core::{TrajId, Trajectory};
 
 /// First eight bytes of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"TRJSNAP1";
@@ -254,32 +254,12 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
     Ok(SnapshotContents { sections, next_id })
 }
 
-/// Entry floor below which parallel decode is not worth the thread spawns.
-const PARALLEL_DECODE_MIN: usize = 1024;
-
-/// Decodes the checksum-verified body into per-shard sections. Large
-/// bodies on multi-core hosts take the parallel path: a cheap boundary
-/// scan (each entry is a `u32` id, a `u64` point count and `count`
-/// fixed-size points, so spans are found without touching the
-/// floats) splits the body into independent chunks decoded on scoped
-/// worker threads. Any irregularity — a scan that doesn't tile the body
-/// exactly, or a chunk that fails to decode — falls back to the
-/// sequential path so errors surface with the same typed causes in the
-/// same order regardless of core count.
-fn decode_sections(
-    body: &[u8],
-    shard_count: u32,
-) -> Result<Vec<Vec<(TrajId, Trajectory)>>, PersistError> {
-    if let Some(sections) = try_parallel_decode(body, shard_count) {
-        return Ok(sections);
-    }
-    decode_sections_sequential(body, shard_count)
-}
-
 /// Bytes every entry consumes before its points: `u32` id + `u64` count.
 const ENTRY_PREFIX_LEN: usize = 4 + 8;
 
-fn decode_sections_sequential(
+/// Decodes the checksum-verified body into per-shard sections — the one
+/// decoder, so every malformation surfaces as the same typed error.
+fn decode_sections(
     body: &[u8],
     shard_count: u32,
 ) -> Result<Vec<Vec<(TrajId, Trajectory)>>, PersistError> {
@@ -301,94 +281,6 @@ fn decode_sections_sequential(
         });
     }
     Ok(sections)
-}
-
-fn read_u64_at(body: &[u8], pos: usize) -> Option<u64> {
-    let bytes = body.get(pos..pos.checked_add(8)?)?;
-    Some(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-}
-
-/// Per-section trajectory counts plus every entry's byte span, in body
-/// order — the output of [`scan_sections`].
-type SectionScan = (Vec<usize>, Vec<(usize, usize)>);
-
-/// Walks the body reading only the length fields, returning each
-/// section's entry count and the byte span of every entry in body order.
-/// `None` if the declared lengths do not tile the body exactly — the
-/// sequential decoder then reports the canonical error.
-fn scan_sections(body: &[u8], shard_count: u32) -> Option<SectionScan> {
-    let mut pos = 0usize;
-    let mut counts = Vec::with_capacity(shard_count as usize);
-    let mut spans = Vec::new();
-    for _ in 0..shard_count {
-        let count = usize::try_from(read_u64_at(body, pos)?).ok()?;
-        pos += 8;
-        // Each entry consumes at least its fixed-size prefix.
-        if count > (body.len() - pos) / ENTRY_PREFIX_LEN {
-            return None;
-        }
-        counts.push(count);
-        for _ in 0..count {
-            let points = usize::try_from(read_u64_at(body, pos.checked_add(4)?)?).ok()?;
-            let len = ENTRY_PREFIX_LEN.checked_add(points.checked_mul(StPoint::ENCODED_SIZE)?)?;
-            let end = pos.checked_add(len)?;
-            if end > body.len() {
-                return None;
-            }
-            spans.push((pos, end));
-            pos = end;
-        }
-    }
-    (pos == body.len()).then_some((counts, spans))
-}
-
-/// Decodes one scanned entry span.
-fn decode_entry(bytes: &[u8]) -> Option<(TrajId, Trajectory)> {
-    let mut r = ByteReader::new(bytes);
-    let gid = r.u32().ok()?;
-    let t = Trajectory::decode(&mut r).ok()?;
-    r.is_empty().then_some((gid, t))
-}
-
-/// The parallel decode path: `None` means "use the sequential decoder"
-/// (small body, single core, malformed lengths, or a decode failure that
-/// must be re-reported with its canonical typed error).
-fn try_parallel_decode(body: &[u8], shard_count: u32) -> Option<Vec<Vec<(TrajId, Trajectory)>>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if workers < 2 {
-        return None;
-    }
-    let (counts, spans) = scan_sections(body, shard_count)?;
-    if spans.len() < PARALLEL_DECODE_MIN {
-        return None;
-    }
-    let chunk_len = spans.len().div_ceil(workers);
-    let decoded = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&(start, end)| decode_entry(&body[start..end]))
-                        .collect::<Option<Vec<_>>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("snapshot decode worker panicked"))
-            .collect::<Option<Vec<_>>>()
-    })?;
-    let mut flat = decoded.into_iter().flatten();
-    Some(
-        counts
-            .iter()
-            .map(|&c| flat.by_ref().take(c).collect())
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -489,13 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn large_snapshot_round_trips_through_the_parallel_decoder() {
-        // Enough entries to clear PARALLEL_DECODE_MIN, so on multi-core
-        // hosts this exercises the boundary scan + worker decode path
-        // (and the sequential fallback elsewhere) with uneven sections
-        // and varied point counts.
-        let dir = TempDir::new("snapshot-parallel");
-        let many: Vec<Trajectory> = (0..PARALLEL_DECODE_MIN + 300)
+    fn large_uneven_snapshot_round_trips() {
+        // Over a thousand entries in uneven sections with varied point
+        // counts.
+        let dir = TempDir::new("snapshot-large");
+        let many: Vec<Trajectory> = (0..1324)
             .map(|i| {
                 let x = i as f64;
                 if i % 3 == 0 {
@@ -505,7 +395,7 @@ mod tests {
                 }
             })
             .collect();
-        let (s0, s1) = many.split_at(PARALLEL_DECODE_MIN / 2 + 7);
+        let (s0, s1) = many.split_at(519);
         // Residue-respecting but holey ids: section 0 even, section 1 odd.
         let sections: Vec<Vec<(TrajId, &Trajectory)>> = vec![
             s0.iter()

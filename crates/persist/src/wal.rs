@@ -105,7 +105,8 @@ pub(crate) struct WalWriter {
     unsynced: u32,
     policy: FsyncPolicy,
     scratch: Vec<u8>,
-    /// Latched by the first failed write or fsync (see [`WalWriter::io`]).
+    /// Latched by the first failed write or fsync (see [`WalWriter::io`])
+    /// or by a failed compaction ([`WalWriter::poison`]).
     poisoned: bool,
 }
 
@@ -277,6 +278,13 @@ impl WalWriter {
             self.poisoned = true;
             PersistError::Io(e)
         })
+    }
+
+    /// Latches the writer poisoned without an I/O failure of its own — for
+    /// a compaction that failed part-way, after which the next recovery
+    /// may no longer read this log at all.
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
     }
 
     /// Records appended since the WAL's base snapshot.

@@ -112,8 +112,8 @@ fn main() {
 
     // 7. Sharding is an invisible deployment knob: partition the same
     //    database across 4 shards and every answer is bit-for-bit the
-    //    same — queries scatter over the shards under one global pruning
-    //    threshold and gather into one result.
+    //    same — a query walks every shard in one traversal under one
+    //    global pruning threshold.
     let mut sharded = Session::builder().shards(4).build(session.into_store());
     let sharded_top = sharded.query(&query).knn(k);
     assert_eq!(

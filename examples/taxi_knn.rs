@@ -52,8 +52,8 @@ fn main() {
     );
 
     // Shard the fleet 4 ways: trips are dealt round-robin across four
-    // (segment, TrajTree) shards, and every query scatter-gathers over
-    // them — results are bit-for-bit what a single tree would return.
+    // (segment, TrajTree) shards, and every query traverses all four at
+    // once — results are bit-for-bit what a single tree would return.
     let session = Session::builder().shards(4).build(store);
     let epoch = session.snapshot();
     println!(
