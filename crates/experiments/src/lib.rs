@@ -391,4 +391,74 @@ mod tests {
         );
         assert!(report.pruning.queries == 6);
     }
+
+    #[test]
+    fn scaling_curves_have_the_papers_shape() {
+        // Sec. VI's curves as exact work counts (default fixture: seed 42,
+        // 20 queries) — deterministic, so the shape is pinned without a
+        // clock. Every point must also be exact and batch-consistent.
+        let knn = |db_size, k, metric| {
+            let report = knn_experiment(ExperimentConfig {
+                db_size,
+                k,
+                metric,
+                ..ExperimentConfig::default()
+            });
+            assert_eq!(report.exactness, 1.0, "db {db_size}, k {k}, {metric:?}");
+            assert!(report.batch_consistent, "db {db_size}, k {k}, {metric:?}");
+            report.pruning
+        };
+
+        // Query cost vs database size at k = 10: exact evaluations per
+        // query grow sublinearly while the pruned fraction rises. Recorded:
+        // db 100 / 300 / 900 -> 18.55 / 43.9 / 81.25 evaluations (a 9x
+        // database costs 4.4x), pruning 0.81 / 0.85 / 0.91.
+        let by_size: Vec<_> = [100usize, 300, 900]
+            .iter()
+            .map(|&db| (db as f64, knn(db, 10, Metric::Edwp)))
+            .collect();
+        for pair in by_size.windows(2) {
+            let ((db_a, a), (db_b, b)) = (&pair[0], &pair[1]);
+            let growth = b.mean_edwp_evaluations / a.mean_edwp_evaluations;
+            assert!(
+                growth < db_b / db_a,
+                "evaluations grew {growth}x from db {db_a} to {db_b}"
+            );
+            assert!(
+                b.mean_pruning_ratio > a.mean_pruning_ratio,
+                "pruning fell from db {db_a} to {db_b}"
+            );
+        }
+
+        // Query cost vs k at db 400: monotone under both metrics. Recorded
+        // for k 1 / 5 / 10 / 25: 3.8 / 40.85 / 55.7 / 65.85 raw,
+        // 4.85 / 42.5 / 54.35 / 67.05 normalised.
+        for metric in [Metric::Edwp, Metric::EdwpNormalized] {
+            let evals: Vec<f64> = [1usize, 5, 10, 25]
+                .iter()
+                .map(|&k| knn(400, k, metric).mean_edwp_evaluations)
+                .collect();
+            assert!(evals.is_sorted(), "{metric:?} evaluations vs k: {evals:?}");
+        }
+
+        // Range cost vs eps at db 400: evaluations and hits both monotone.
+        // Recorded for eps 0.5 / 2 / 8 / 32 / 128: 0.5 / 1.05 / 2.25 / 7.5 /
+        // 28.55 evaluations.
+        let by_eps: Vec<(f64, f64)> = [0.5, 2.0, 8.0, 32.0, 128.0]
+            .iter()
+            .map(|&eps| {
+                let report = range_experiment(
+                    ExperimentConfig {
+                        db_size: 400,
+                        ..ExperimentConfig::default()
+                    },
+                    eps,
+                );
+                assert_eq!(report.exactness, 1.0, "eps {eps}");
+                assert!(report.batch_consistent, "eps {eps}");
+                (report.pruning.mean_edwp_evaluations, report.mean_hits)
+            })
+            .collect();
+        assert!(by_eps.is_sorted_by(|a, b| a.0 <= b.0 && a.1 <= b.1));
+    }
 }

@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use traj_core::{TrajError, Trajectory};
 use traj_dist::{EdwpScratch, Metric, QueryMode};
-use traj_persist::{DurabilityConfig, StorageEngine};
+use traj_persist::{DurabilityConfig, PersistError, StorageEngine};
 
 /// Result of a single query: the matched neighbours (ascending
 /// `(distance, id)`) and, when [`QueryBuilder::collect_stats`] was
@@ -265,20 +265,26 @@ impl Clone for Session {
     /// An O(shards) fork: the clone shares the current epoch's shard data
     /// and diverges copy-on-write on the first insert to either side.
     ///
+    /// The fork is a **consistent cut**: it is taken under the writer
+    /// lock, so it never lands between a write's epoch publication and its
+    /// id-watermark advance — every id live in the fork is below the id
+    /// the fork issues next. (It therefore waits for a write in flight,
+    /// disk I/O included; use [`Session::snapshot`] for a wait-free read
+    /// view.)
+    ///
     /// The fork is always **in-memory**: a database directory has exactly
     /// one writer, so a clone of a durable session does not inherit the
     /// storage engine — its inserts land in memory only, while the
     /// original keeps logging.
     fn clone(&self) -> Self {
-        Session {
-            shards: RwLock::new(self.snapshot().shards),
-            next_id: AtomicU32::new(self.next_id.load(Ordering::Relaxed)),
-            config: self.config.clone(),
-            scratch: EdwpScratch::new(),
-            delta_threshold: self.delta_threshold,
-            writer: Mutex::new(()),
-            durable: None,
-        }
+        let _writer = self.writer.lock().expect("session writer lock poisoned");
+        Session::assemble(
+            self.snapshot().shards,
+            self.next_id.load(Ordering::Relaxed),
+            self.config.clone(),
+            self.delta_threshold,
+            None,
+        )
     }
 }
 
@@ -304,14 +310,32 @@ impl Session {
         let config = tree.config().clone();
         let next_id = store.len() as u32;
         let shard = Arc::new(Shard::from_parts(store, tree));
+        Session::assemble(
+            Arc::new(vec![shard]),
+            next_id,
+            config,
+            DELTA_MERGE_THRESHOLD,
+            None,
+        )
+    }
+
+    /// The one place a session is put together from its parts: a first
+    /// epoch, the id watermark above every id in it, and the knobs.
+    fn assemble(
+        shards: Arc<Vec<Arc<Shard>>>,
+        next_id: u32,
+        config: TrajTreeConfig,
+        delta_threshold: usize,
+        durable: Option<StorageEngine>,
+    ) -> Self {
         Session {
-            shards: RwLock::new(Arc::new(vec![shard])),
+            shards: RwLock::new(shards),
             next_id: AtomicU32::new(next_id),
             config,
             scratch: EdwpScratch::new(),
-            delta_threshold: DELTA_MERGE_THRESHOLD,
+            delta_threshold,
             writer: Mutex::new(()),
-            durable: None,
+            durable: durable.map(Mutex::new),
         }
     }
 
@@ -330,28 +354,39 @@ impl Session {
         out
     }
 
-    /// Adds a trajectory to the routed shard, returning its global id —
-    /// the streaming-ingestion entry point. The trajectory lands in the
-    /// shard's delta buffer (queried by exact brute scan, so it is
-    /// immediately and exactly visible); once the buffer reaches the
-    /// session's merge threshold it is folded into the shard's tree via
-    /// the least-volume-growth insert.
+    /// Adds one trajectory, returning its global id — the
+    /// streaming-ingestion entry point: [`Session::insert_batch`] of one,
+    /// under the contracts spelled out there. For bulk ingestion prefer
+    /// the batch call, which amortises the WAL fsync and the epoch
+    /// publication over the whole batch.
+    pub fn insert(&self, t: Trajectory) -> Result<TrajId, TrajError> {
+        Ok(self.insert_batch(vec![t])?[0])
+    }
+
+    /// Adds a whole batch of trajectories, returning their consecutive
+    /// global ids — the one write path behind [`Session::insert`] and bulk
+    /// ingestion alike. Each trajectory lands in its routed shard's delta
+    /// buffer (queried by exact brute scan, so it is immediately and
+    /// exactly visible); once a buffer reaches the session's merge
+    /// threshold it is folded into the shard's tree via the
+    /// least-volume-growth insert.
     ///
     /// # Consistency contract
     ///
-    /// * Inserts are serialized (the session's writer lock) and atomic: a
-    ///   trajectory is either fully visible to queries (delta or tree) or
-    ///   not at all.
-    /// * Readers are epoch-guarded: the new trajectory is built into a
-    ///   copy-on-write successor of the routed shard
-    ///   ([`Arc::make_mut`] — in place when no snapshot holds the shard)
-    ///   and published atomically. A [`Session::batch`] or [`Snapshot`]
-    ///   that started earlier keeps reading its original epoch — it never
-    ///   observes a torn shard or a partially visible insert. With a
-    ///   snapshot held, the copied unit is the routed shard's *delta
-    ///   buffer* (plus two `Arc` bumps for its immutable base), not the
-    ///   whole shard — only a delta merge pays a base copy, once per
-    ///   threshold crossing.
+    /// * Writes are serialized (the session's writer lock) and atomic: one
+    ///   epoch is published for the whole batch, so queries see every
+    ///   trajectory of it (delta or tree) or none. The routed per-shard
+    ///   sub-batches are applied on parallel workers (one per touched
+    ///   shard) when the session is sharded.
+    /// * Readers are epoch-guarded: the batch is built into copy-on-write
+    ///   successors of the routed shards ([`Arc::make_mut`] — in place
+    ///   when no snapshot holds the shard) and published atomically. A
+    ///   [`Session::batch`] or [`Snapshot`] that started earlier keeps
+    ///   reading its original epoch — it never observes a torn shard or a
+    ///   partially visible batch. With a snapshot held, the copied unit is
+    ///   a routed shard's *delta buffer* (plus two `Arc` bumps for its
+    ///   immutable base), not the whole shard — only a delta merge pays a
+    ///   base copy, once per threshold crossing.
     /// * An insert *happens-before* every snapshot taken after it returns
     ///   (the `RwLock` synchronises publication), so
     ///   `session.insert(t); session.query(&q)` always sees `t`.
@@ -362,60 +397,24 @@ impl Session {
     ///
     /// # Durability contract
     ///
-    /// On a [`SessionBuilder::open`]ed session the trajectory is appended
-    /// to the write-ahead log **before** the new epoch is published
-    /// (log-then-publish), under the configured
-    /// [`traj_persist::FsyncPolicy`]. `Err` means nothing was published
-    /// *or* logged (a torn log tail, if any, is truncated on the next
-    /// open) — the failed insert is invisible both to queries and to
-    /// recovery, so the happens-before contract above extends to disk:
-    /// once `insert` returns `Ok`, a crash-and-reopen sees the trajectory.
-    /// When the log reaches the configured
-    /// [`DurabilityConfig::compact_after_records`] threshold, the insert
+    /// On a [`SessionBuilder::open`]ed session the whole batch is appended
+    /// to the write-ahead log as **one group** — a single `fsync` under
+    /// [`traj_persist::FsyncPolicy::Always`] instead of one per record —
+    /// **before** the new epoch is published (log-then-publish), so the
+    /// happens-before contract above extends to disk: once the call
+    /// returns `Ok`, a crash-and-reopen sees the batch. When the log
+    /// reaches the configured
+    /// [`DurabilityConfig::compact_after_records`] threshold, the write
     /// first folds it into a fresh snapshot (see [`Session::compact`]).
     ///
-    /// In-memory sessions fail only with [`TrajError::IdSpaceExhausted`]
-    /// — once the watermark reaches `u32::MAX` no id is left to issue
-    /// (ids are never reused), checked before anything is logged or
-    /// published. For bulk ingestion prefer [`Session::insert_batch`],
-    /// which amortises the WAL fsync and the epoch publication over the
-    /// whole batch.
-    pub fn insert(&self, t: Trajectory) -> Result<TrajId, TrajError> {
-        let _writer = self.writer.lock().expect("session writer lock poisoned");
-        let id = self.next_id.load(Ordering::Relaxed);
-        let next_id = id.checked_add(1).ok_or(TrajError::IdSpaceExhausted)?;
-        self.log_and_maybe_compact(std::slice::from_ref(&t))?;
-        let mut guard = self.shards.write().expect("shard epoch lock poisoned");
-        let n = guard.len();
-        let state = Arc::make_mut(&mut *guard);
-        let shard = Arc::make_mut(&mut state[shard_of(id, n)]);
-        shard.insert(id, t, self.delta_threshold);
-        drop(guard);
-        self.next_id.store(next_id, Ordering::Relaxed);
-        Ok(id)
-    }
-
-    /// Adds a whole batch of trajectories, returning their consecutive
-    /// global ids — the bulk-ingestion fast path.
-    ///
-    /// Same consistency and durability contracts as [`Session::insert`],
-    /// with the costs amortised over the batch:
-    ///
-    /// * on a durable session the whole batch is appended to the
-    ///   write-ahead log as **one group** — a single `fsync` under
-    ///   [`traj_persist::FsyncPolicy::Always`] instead of one per record;
-    /// * the routed per-shard sub-batches are applied on parallel workers
-    ///   (one per touched shard) when the session is sharded;
-    /// * one epoch is published for the whole batch, so readers see it
-    ///   atomically: every trajectory of the batch or none.
-    ///
     /// `Err` means nothing was published in memory. A batch the remaining
-    /// id space cannot hold is refused whole with
-    /// [`TrajError::IdSpaceExhausted`] before anything is logged. After a
-    /// storage error the same exposure class as a crash applies on disk: a
-    /// prefix of the group may survive in the log (it is a valid prefix —
-    /// recovery replays it), exactly as if the process had crashed
-    /// mid-batch.
+    /// id space cannot hold — ids are never reused, so the watermark only
+    /// grows — is refused whole with [`TrajError::IdSpaceExhausted`]
+    /// before anything is logged; that is the only way an in-memory
+    /// session fails. After a storage error the same exposure class as a
+    /// crash applies on disk: a prefix of the group may survive in the log
+    /// (it is a valid prefix — recovery replays it, and truncates a torn
+    /// tail), exactly as if the process had crashed mid-batch.
     pub fn insert_batch(&self, batch: Vec<Trajectory>) -> Result<Vec<TrajId>, TrajError> {
         if batch.is_empty() {
             return Ok(Vec::new());
@@ -426,7 +425,7 @@ impl Session {
             .ok()
             .and_then(|n| base.checked_add(n))
             .ok_or(TrajError::IdSpaceExhausted)?;
-        self.log_and_maybe_compact(&batch)?;
+        self.log(|engine| engine.append_group(&batch))?;
         let ids: Vec<TrajId> = (base..next_id).collect();
         // Route by destination shard. The shard count is stable here: only
         // `reshard` changes it and it also takes the writer lock, so a
@@ -513,7 +512,7 @@ impl Session {
                 });
             }
         }
-        self.log_tombstones(ids)?;
+        self.log(|engine| engine.append_tombstones(ids))?;
         let mut guard = self.shards.write().expect("shard epoch lock poisoned");
         let state = Arc::make_mut(&mut *guard);
         for &id in ids {
@@ -554,46 +553,24 @@ impl Session {
         let pairs: Vec<(TrajId, Trajectory)> =
             snap.iter().map(|(gid, t)| (gid, t.clone())).collect();
         let built = build_shards(pairs, n, &self.config);
-        // Durable half, off the epoch lock: the old layout is compacted
-        // first if due (its snapshot still describes the published epoch),
-        // then the layout change becomes one logged record. Log then
-        // publish, as everywhere: an `Err` here leaves memory and disk on
-        // the old layout.
-        if let Some(engine) = &self.durable {
-            let mut engine = engine.lock().expect("storage engine lock poisoned");
-            if engine.needs_compaction() {
-                engine.compact(&shard_sections(&snap))?;
-            }
-            engine.append_reshard(n as u32)?;
-        }
+        // Log then publish, as everywhere: the layout change is one logged
+        // record, and an `Err` here leaves memory and disk on the old
+        // layout.
+        self.log(|engine| engine.append_reshard(n as u32))?;
         let mut guard = self.shards.write().expect("shard epoch lock poisoned");
         *guard = Arc::new(built);
         Ok(())
     }
 
     /// The durable half of a write, run under the writer lock but *off*
-    /// the epoch lock: compacts first if the log is over its threshold
-    /// (so every error path leaves engine and epoch agreeing), then
-    /// appends `batch` to the WAL as one group. No-op for in-memory
-    /// sessions.
-    fn log_and_maybe_compact(&self, batch: &[Trajectory]) -> Result<(), TrajError> {
-        let Some(engine) = &self.durable else {
-            return Ok(());
-        };
-        let mut engine = engine.lock().expect("storage engine lock poisoned");
-        if engine.needs_compaction() {
-            let snap = self.snapshot();
-            engine.compact(&shard_sections(&snap))?;
-        }
-        engine.append_group(batch)?;
-        Ok(())
-    }
-
-    /// The durable half of a removal — [`Session::log_and_maybe_compact`]
-    /// for tombstones: compacts first if the log is over its threshold,
-    /// then appends the whole batch as one tombstone group (one fsync).
+    /// the epoch lock: compacts the published epoch first if the log is
+    /// over its threshold (so every error path leaves engine and epoch
+    /// agreeing), then runs `append` — the one WAL group this write logs.
     /// No-op for in-memory sessions.
-    fn log_tombstones(&self, ids: &[TrajId]) -> Result<(), TrajError> {
+    fn log(
+        &self,
+        append: impl FnOnce(&mut StorageEngine) -> Result<(), PersistError>,
+    ) -> Result<(), TrajError> {
         let Some(engine) = &self.durable else {
             return Ok(());
         };
@@ -602,7 +579,7 @@ impl Session {
             let snap = self.snapshot();
             engine.compact(&shard_sections(&snap))?;
         }
-        engine.append_tombstones(ids)?;
+        append(&mut engine)?;
         Ok(())
     }
 
@@ -797,19 +774,13 @@ impl SessionBuilder {
         // The recovered set is the live set with its original (possibly
         // holey) global ids — removals and reshards were replayed — so the
         // session is built straight from the pairs, watermark included.
-        let session = Session {
-            shards: RwLock::new(Arc::new(build_shards(
-                recovered.trajs,
-                shards,
-                &self.config,
-            ))),
-            next_id: AtomicU32::new(next_id),
-            config: self.config,
-            scratch: EdwpScratch::new(),
-            delta_threshold: self.delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
-            writer: Mutex::new(()),
-            durable: Some(Mutex::new(engine)),
-        };
+        let session = Session::assemble(
+            Arc::new(build_shards(recovered.trajs, shards, &self.config)),
+            next_id,
+            self.config,
+            self.delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
+            Some(engine),
+        );
         // The shard count reaches disk only through a snapshot or a
         // Reshard record, so when the caller picked a layout the store
         // doesn't have, write a snapshot now — a later `open` without
@@ -853,16 +824,13 @@ impl SessionBuilder {
             .map(|(i, t)| (i as TrajId, t))
             .collect();
         let next_id = pairs.len() as u32;
-        let shards = build_shards(pairs, n, &config);
-        Session {
-            shards: RwLock::new(Arc::new(shards)),
-            next_id: AtomicU32::new(next_id),
+        Session::assemble(
+            Arc::new(build_shards(pairs, n, &config)),
+            next_id,
             config,
-            scratch: EdwpScratch::new(),
-            delta_threshold: delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
-            writer: Mutex::new(()),
-            durable: None,
-        }
+            delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
+            None,
+        )
     }
 }
 
@@ -1523,6 +1491,34 @@ mod tests {
         );
         assert_eq!(in_memory.insert(t(3.0)), Err(TrajError::IdSpaceExhausted));
         assert_eq!(in_memory.len(), 2);
+    }
+
+    #[test]
+    fn a_durable_batch_is_one_fsync_however_large() {
+        // Group commit as a count: under fsync-Always (the default) a
+        // batch costs the log one fsync, a run of singles one each.
+        use traj_persist::tempdir::TempDir;
+        let t = |i: u32| Trajectory::from_xy(&[(i as f64, 0.0), (i as f64 + 1.0, 1.0)]);
+        let dir = TempDir::new("session-fsync-pin");
+        let session = Session::builder()
+            .shards(2)
+            .open(dir.path())
+            .expect("fresh directory");
+        let fsyncs = || {
+            let engine = session.durable.as_ref().expect("durable").lock().unwrap();
+            engine.fsyncs()
+        };
+        let before = fsyncs();
+        let ids = session
+            .insert_batch((0..64).map(t).collect())
+            .expect("group commit");
+        assert_eq!(fsyncs() - before, 1, "insert_batch of 64");
+        for i in 64..128 {
+            session.insert(t(i)).expect("single");
+        }
+        assert_eq!(fsyncs() - before, 1 + 64, "64 single inserts");
+        session.remove_batch(&ids).expect("tombstone group");
+        assert_eq!(fsyncs() - before, 1 + 64 + 1, "remove_batch of 64");
     }
 
     #[test]

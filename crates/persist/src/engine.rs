@@ -297,6 +297,15 @@ impl StorageEngine {
         self.wal.records()
     }
 
+    /// WAL `fsync`s issued since this engine was opened, by the policy or
+    /// by [`StorageEngine::sync`] — monotone across compactions. The
+    /// group-commit contract in counts: one per `append_group` /
+    /// `append_tombstones` under [`FsyncPolicy::Always`], however large
+    /// the group.
+    pub fn fsyncs(&self) -> u64 {
+        self.wal.fsyncs
+    }
+
     /// The live generation number (bumps on compaction).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -389,7 +398,8 @@ impl StorageEngine {
             sync_dir(&self.dir)?;
             Ok(wal)
         };
-        let wal = swap().inspect_err(|_| self.wal.poison())?;
+        let mut wal = swap().inspect_err(|_| self.wal.poison())?;
+        wal.fsyncs = self.wal.fsyncs;
         self.generation = next;
         self.live = total;
         self.wal = wal;
@@ -736,6 +746,49 @@ mod tests {
         // database growth.
         engine.append_tombstones(&[1]).expect("tombstone");
         assert!(engine.needs_compaction());
+    }
+
+    #[test]
+    fn fsyncs_count_groups_not_records() {
+        // What group commit buys, as a count no clock can blur: the policy
+        // is applied once per append call, whatever the group holds.
+        let trajs: Vec<Trajectory> = (0..64).map(|i| traj(i as f64)).collect();
+        let ids: Vec<TrajId> = (0..64).collect();
+        let open = |name: &str, policy: FsyncPolicy| {
+            let dir = TempDir::new(name);
+            let (_, engine) = StorageEngine::open(dir.path(), cfg().fsync(policy)).expect("open");
+            assert_eq!(engine.fsyncs(), 0);
+            (dir, engine)
+        };
+
+        let (_dir, mut engine) = open("engine-fsyncs-always", FsyncPolicy::Always);
+        engine.append_group(&trajs).expect("group");
+        assert_eq!(engine.fsyncs(), 1, "one group of 64, one fsync");
+        engine.append_tombstones(&ids).expect("tombstone group");
+        assert_eq!(engine.fsyncs(), 2, "one tombstone group of 64, one fsync");
+        for t in &trajs {
+            engine.append(t).expect("single");
+        }
+        assert_eq!(engine.fsyncs(), 2 + 64, "64 singles, 64 fsyncs");
+        // Monotone: a compaction swaps the writer, not the count.
+        let live: Vec<(TrajId, Trajectory)> = (64..).zip(trajs.iter().cloned()).collect();
+        engine.compact(&deal_sections(&live, 2)).expect("compact");
+        assert_eq!(engine.fsyncs(), 2 + 64);
+        engine.sync().expect("explicit barrier");
+        assert_eq!(engine.fsyncs(), 2 + 64 + 1);
+
+        let (_dir, mut engine) = open("engine-fsyncs-everyn", FsyncPolicy::EveryN(32));
+        for t in &trajs {
+            engine.append(t).expect("single");
+        }
+        assert_eq!(engine.fsyncs(), 2, "64 singles at a cadence of 32");
+
+        let (_dir, mut engine) = open("engine-fsyncs-os", FsyncPolicy::OsManaged);
+        for t in &trajs {
+            engine.append(t).expect("single");
+        }
+        engine.append_group(&trajs).expect("group");
+        assert_eq!(engine.fsyncs(), 0, "the OS flushes on its own schedule");
     }
 
     #[test]

@@ -103,6 +103,9 @@ pub(crate) struct WalWriter {
     file: File,
     records: u64,
     unsynced: u32,
+    /// Successful [`WalWriter::sync`] calls — a monotone work counter, not
+    /// state: compaction carries it over to the next generation's writer.
+    pub(crate) fsyncs: u64,
     policy: FsyncPolicy,
     scratch: Vec<u8>,
     /// Latched by the first failed write or fsync (see [`WalWriter::io`])
@@ -135,6 +138,7 @@ impl WalWriter {
             file,
             records: 0,
             unsynced: 0,
+            fsyncs: 0,
             policy,
             scratch: Vec::new(),
             poisoned: false,
@@ -160,6 +164,7 @@ impl WalWriter {
             file,
             records,
             unsynced: 0,
+            fsyncs: 0,
             policy,
             scratch: Vec::new(),
             poisoned: false,
@@ -253,6 +258,7 @@ impl WalWriter {
     pub(crate) fn sync(&mut self) -> Result<(), PersistError> {
         self.io(|file| file.sync_data())?;
         self.unsynced = 0;
+        self.fsyncs += 1;
         Ok(())
     }
 
