@@ -12,7 +12,7 @@
 //!
 //! The paper's recursion ranges over edit sequences in which `ins` may keep
 //! splitting head segments; we implement the O(N·M) dynamic program
-//! described in `DESIGN.md` §5. A DP state `(i, j, k)` records that
+//! described here. A DP state `(i, j, k)` records that
 //! trajectory `T1` is consumed up to an *anchor* on or at its `i`-th point
 //! and `T2` up to an anchor on or at its `j`-th point, where `k` is one of
 //! seven anchor configurations ([`Kind`]):

@@ -107,7 +107,8 @@ proptest! {
         let after = edwp(&a, &b2);
         // Corollary 2 holds exactly for the true minimum; the dynamic
         // program's canonical anchors shift when points are inserted, so a
-        // documented tolerance is needed (DESIGN.md §5). Scanning 4000
+        // documented tolerance is needed (see "Dynamic program" in
+        // `src/edwp/mod.rs` for the anchor families). Scanning 4000
         // random cases showed deviations up to ~9.5%; tightening the DP's
         // anchor family below that is an open ROADMAP item.
         prop_assert!(after <= before * 1.15 + 1e-6,

@@ -23,8 +23,8 @@
 //! as soon as the partial sum exceeds its current value — partial sums are
 //! admissible, so early exit saves work without touching exactness.
 //!
-//! One traversal serves a **forest** of [`SearchView`]s — every shard of a
-//! sharded search at once, each view's local ids rewritten to global ids
+//! One traversal serves a **forest** of [`Shard`]s — every shard of a
+//! sharded search at once, each shard's local ids rewritten to global ids
 //! as candidates are offered, so thresholds and tie-breaking work on the
 //! global id space and a close neighbour in shard 1 prunes shard 2's
 //! subtrees without ever walking the shards sequentially. A query is one
@@ -43,10 +43,12 @@
 //! threshold keep expanding so id-order tie-breaking matches the
 //! brute-force reference exactly.
 
-use crate::store::{TrajId, TrajStore};
-use crate::tree::{Node, TrajTree};
+use crate::shard::Shard;
+use crate::store::TrajId;
+use crate::tree::Node;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 use traj_core::{StBox, TotalF64, Trajectory};
 use traj_dist::{edwp_lower_bound_aabb_batch, Cutoff, EdwpScratch, Metric, QueryMode};
 
@@ -270,64 +272,9 @@ fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
     neighbors
 }
 
-/// One shard as the engine sees it — the immutable base (`tree` over
-/// `store`) plus the delta buffer the tree does not cover — and the id
-/// bookkeeping that maps its dense local ids back to global ids and marks
-/// tombstoned members. Delta members occupy the local ids `store.len() ..`
-/// in buffer order.
-///
-/// `globals` is the ascending global id of each base slot; `dead` is the
-/// shard's tombstone set (`None` when nothing was ever removed). Node
-/// summaries still cover dead members — a superset bound is admissible —
-/// so the traversal consults `is_dead` only where a member could actually
-/// reach a collector: leaf refinement, delta seeding, and the brute-scan
-/// fallback.
-pub(crate) struct SearchView<'v> {
-    pub(crate) tree: &'v TrajTree,
-    pub(crate) store: &'v TrajStore,
-    pub(crate) delta: &'v [(TrajId, Trajectory)],
-    pub(crate) globals: &'v [TrajId],
-    pub(crate) dead: Option<&'v BTreeSet<TrajId>>,
-}
-
-impl SearchView<'_> {
-    /// The global id of this view's local id.
-    #[inline]
-    pub(crate) fn global(&self, local: TrajId) -> TrajId {
-        let base = self.store.len() as TrajId;
-        if local < base {
-            self.globals[local as usize]
-        } else {
-            self.delta[(local - base) as usize].0
-        }
-    }
-
-    /// Whether the member at `local` is tombstoned (must be skipped at
-    /// refinement — it can never be offered to a collector).
-    #[inline]
-    pub(crate) fn is_dead(&self, local: TrajId) -> bool {
-        match self.dead {
-            Some(dead) => dead.contains(&self.global(local)),
-            None => false,
-        }
-    }
-
-    /// The trajectory at `local`, whichever side of the base/delta split
-    /// it lives on.
-    #[inline]
-    pub(crate) fn traj(&self, local: TrajId) -> &Trajectory {
-        let base = self.store.len() as TrajId;
-        if local < base {
-            self.store.get(local)
-        } else {
-            &self.delta[(local - base) as usize].1
-        }
-    }
-}
-
-/// Priority-queue entry: a subtree or a single trajectory of one view,
-/// keyed by an admissible lower bound. `seq` makes the ordering total and
-/// deterministic.
+/// Priority-queue entry: a subtree or a single trajectory (by local id) of
+/// one shard, keyed by an admissible lower bound. `seq` makes the ordering
+/// total and deterministic.
 struct QueueEntry<'a> {
     key: TotalF64,
     seq: u64,
@@ -405,8 +352,8 @@ fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
     true
 }
 
-/// Runs one best-first search over a forest of `views` — every shard of
-/// the session at once — feeding every exact evaluation into `collector`
+/// Runs one best-first search over a forest of `shards` — every shard of
+/// an epoch at once — feeding every exact evaluation into `collector`
 /// (with ids rewritten to global) and every unit of work into `stats`.
 ///
 /// Seeding all roots into one queue gives the forest the same global
@@ -415,13 +362,12 @@ fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
 /// so the total work matches a one-shard search instead of multiplying by
 /// the shard count.
 ///
-/// Each view's `store` must be the store its `tree` indexes, with every
-/// one of its trajectories inserted (a store id never indexed is invisible
-/// to the search). `scratch` is the worker's pooled kernel memory; the
-/// query is (re)pinned here, so one scratch can serve many consecutive
-/// searches.
+/// Each shard's tree must index every trajectory of its base store (a
+/// store id never indexed is invisible to the search). `scratch` is the
+/// worker's pooled kernel memory; the query is (re)pinned here, so one
+/// scratch can serve many consecutive searches.
 pub(crate) fn best_first<C: Collector>(
-    views: &[SearchView<'_>],
+    shards: &[Arc<Shard>],
     query: &Trajectory,
     matching: Matching,
     collector: &mut C,
@@ -458,14 +404,14 @@ pub(crate) fn best_first<C: Collector>(
     // is still an admissible key, and any key above the threshold is pruned
     // at pop time whether or not it was fully evaluated (thresholds only
     // tighten, so the pruning decision can never be invalidated later).
-    for (vi, view) in views.iter().enumerate() {
-        if let Some(root) = view.tree.root.as_ref() {
+    for (si, shard) in shards.iter().enumerate() {
+        if let Some(root) = shard.tree().root.as_ref() {
             let root_key = node_bound(root, query, matching, collector, scratch, stats);
             push(
                 &mut queue,
                 &mut seq,
                 root_key,
-                QueueItem::Node(root, vi as u32),
+                QueueItem::Node(root, si as u32),
             );
         }
         // Delta members are invisible to the tree: seed each live one
@@ -474,9 +420,10 @@ pub(crate) fn best_first<C: Collector>(
         // the same threshold and the same exact-distance refinement as
         // tree-routed candidates, so a shard mid-delta answers bitwise
         // identically to one whose tree covers everything.
-        let base = view.store.len() as TrajId;
-        for (di, (gid, t)) in view.delta.iter().enumerate() {
-            if view.dead.is_some_and(|d| d.contains(gid)) {
+        let base = shard.base().len() as TrajId;
+        for (di, (_, t)) in shard.delta().iter().enumerate() {
+            let local = base + di as TrajId;
+            if shard.is_dead(local) {
                 continue;
             }
             stats.bump_bounds();
@@ -487,12 +434,7 @@ pub(crate) fn best_first<C: Collector>(
                 Cutoff::constant(collector.threshold()),
                 scratch,
             );
-            push(
-                &mut queue,
-                &mut seq,
-                lb,
-                QueueItem::Traj(base + di as TrajId, vi as u32),
-            );
+            push(&mut queue, &mut seq, lb, QueueItem::Traj(local, si as u32));
         }
     }
 
@@ -507,8 +449,8 @@ pub(crate) fn best_first<C: Collector>(
             break;
         }
         match entry.item {
-            QueueItem::Node(node, vi) => {
-                let view = &views[vi as usize];
+            QueueItem::Node(node, si) => {
+                let shard = &shards[si as usize];
                 stats.bump_nodes();
                 match node {
                     Node::Internal { children, .. } => {
@@ -561,7 +503,7 @@ pub(crate) fn best_first<C: Collector>(
                                         &mut queue,
                                         &mut seq,
                                         pre.max(entry.key.0),
-                                        QueueItem::Node(child, vi),
+                                        QueueItem::Node(child, si),
                                     );
                                     continue;
                                 }
@@ -574,7 +516,7 @@ pub(crate) fn best_first<C: Collector>(
                                 &mut queue,
                                 &mut seq,
                                 lb.max(entry.key.0),
-                                QueueItem::Node(child, vi),
+                                QueueItem::Node(child, si),
                             );
                         }
                     }
@@ -584,7 +526,7 @@ pub(crate) fn best_first<C: Collector>(
                             // base is immutable until the next reshard or
                             // fold); skip them here so they never become
                             // candidates.
-                            if view.is_dead(id) {
+                            if shard.is_dead(id) {
                                 continue;
                             }
                             stats.bump_bounds();
@@ -594,7 +536,7 @@ pub(crate) fn best_first<C: Collector>(
                             let lb = metric.lower_bound_trajectory(
                                 mode,
                                 query,
-                                view.traj(id),
+                                shard.traj(id),
                                 Cutoff::constant(collector.threshold()),
                                 scratch,
                             );
@@ -602,14 +544,14 @@ pub(crate) fn best_first<C: Collector>(
                                 &mut queue,
                                 &mut seq,
                                 lb.max(entry.key.0),
-                                QueueItem::Traj(id, vi),
+                                QueueItem::Traj(id, si),
                             );
                         }
                     }
                 }
             }
-            QueueItem::Traj(id, vi) => {
-                let view = &views[vi as usize];
+            QueueItem::Traj(id, si) => {
+                let shard = &shards[si as usize];
                 stats.bump_edwp();
                 // The exact DP runs under the live threshold too: a row of
                 // anchor states already above it proves the candidate can
@@ -624,12 +566,12 @@ pub(crate) fn best_first<C: Collector>(
                 let d = metric.distance_bounded(
                     mode,
                     query,
-                    view.traj(id),
+                    shard.traj(id),
                     Cutoff::constant(collector.threshold()),
                     scratch,
                 );
                 if d <= collector.threshold() {
-                    collector.offer(view.global(id), d);
+                    collector.offer(shard.global(id), d);
                 }
             }
         }

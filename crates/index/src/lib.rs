@@ -30,7 +30,7 @@
 //!   accumulation against the collector's live threshold) and refined
 //!   through per-trajectory polyline bounds into exact EDwP evaluations
 //!   — every kernel call goes through the four `Metric` entry points. One
-//!   traversal serves a whole *forest* of shard views — all roots seeded
+//!   traversal serves a whole *forest* of shards — all roots seeded
 //!   into one queue, so an incumbent found in any shard prunes every
 //!   other shard's subtrees. The traversal is generic over a result
 //!   *collector*, which supplies the pruning threshold and absorbs exact

@@ -30,12 +30,12 @@
 //!
 //! The result is **bitwise identical** to a single-shard sequential
 //! session: distances come from the same kernels on the same pairs, and
-//! ties break on global ids everywhere — property-tested across the
-//! shards × query type × threads × metric grid in
-//! `tests/builder_equivalence.rs`.
+//! ties break on global ids everywhere — checked across the shards ×
+//! query type × threads × metric × mode grid, over whole insert / remove /
+//! reshard / crash lifecycles, by `tests/lifecycle_oracle.rs`.
 
 use crate::engine::{
-    best_first, Collector, KnnCollector, Matching, Neighbor, QueryStats, RangeCollector, SearchView,
+    best_first, Collector, KnnCollector, Matching, Neighbor, QueryStats, RangeCollector,
 };
 use crate::shard::{shard_of, Shard, Snapshot};
 use crate::store::{TrajId, TrajStore};
@@ -84,20 +84,6 @@ struct Spec {
     mode: QueryMode,
     brute_force: bool,
     collect_stats: bool,
-}
-
-/// The shard views a query over `snap` traverses, in shard order.
-fn views(snap: &Snapshot) -> Vec<SearchView<'_>> {
-    snap.shards
-        .iter()
-        .map(|s| SearchView {
-            tree: s.tree(),
-            store: s.base(),
-            delta: s.delta(),
-            globals: s.base_globals(),
-            dead: (!s.dead().is_empty()).then(|| s.dead()),
-        })
-        .collect()
 }
 
 /// Runs `work` over every item on up to `workers` threads and returns the
@@ -806,7 +792,8 @@ impl SessionBuilder {
     /// Relies on the invariant that `self.shards >= 1`
     /// ([`SessionBuilder::shards`] clamps, the default is 1, and the field
     /// is private), so a count of 0 can never reach the `g mod n` router —
-    /// which would panic on every insert and lookup; regression-tested in
+    /// which would panic on every insert and lookup; regression-tested by
+    /// `shards_zero_clamps_to_a_working_single_shard` in
     /// `tests/sub_and_edge_properties.rs`.
     pub fn build(self, store: TrajStore) -> Session {
         let SessionBuilder {
@@ -984,7 +971,7 @@ impl<'a> QueryBuilder<'a> {
             kind,
             total: snapshot.len(),
         };
-        let (neighbors, stats) = run_query(plan, &views(&snapshot), query, scratch);
+        let (neighbors, stats) = run_query(plan, &snapshot.shards, query, scratch);
         QueryResult {
             neighbors,
             stats: spec.collect_stats.then_some(stats),
@@ -1076,13 +1063,13 @@ impl BatchQueryBuilder<'_> {
             kind,
             total: snapshot.len(),
         };
-        let views = views(&snapshot);
+        let shards: &[Arc<Shard>] = &snapshot.shards;
         let workers = threads.unwrap_or_else(default_threads).max(1);
         let answers = fan_out(
             queries.iter().collect(),
             workers,
             &mut EdwpScratch::new(),
-            |query, scratch| run_query(plan, &views, query, scratch),
+            |query, scratch| run_query(plan, shards, query, scratch),
         );
         let mut agg = QueryStats::default();
         let mut neighbors = Vec::with_capacity(queries.len());
@@ -1127,12 +1114,12 @@ fn eps_can_match(eps: f64) -> bool {
     eps >= 0.0
 }
 
-/// One search over every shard in `views` under one collector — hence one
+/// One search over every shard in `shards` under one collector — hence one
 /// pruning threshold — with fresh counters for one search over the whole
 /// database.
 fn run_query(
     plan: Plan,
-    views: &[SearchView<'_>],
+    shards: &[Arc<Shard>],
     query: &Trajectory,
     scratch: &mut EdwpScratch,
 ) -> (Vec<Neighbor>, QueryStats) {
@@ -1143,25 +1130,24 @@ fn run_query(
             0 => Vec::new(),
             k => {
                 let collector = KnnCollector::new(k);
-                drive(views, query, spec, collector, scratch, &mut stats)
+                drive(shards, query, spec, collector, scratch, &mut stats)
             }
         },
         QueryKind::Range(eps) if eps_can_match(eps) => {
             let collector = RangeCollector::new(eps);
-            drive(views, query, spec, collector, scratch, &mut stats)
+            drive(shards, query, spec, collector, scratch, &mut stats)
         }
         QueryKind::Range(_) => Vec::new(),
     };
     (neighbors, stats)
 }
 
-/// Fills a collector from the views' best-first forest engine, or from a
+/// Fills a collector from the shards' best-first forest engine, or from a
 /// pruning-free linear scan for `brute_force` — the two differ only in
 /// which candidates pay for a full distance evaluation, never in what is
-/// computed for them. Local ids are rewritten to global ids as candidates
-/// are offered.
+/// computed for them. Candidates are offered under their global ids.
 fn drive<C: Collector>(
-    views: &[SearchView<'_>],
+    shards: &[Arc<Shard>],
     query: &Trajectory,
     spec: Spec,
     mut collector: C,
@@ -1169,29 +1155,15 @@ fn drive<C: Collector>(
     stats: &mut QueryStats,
 ) -> Vec<Neighbor> {
     if spec.brute_force {
-        for view in views {
-            let base = view.store.len() as TrajId;
-            let delta = view
-                .delta
-                .iter()
-                .enumerate()
-                .map(|(i, (_, t))| (base + i as TrajId, t));
-            for (local, t) in view.store.iter().chain(delta) {
-                // The reference scan honours tombstones the same way the
-                // index does: a dead member is never evaluated or offered.
-                if view.is_dead(local) {
-                    continue;
-                }
-                stats.bump_edwp();
-                collector.offer(
-                    view.global(local),
-                    spec.metric.distance(spec.mode, query, t, scratch),
-                );
-            }
+        // The reference scan honours tombstones the same way the index
+        // does: a dead member is never evaluated or offered.
+        for (gid, t) in shards.iter().flat_map(|s| s.live_pairs()) {
+            stats.bump_edwp();
+            collector.offer(gid, spec.metric.distance(spec.mode, query, t, scratch));
         }
     } else {
         best_first(
-            views,
+            shards,
             query,
             Matching {
                 metric: spec.metric,

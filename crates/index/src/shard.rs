@@ -55,7 +55,7 @@
 //! cheap under reader pressure: cloning a shard bumps the base's `Arc`s
 //! (store, globals table, tree, tombstone set) and deep-copies only the
 //! (small, bounded) delta — only a delta merge pays a base copy, once per
-//! threshold crossing. See [`crate::Session::insert`] for the full
+//! threshold crossing. See [`crate::Session::insert_batch`] for the full
 //! consistency contract.
 //!
 //! # Queries over shards
@@ -212,12 +212,6 @@ impl Shard {
         &self.base
     }
 
-    /// Global id of each base slot, ascending.
-    #[inline]
-    pub(crate) fn base_globals(&self) -> &[TrajId] {
-        &self.base_globals
-    }
-
     /// The delta buffer: `(id, trajectory)` pairs at local ids
     /// `base().len() .. `, in insertion (= ascending id) order.
     #[inline]
@@ -225,10 +219,37 @@ impl Shard {
         &self.delta
     }
 
-    /// The tombstone set (global ids of dead members).
+    /// The global id of local id `local`: base slots `0..base().len()`
+    /// first, then the delta in buffer order.
     #[inline]
-    pub(crate) fn dead(&self) -> &BTreeSet<TrajId> {
-        &self.dead
+    pub(crate) fn global(&self, local: TrajId) -> TrajId {
+        let base = self.base.len() as TrajId;
+        if local < base {
+            self.base_globals[local as usize]
+        } else {
+            self.delta[(local - base) as usize].0
+        }
+    }
+
+    /// Whether the member at local id `local` is tombstoned — the one check
+    /// that keeps a dead member from ever reaching a collector. Node
+    /// summaries still cover dead members (a superset bound is admissible),
+    /// so the traversal asks only at leaf refinement and delta seeding.
+    #[inline]
+    pub(crate) fn is_dead(&self, local: TrajId) -> bool {
+        !self.dead.is_empty() && self.dead.contains(&self.global(local))
+    }
+
+    /// The trajectory at local id `local`, whichever side of the
+    /// base/delta split it lives on.
+    #[inline]
+    pub(crate) fn traj(&self, local: TrajId) -> &Trajectory {
+        let base = self.base.len() as TrajId;
+        if local < base {
+            self.base.get(local)
+        } else {
+            &self.delta[(local - base) as usize].1
+        }
     }
 
     /// The **live** trajectory with global id `gid`, or `None` when the
@@ -486,7 +507,7 @@ mod tests {
         shard.insert(7, t(7.0), 4);
         assert_eq!((shard.indexed_len(), shard.delta_len()), (8, 0));
         assert_eq!(shard.tree().len(), 8);
-        assert_eq!(shard.base_globals(), (0..8).collect::<Vec<_>>());
+        assert_eq!(*shard.base_globals, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -511,8 +532,8 @@ mod tests {
         // Folding drops the dead delta entry physically and keeps the dead
         // base entry tombstoned.
         shard.merge_delta();
-        assert_eq!(shard.base_globals(), &[0, 2, 4, 8]);
-        assert_eq!(shard.dead().iter().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(*shard.base_globals, &[0, 2, 4, 8]);
+        assert_eq!(shard.dead.iter().copied().collect::<Vec<_>>(), vec![2]);
         assert_eq!(shard.len(), 3);
         assert_eq!((shard.indexed_len(), shard.delta_len()), (3, 0));
     }
@@ -523,7 +544,7 @@ mod tests {
         // table, not arithmetic, maps slots to ids.
         let mut shard = Shard::bulk(dense([1, 5, 9]), TrajTreeConfig::default());
         shard.insert(13, t(13.0), 1); // threshold 1: folds immediately
-        assert_eq!(shard.base_globals(), &[1, 5, 9, 13]);
+        assert_eq!(*shard.base_globals, &[1, 5, 9, 13]);
         for g in [1u32, 5, 9, 13] {
             assert_eq!(shard.get_global(g).unwrap().first().p.x, g as f64);
         }
@@ -610,7 +631,7 @@ mod tests {
         );
         // The dead entries and their tombstones are gone all the same.
         assert_eq!((shard.indexed_len(), shard.delta_len()), (16, 0));
-        assert!(shard.delta().is_empty() && shard.dead().is_empty());
-        assert_eq!(held.dead().len(), 2, "the held epoch is untouched");
+        assert!(shard.delta().is_empty() && shard.dead.is_empty());
+        assert_eq!(held.dead.len(), 2, "the held epoch is untouched");
     }
 }

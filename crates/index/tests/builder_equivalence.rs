@@ -2,17 +2,22 @@
 //! can express — k-NN / range × index / brute-force × shards 1/2/4 ×
 //! threads 1/4 × raw / length-normalised metric — is **bitwise
 //! identical** to a hand-built single-shard tree
-//! (wrapped with `Session::from_parts`) and to an independent manual scan, and inserts land while concurrent
-//! batches keep reading a stable epoch. This is what makes the shard count
-//! an invisible deployment knob.
+//! (wrapped with `Session::from_parts`) and to an independent manual scan, and inserts land
+//! while concurrent batches keep reading a stable epoch. This is what makes the shard count
+//! an invisible deployment knob. The lifecycle oracle
+//! (`tests/lifecycle_oracle.rs`) runs the same grid inside randomized
+//! lifecycles.
+
+mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
+use common::{clustered_db, manual_scan, trajectory};
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
-use traj_dist::{edwp_avg, edwp_with_scratch, EdwpScratch, Metric};
-use traj_gen::{GenConfig, TrajGen};
+use traj_dist::{EdwpScratch, Metric, QueryMode};
+use traj_gen::TrajGen;
 use traj_index::{Neighbor, Session, Snapshot, TrajStore, TrajTree};
 
 /// The single-shard reference: a hand-built default tree over `db`,
@@ -21,19 +26,6 @@ fn reference_epoch(db: Vec<Trajectory>) -> Snapshot {
     let store = TrajStore::from(db);
     let tree = TrajTree::build(&store);
     Session::from_parts(store, tree).snapshot()
-}
-
-/// A uniformly random trajectory in a 100×100 region.
-fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), min_pts..=max_pts).prop_map(|pts| {
-        Trajectory::new(
-            pts.iter()
-                .enumerate()
-                .map(|(i, &(x, y))| StPoint::new(x, y, i as f64))
-                .collect(),
-        )
-        .expect("valid by construction")
-    })
 }
 
 /// A query shape for the equivalence grid: usually a random trajectory,
@@ -61,45 +53,13 @@ fn query_shape(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajecto
     })
 }
 
-/// A clustered database so index pruning has structure to exploit.
-fn clustered_db(size: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::with_config(
-        seed,
-        GenConfig {
-            area: 400.0,
-            clusters: 5,
-            cluster_spread: 4.0,
-            ..GenConfig::default()
-        },
-    );
-    g.database(size, 4, 10)
-}
-
-/// Ground truth independent of the engine, the shard router *and* the
-/// builder's brute-force path: a hand-rolled linear scan under the given
-/// metric over any `(id, trajectory)` iteration.
-fn manual_scan<'a>(
+/// The independent whole-trajectory manual scan under `metric`.
+fn whole_scan<'a>(
     items: impl Iterator<Item = (u32, &'a Trajectory)>,
     query: &Trajectory,
     metric: Metric,
 ) -> Vec<Neighbor> {
-    let mut scratch = EdwpScratch::new();
-    let mut all: Vec<Neighbor> = items
-        .map(|(id, t)| Neighbor {
-            id,
-            distance: match metric {
-                Metric::Edwp => edwp_with_scratch(query, t, &mut scratch),
-                Metric::EdwpNormalized => edwp_avg(query, t),
-            },
-        })
-        .collect();
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
-    all
+    manual_scan(items, query, metric, QueryMode::Whole)
 }
 
 proptest! {
@@ -119,7 +79,7 @@ proptest! {
         let reference = reference_epoch(db.clone());
         let k = 7usize;
         for metric in [Metric::Edwp, Metric::EdwpNormalized] {
-            let truth = manual_scan(reference.iter(), &query, metric);
+            let truth = whole_scan(reference.iter(), &query, metric);
             let eps = truth[truth.len() / 2].distance; // median: nontrivial ball
             let want_knn = truth[..k.min(truth.len())].to_vec();
             let want_ball: Vec<Neighbor> = truth
@@ -175,7 +135,7 @@ proptest! {
         let db = clustered_db(size, seed);
         let reference = reference_epoch(db.clone());
         let k = 5usize;
-        let eps = manual_scan(reference.iter(), &queries[0], Metric::Edwp)[size / 2].distance;
+        let eps = whole_scan(reference.iter(), &queries[0], Metric::Edwp)[size / 2].distance;
         for metric in [Metric::Edwp, Metric::EdwpNormalized] {
             let seq_knn: Vec<Vec<Neighbor>> = queries
                 .iter()
@@ -230,7 +190,7 @@ proptest! {
         }
         let got = session.query(&query).metric(Metric::EdwpNormalized).knn(6);
         let snap = session.snapshot();
-        let truth = manual_scan(snap.iter(), &query, Metric::EdwpNormalized);
+        let truth = whole_scan(snap.iter(), &query, Metric::EdwpNormalized);
         prop_assert_eq!(&got.neighbors, &truth[..6.min(truth.len())].to_vec());
     }
 }
@@ -297,7 +257,7 @@ fn insert_while_query_reads_a_stable_epoch() {
     let snap = session.snapshot();
     assert_eq!(snap.len(), 100);
     for (q, got) in queries.iter().zip(&post.neighbors) {
-        let want = manual_scan(snap.iter(), q, Metric::Edwp);
+        let want = manual_scan(snap.iter(), q, Metric::Edwp, QueryMode::Whole);
         assert_eq!(*got, want[..5].to_vec(), "post-insert batch missed data");
     }
 }
@@ -324,7 +284,7 @@ fn concurrent_inserts_never_tear_an_epoch() {
                     let mut checks = 0usize;
                     loop {
                         let snap = session.snapshot();
-                        let want = manual_scan(snap.iter(), &query, Metric::Edwp);
+                        let want = manual_scan(snap.iter(), &query, Metric::Edwp, QueryMode::Whole);
                         let want = want[..4.min(want.len())].to_vec();
                         let got = snap.query(&query).knn(4).neighbors;
                         assert_eq!(

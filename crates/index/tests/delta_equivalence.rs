@@ -4,43 +4,14 @@
 //! indexed — across shard counts 1/2/4, for k-NN, range and
 //! sub-trajectory search, under both metrics, queried mid-delta, across
 //! merge-threshold crossings, and post-merge. The delta buffer is an
-//! ingestion fast path, never a semantics change.
+//! ingestion fast path, never a semantics change. The lifecycle oracle
+//! (`tests/lifecycle_oracle.rs`) runs the same states inside randomized
+//! lifecycles; these are the fixed, readable cases.
 
-use traj_core::Trajectory;
-use traj_gen::TrajGen;
+mod common;
+
+use common::{assert_equivalent, fleet};
 use traj_index::{Metric, Session, TrajStore};
-
-fn fleet(count: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::new(seed);
-    g.database(count, 4, 10)
-}
-
-/// Asserts that `left` and `right` agree bitwise on a k-NN, a range, and
-/// a sub-trajectory query, under both metrics.
-fn assert_equivalent(left: &Session, right: &Session, queries: &[Trajectory]) {
-    assert_eq!(left.len(), right.len());
-    for q in queries {
-        for metric in [Metric::Edwp, Metric::EdwpNormalized] {
-            let snap_l = left.snapshot();
-            let snap_r = right.snapshot();
-            let knn_l = snap_l.query(q).metric(metric).knn(5);
-            let knn_r = snap_r.query(q).metric(metric).knn(5);
-            assert_eq!(knn_l.neighbors, knn_r.neighbors, "knn under {metric:?}");
-
-            let eps = knn_r.neighbors.last().map_or(1.0, |n| n.distance);
-            let range_l = snap_l.query(q).metric(metric).range(eps);
-            let range_r = snap_r.query(q).metric(metric).range(eps);
-            assert_eq!(
-                range_l.neighbors, range_r.neighbors,
-                "range under {metric:?}"
-            );
-
-            let sub_l = snap_l.query(q).metric(metric).sub().knn(3);
-            let sub_r = snap_r.query(q).metric(metric).sub().knn(3);
-            assert_eq!(sub_l.neighbors, sub_r.neighbors, "sub under {metric:?}");
-        }
-    }
-}
 
 #[test]
 fn delta_resident_shards_answer_bitwise_identically() {

@@ -3,45 +3,20 @@
 //! the same trajectories — across shard counts 1/2/4, for k-NN, range and
 //! sub-trajectory search, including after a torn WAL tail and after
 //! compaction. Trees are rebuilt on open, so this is the end-to-end proof
-//! that tree shape never leaks into results.
+//! that tree shape never leaks into results. Beside the grid sit the
+//! error and maintenance contracts: storage failures surface as typed
+//! errors, a failed compaction refuses writes until a retry succeeds, and
+//! forks and in-memory sessions never touch disk. Crashes at arbitrary
+//! bytes inside randomized lifecycles are the lifecycle oracle's job
+//! (`tests/lifecycle_oracle.rs`).
 
+mod common;
+
+use common::{assert_equivalent, fleet};
 use std::fs;
 use traj_core::{TrajError, Trajectory};
-use traj_gen::TrajGen;
-use traj_index::{DurabilityConfig, FsyncPolicy, Metric, Session, TrajStore};
+use traj_index::{DurabilityConfig, FsyncPolicy, Session, TrajStore};
 use traj_persist::tempdir::TempDir;
-
-fn fleet(count: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::new(seed);
-    g.database(count, 4, 10)
-}
-
-/// Asserts that `durable` and `reference` agree bitwise on a k-NN, a
-/// range, and a sub-trajectory query, under both metrics.
-fn assert_equivalent(durable: &Session, reference: &Session, queries: &[Trajectory]) {
-    assert_eq!(durable.len(), reference.len());
-    for q in queries {
-        for metric in [Metric::Edwp, Metric::EdwpNormalized] {
-            let snap_d = durable.snapshot();
-            let snap_r = reference.snapshot();
-            let knn_d = snap_d.query(q).metric(metric).knn(5);
-            let knn_r = snap_r.query(q).metric(metric).knn(5);
-            assert_eq!(knn_d.neighbors, knn_r.neighbors, "knn under {metric:?}");
-
-            let eps = knn_r.neighbors.last().map_or(1.0, |n| n.distance);
-            let range_d = snap_d.query(q).metric(metric).range(eps);
-            let range_r = snap_r.query(q).metric(metric).range(eps);
-            assert_eq!(
-                range_d.neighbors, range_r.neighbors,
-                "range under {metric:?}"
-            );
-
-            let sub_d = snap_d.query(q).metric(metric).sub().knn(3);
-            let sub_r = snap_r.query(q).metric(metric).sub().knn(3);
-            assert_eq!(sub_d.neighbors, sub_r.neighbors, "sub under {metric:?}");
-        }
-    }
-}
 
 #[test]
 fn reopened_sessions_answer_bitwise_identically_across_shard_grid() {
@@ -70,6 +45,24 @@ fn reopened_sessions_answer_bitwise_identically_across_shard_grid() {
     }
 }
 
+/// The path of the database directory's one live WAL file.
+fn wal_path(dir: &TempDir) -> std::path::PathBuf {
+    fs::read_dir(dir.path())
+        .expect("list")
+        .filter_map(|e| e.ok())
+        .find(|e| e.file_name().to_string_lossy().ends_with(".wal"))
+        .expect("wal file")
+        .path()
+}
+
+/// Chops `cut` bytes off the end of the live WAL, as a crash mid-append
+/// would leave it.
+fn tear_wal(dir: &TempDir, cut: usize) {
+    let wal = wal_path(dir);
+    let bytes = fs::read(&wal).expect("read wal");
+    fs::write(&wal, &bytes[..bytes.len() - cut]).expect("tear");
+}
+
 #[test]
 fn torn_wal_tail_recovers_the_prefix_and_stays_equivalent() {
     let trajs = fleet(25, 7);
@@ -85,16 +78,8 @@ fn torn_wal_tail_recovers_the_prefix_and_stays_equivalent() {
     }
     drop(session);
 
-    // Tear the last record: chop bytes off the WAL so the final insert is
-    // half-written, as a crash mid-append would leave it.
-    let wal = fs::read_dir(dir.path())
-        .expect("list")
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().ends_with(".wal"))
-        .expect("wal file")
-        .path();
-    let bytes = fs::read(&wal).expect("read wal");
-    fs::write(&wal, &bytes[..bytes.len() - 7]).expect("tear");
+    // Tear the last record: the final insert is half-written.
+    tear_wal(&dir, 7);
 
     let reopened = Session::builder().open(dir.path()).expect("reopen");
     assert_eq!(reopened.len(), trajs.len() - 1, "torn insert is dropped");
@@ -165,14 +150,7 @@ fn torn_tail_mid_group_commit_recovers_the_group_prefix() {
 
     // A crash mid-group leaves a prefix of the group's records intact and
     // the next one half-written; recovery replays exactly that prefix.
-    let wal = fs::read_dir(dir.path())
-        .expect("list")
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().ends_with(".wal"))
-        .expect("wal file")
-        .path();
-    let bytes = fs::read(&wal).expect("read wal");
-    fs::write(&wal, &bytes[..bytes.len() - 7]).expect("tear");
+    tear_wal(&dir, 7);
 
     let reopened = Session::builder().open(dir.path()).expect("reopen");
     assert_eq!(reopened.len(), trajs.len() - 1, "torn record is dropped");
@@ -307,14 +285,7 @@ fn torn_tombstone_tail_drops_only_the_removal() {
     session.remove(3).expect("remove");
     drop(session);
 
-    let wal = fs::read_dir(dir.path())
-        .expect("list")
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().ends_with(".wal"))
-        .expect("wal file")
-        .path();
-    let bytes = fs::read(&wal).expect("read wal");
-    fs::write(&wal, &bytes[..bytes.len() - 3]).expect("tear");
+    tear_wal(&dir, 3);
 
     // A removal whose record was torn simply never happened: the
     // trajectory is back, and the session keeps working.

@@ -3,16 +3,20 @@
 //! order — on randomized databases, across k values, index configurations
 //! and construction paths (bulk-load vs incremental insert), while
 //! evaluating full EDwP on at most (and on clustered data far fewer than)
-//! `db_size` candidates.
+//! `db_size` candidates. Resampled, noisy variants of a member still
+//! retrieve it — the paper's inconsistent-sampling scenario.
 //!
 //! Every tree here is hand-built and wrapped as a single-shard epoch with
 //! [`Session::from_parts`], so the tree-level contract is tested on exactly
-//! the tree under test (custom configurations, incremental inserts);
-//! `tests/builder_equivalence.rs` ties the full sharded surface to it
-//! bit-for-bit.
+//! the tree under test (custom configurations, incremental inserts); the
+//! lifecycle oracle (`tests/lifecycle_oracle.rs`) ties the full sharded
+//! surface, over every lifecycle state, to a model scan.
 
+mod common;
+
+use common::{clustered_db, trajectory};
 use proptest::prelude::*;
-use traj_core::{StPoint, Trajectory};
+use traj_core::Trajectory;
 use traj_gen::{GenConfig, TrajGen};
 use traj_index::{Neighbor, QueryStats, Session, Snapshot, TrajStore, TrajTree, TrajTreeConfig};
 
@@ -30,34 +34,6 @@ fn knn(snap: &Snapshot, query: &Trajectory, k: usize) -> (Vec<Neighbor>, QuerySt
 /// Reference linear scan through the same builder with pruning disabled.
 fn brute_force_knn(snap: &Snapshot, query: &Trajectory, k: usize) -> Vec<Neighbor> {
     snap.query(query).brute_force().knn(k).neighbors
-}
-
-/// A uniformly random trajectory in a 100×100 region.
-fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), min_pts..=max_pts).prop_map(|pts| {
-        Trajectory::new(
-            pts.iter()
-                .enumerate()
-                .map(|(i, &(x, y))| StPoint::new(x, y, i as f64))
-                .collect(),
-        )
-        .expect("valid by construction")
-    })
-}
-
-/// A clustered database from the deterministic generator, so that index
-/// pruning has spatial structure to exploit.
-fn clustered_db(size: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::with_config(
-        seed,
-        GenConfig {
-            area: 400.0,
-            clusters: 5,
-            cluster_spread: 4.0,
-            ..GenConfig::default()
-        },
-    );
-    g.database(size, 4, 10)
 }
 
 fn assert_knn_exact(store: TrajStore, tree: TrajTree, query: &Trajectory) {

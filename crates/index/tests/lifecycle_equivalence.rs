@@ -4,7 +4,9 @@
 //! the surviving trajectories — across shard counts 1/2/4, for k-NN,
 //! range and sub-trajectory search, under both metrics, queried mid-delta
 //! and after reopening from disk. Tombstones, delta buffers and reshard
-//! epochs are lifecycle mechanics, never a semantics change.
+//! epochs are lifecycle mechanics, never a semantics change. The
+//! lifecycle oracle (`tests/lifecycle_oracle.rs`) widens the op set to
+//! compaction, crashes, held snapshots and invalid batches.
 //!
 //! The one legitimate difference is the id space: the lived-in session
 //! keeps its watermark-issued global ids (with holes where removals
@@ -14,17 +16,15 @@
 //! neighbour lists must align slot for slot: distances equal to the bit,
 //! ids equal under the map.
 
+mod common;
+
+use common::fleet;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use traj_core::Trajectory;
 use traj_gen::TrajGen;
 use traj_index::{DurabilityConfig, Metric, Session, TrajStore};
 use traj_persist::tempdir::TempDir;
-
-fn fleet(count: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::new(seed);
-    g.database(count, 4, 10)
-}
 
 /// The survivors a lived-in session must be indistinguishable from: the
 /// model's `(gid, trajectory)` entries, ascending (BTreeMap order).

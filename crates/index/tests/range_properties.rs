@@ -5,15 +5,20 @@
 //!   and clustered databases, including the `eps = 0` and
 //!   `eps = f64::INFINITY` edges;
 //! * batch `.knn(k)` / `.range(eps)` are bitwise identical to a sequential
-//!   loop of single queries, for any worker count.
+//!   loop of single queries for any worker count, with merged stats equal
+//!   to the summed singles.
 //!
 //! Every tree is hand-built and wrapped as a single-shard epoch with
-//! [`Session::from_parts`]; the sharded surface is tied to these in
-//! `tests/builder_equivalence.rs`.
+//! [`Session::from_parts`]; range exactness over randomized lifecycles,
+//! radii and paths is the lifecycle oracle's job
+//! (`tests/lifecycle_oracle.rs`).
 
+mod common;
+
+use common::{clustered_db, manual_scan, trajectory};
 use proptest::prelude::*;
-use traj_core::{StPoint, TotalF64, Trajectory};
-use traj_dist::edwp;
+use traj_core::Trajectory;
+use traj_dist::{Metric, QueryMode};
 use traj_gen::{GenConfig, TrajGen};
 use traj_index::{Neighbor, QueryStats, Session, Snapshot, TrajStore, TrajTree};
 
@@ -36,58 +41,18 @@ fn brute_force_range(snap: &Snapshot, query: &Trajectory, eps: f64) -> Vec<Neigh
     snap.query(query).brute_force().range(eps).neighbors
 }
 
-/// A uniformly random trajectory in a 100×100 region.
-fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), min_pts..=max_pts).prop_map(|pts| {
-        Trajectory::new(
-            pts.iter()
-                .enumerate()
-                .map(|(i, &(x, y))| StPoint::new(x, y, i as f64))
-                .collect(),
-        )
-        .expect("valid by construction")
-    })
-}
-
-/// A clustered database from the deterministic generator, so that index
-/// pruning has spatial structure to exploit.
-fn clustered_db(size: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::with_config(
-        seed,
-        GenConfig {
-            area: 400.0,
-            clusters: 5,
-            cluster_spread: 4.0,
-            ..GenConfig::default()
-        },
-    );
-    g.database(size, 4, 10)
-}
-
-/// Independent reference: filter the whole store through the plain `edwp`
-/// kernel, keeping everything within `eps`, ascending `(distance, id)`.
-/// Shares no code with the engine beyond the DP itself.
+/// Independent reference: the manual EDwP scan of the whole epoch, kept
+/// within `eps`, ascending `(distance, id)`.
 fn manual_range_filter(snap: &Snapshot, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
-    let mut hits: Vec<Neighbor> = snap
-        .iter()
-        .map(|(id, t)| Neighbor {
-            id,
-            distance: edwp(query, t),
-        })
-        .filter(|n| n.distance <= eps)
-        .collect();
-    hits.sort_by_key(|n| (TotalF64(n.distance), n.id));
-    hits
+    let scan = manual_scan(snap.iter(), query, Metric::Edwp, QueryMode::Whole);
+    scan.into_iter().filter(|n| n.distance <= eps).collect()
 }
 
-/// An eps drawn from the empirical distance distribution (`sel` selects a
-/// quantile), so ranges are neither trivially empty nor always the full db —
-/// and sometimes land exactly *on* a distance, exercising the inclusive
-/// boundary.
+/// The EDwP distance at quantile `sel` of the epoch's distances to
+/// `query`, so a range is neither trivially empty nor the whole database.
 fn quantile_eps(snap: &Snapshot, query: &Trajectory, sel: f64) -> f64 {
-    let mut ds: Vec<f64> = snap.iter().map(|(_, t)| edwp(query, t)).collect();
-    ds.sort_by_key(|&d| TotalF64(d));
-    ds[((sel * (ds.len() - 1) as f64) as usize).min(ds.len() - 1)]
+    let scan = manual_scan(snap.iter(), query, Metric::Edwp, QueryMode::Whole);
+    scan[((sel * (scan.len() - 1) as f64) as usize).min(scan.len() - 1)].distance
 }
 
 fn assert_range_exact(snap: &Snapshot, query: &Trajectory, eps: f64) {

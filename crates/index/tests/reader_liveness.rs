@@ -8,17 +8,13 @@
 //! is I/O-dominated — in-memory merge CPU (amortised by design, and
 //! *allowed* to hold the epoch lock) is not what this test measures.
 
+mod common;
+
+use common::fleet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
-use traj_core::Trajectory;
-use traj_gen::TrajGen;
 use traj_index::{DurabilityConfig, FsyncPolicy, Session};
 use traj_persist::tempdir::TempDir;
-
-fn fleet(count: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::new(seed);
-    g.database(count, 4, 10)
-}
 
 #[test]
 fn readers_are_not_blocked_by_writer_disk_io() {

@@ -15,71 +15,14 @@
 //! * `SessionBuilder::shards(0)` builds a working 1-shard session instead
 //!   of a router that panics on `id % 0`.
 
+mod common;
+
+use common::{clustered_db, manual_scan, trajectory};
 use proptest::prelude::*;
-use traj_core::{StPoint, Trajectory};
-use traj_dist::{
-    edwp_avg, edwp_sub_avg, edwp_sub_with_scratch, edwp_with_scratch, EdwpScratch, Metric,
-    QueryMode,
-};
-use traj_gen::{GenConfig, TrajGen};
+use traj_core::Trajectory;
+use traj_dist::{Metric, QueryMode};
+use traj_gen::TrajGen;
 use traj_index::{Neighbor, Session, TrajStore};
-
-/// A uniformly random trajectory in a 100×100 region.
-fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), min_pts..=max_pts).prop_map(|pts| {
-        Trajectory::new(
-            pts.iter()
-                .enumerate()
-                .map(|(i, &(x, y))| StPoint::new(x, y, i as f64))
-                .collect(),
-        )
-        .expect("valid by construction")
-    })
-}
-
-/// A clustered database so sub-mode pruning has structure to exploit.
-fn clustered_db(size: usize, seed: u64) -> Vec<Trajectory> {
-    let mut g = TrajGen::with_config(
-        seed,
-        GenConfig {
-            area: 400.0,
-            clusters: 5,
-            cluster_spread: 4.0,
-            ..GenConfig::default()
-        },
-    );
-    g.database(size, 4, 10)
-}
-
-/// Ground truth independent of the engine, router and builder: a
-/// hand-rolled linear scan under any (metric, mode) pair. Note the
-/// asymmetric argument order in sub mode — query first.
-fn manual_scan<'a>(
-    items: impl Iterator<Item = (u32, &'a Trajectory)>,
-    query: &Trajectory,
-    metric: Metric,
-    mode: QueryMode,
-) -> Vec<Neighbor> {
-    let mut scratch = EdwpScratch::new();
-    let mut all: Vec<Neighbor> = items
-        .map(|(id, t)| Neighbor {
-            id,
-            distance: match (metric, mode) {
-                (Metric::Edwp, QueryMode::Whole) => edwp_with_scratch(query, t, &mut scratch),
-                (Metric::Edwp, QueryMode::Sub) => edwp_sub_with_scratch(query, t, &mut scratch),
-                (Metric::EdwpNormalized, QueryMode::Whole) => edwp_avg(query, t),
-                (Metric::EdwpNormalized, QueryMode::Sub) => edwp_sub_avg(query, t),
-            },
-        })
-        .collect();
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
-    all
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
