@@ -23,6 +23,7 @@
 //! (little-endian, bit-exact `f64` round trips) that the durable storage
 //! engine (`traj-persist`) frames, checksums and writes to disk.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

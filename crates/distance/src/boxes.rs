@@ -231,17 +231,13 @@ pub fn edwp_lower_bound_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
 /// returning the partial sum. Pass `f64::INFINITY.into()` for the full
 /// bound.
 ///
-/// `cutoff` is a [`Cutoff`]: a plain constant (`threshold.into()`), or a
-/// live [`Cutoff::shared`] atomic re-loaded at every accumulation step, so
-/// a threshold another search worker tightens mid-kernel deepens this
-/// kernel's early exit immediately.
+/// `cutoff` is a [`Cutoff`], a constant (`threshold.into()`).
 ///
 /// Every partial sum is itself an admissible lower bound (all terms are
 /// non-negative), so the returned value can be used as a priority-queue key
 /// unchanged. The contract callers rely on:
 ///
-/// * `result <= cutoff.current()` (evaluated after the call; shared
-///   cutoffs only ever tighten) implies the accumulation ran to
+/// * `result <= cutoff.current()` implies the accumulation ran to
 ///   completion, so `result` equals the full bound bit-for-bit;
 /// * a bailed result implies the full bound also exceeds the cutoff value
 ///   the bail compared against (the partial sum never overshoots the

@@ -1,111 +1,48 @@
-//! Live pruning thresholds for the `_bounded` kernels.
+//! Pruning thresholds for the `_bounded` kernels.
 //!
 //! The early-exit kernels compare their running partial sum against a
-//! pruning threshold after every accumulation step. Historically that
-//! threshold was a plain `f64` captured at call time; a parallel
-//! scatter-gather search wants the *current* value of a threshold that
-//! other workers keep tightening while the kernel runs. [`Cutoff`]
-//! abstracts over both: a constant, or a relaxed load of an `AtomicU64`
-//! holding the bits of a non-negative `f64`.
-//!
-//! ## Why bit-ordered atomics are sound here
-//!
-//! IEEE-754 doubles with the sign bit clear compare identically as
-//! floating-point values and as their raw `u64` bit patterns (the
-//! exponent sits above the mantissa, and `+inf` is larger than every
-//! finite value). Search thresholds are distances, hence non-negative, so
-//! `AtomicU64::fetch_min` on `f64::to_bits` implements an atomic
-//! floating-point minimum without a compare-exchange loop. NaN never
-//! enters: thresholds start at `+inf` and only finite distances are
-//! folded in.
-//!
-//! Relaxed ordering suffices for *exactness* (not just soundness): a
-//! stale load only ever observes a **larger** threshold, which means less
-//! early-exit — never a wrong pruning decision — and the engine's
-//! pop-time check re-validates every queue entry against the final
-//! threshold anyway.
+//! pruning threshold after every accumulation step. [`Cutoff`] is that
+//! threshold: a constant captured at call time, which the normalised
+//! bounds rescale into raw accumulation space with [`Cutoff::scaled`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::marker::PhantomData;
 
-/// A pruning threshold for the `_bounded` kernels: either a constant
-/// captured at call time, or a live view of a shared atomic threshold
-/// that concurrent search workers keep tightening mid-kernel.
+/// A pruning threshold for the `_bounded` kernels: a constant captured at
+/// call time. Construct with [`Cutoff::constant`] or `From<f64>`.
 ///
-/// Construct with [`Cutoff::constant`] (or `From<f64>`) for the classic
-/// fixed-threshold contract, or [`Cutoff::shared`] over an [`AtomicU64`]
-/// storing `f64::to_bits` of a non-negative threshold (see the module
-/// docs for why bit-ordering is a valid floating-point minimum).
-///
-/// The kernels call [`Cutoff::current`] once per accumulation step, so a
-/// shared cutoff turns the threshold into a load instead of a constant:
-/// whichever worker finds a close neighbour first immediately deepens
-/// every other worker's early exit.
+/// The kernels call [`Cutoff::current`] once per accumulation step. The
+/// lifetime parameter carries no borrow; it is kept so existing
+/// `Cutoff<'_>` spellings still name the type.
 #[derive(Debug, Clone, Copy)]
 pub struct Cutoff<'a> {
-    source: Source<'a>,
-    /// Factor applied to shared loads: the normalised bounds drive the
-    /// raw accumulation with `cutoff * denom`, and for a live cutoff that
-    /// rescaling must happen per load, not once at call time.
-    scale: f64,
+    value: f64,
+    _lifetime: PhantomData<&'a ()>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Source<'a> {
-    Const(f64),
-    Shared(&'a AtomicU64),
-}
-
-impl<'a> Cutoff<'a> {
+impl Cutoff<'_> {
     /// A fixed threshold — the classic `cutoff: f64` contract.
     #[inline]
     pub fn constant(value: f64) -> Self {
         Cutoff {
-            source: Source::Const(value),
-            scale: 1.0,
+            value,
+            _lifetime: PhantomData,
         }
     }
 
-    /// A live threshold: every [`Cutoff::current`] call performs a
-    /// relaxed load of `bits`, interpreted as `f64::from_bits`. The
-    /// stored value must be a non-negative float (distances and `+inf`
-    /// qualify; NaN and negatives break the bit-ordering contract).
-    #[inline]
-    pub fn shared(bits: &'a AtomicU64) -> Self {
-        Cutoff {
-            source: Source::Shared(bits),
-            scale: 1.0,
-        }
-    }
-
-    /// The threshold to compare a partial sum against right now. Constant
-    /// for [`Cutoff::constant`]; one relaxed atomic load (times any
-    /// [`Cutoff::scaled`] factor) for [`Cutoff::shared`].
+    /// The threshold to compare a partial sum against.
     #[inline]
     pub fn current(&self) -> f64 {
-        match self.source {
-            Source::Const(c) => c,
-            Source::Shared(bits) => f64::from_bits(bits.load(Ordering::Relaxed)) * self.scale,
-        }
+        self.value
     }
 
     /// This cutoff rescaled into another accumulation's space: the
     /// normalised bounds compare raw partial sums against
-    /// `cutoff * denom`. Constants fold the factor in immediately; shared
-    /// cutoffs apply it to every load. `factor` must be positive (the
-    /// normalised kernels return early on non-positive denominators).
+    /// `cutoff * denom`. `factor` must be positive (the normalised kernels
+    /// return early on non-positive denominators).
     #[inline]
     #[must_use]
     pub fn scaled(self, factor: f64) -> Self {
-        match self.source {
-            Source::Const(c) => Cutoff {
-                source: Source::Const(c * factor),
-                scale: 1.0,
-            },
-            Source::Shared(_) => Cutoff {
-                scale: self.scale * factor,
-                ..self
-            },
-        }
+        Cutoff::constant(self.value * factor)
     }
 }
 
@@ -130,29 +67,5 @@ mod tests {
             Cutoff::constant(f64::INFINITY).scaled(4.0).current(),
             f64::INFINITY
         );
-    }
-
-    #[test]
-    fn shared_cutoff_observes_concurrent_tightening() {
-        let bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let c = Cutoff::shared(&bits);
-        assert_eq!(c.current(), f64::INFINITY);
-        bits.fetch_min(10.0f64.to_bits(), Ordering::Relaxed);
-        assert_eq!(c.current(), 10.0);
-        // Scaling applies per load, so later tightening still shows up.
-        let scaled = c.scaled(3.0);
-        assert_eq!(scaled.current(), 30.0);
-        bits.fetch_min(2.0f64.to_bits(), Ordering::Relaxed);
-        assert_eq!(scaled.current(), 6.0);
-        assert_eq!(c.current(), 2.0);
-    }
-
-    #[test]
-    fn bit_ordered_fetch_min_is_float_min_for_non_negatives() {
-        let bits = AtomicU64::new(f64::INFINITY.to_bits());
-        for v in [7.25, 3.0, 5.0, 0.0, 1.0] {
-            bits.fetch_min(f64::to_bits(v), Ordering::Relaxed);
-        }
-        assert_eq!(f64::from_bits(bits.load(Ordering::Relaxed)), 0.0);
     }
 }

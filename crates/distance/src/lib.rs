@@ -11,7 +11,7 @@
 //! [`Metric::distance`] / [`Metric::distance_bounded`] /
 //! [`Metric::lower_bound_boxes`] / [`Metric::lower_bound_trajectory`],
 //! each taking the [`QueryMode`] (whole vs sub), a pooled [`EdwpScratch`]
-//! and (for the three pruning forms) a live [`Cutoff`] — and everything
+//! and (for the three pruning forms) a [`Cutoff`] — and everything
 //! the query engine evaluates goes through it. Each entry point is one raw
 //! kernel call plus [`Metric::normalise`]; the raw kernels are exported
 //! for benchmarks and tests ([`edwp_with_scratch`], [`edwp_bounded`],
@@ -134,7 +134,7 @@ impl Metric {
 
     /// Runs one raw kernel under this metric: the raw metric hands
     /// `cutoff` straight through; the normalised metric lifts it into raw
-    /// space by `denom()` (per load, for shared cutoffs) and normalises
+    /// space by `denom()` and normalises
     /// the result back. A stationary pair skips the kernel —
     /// [`Cutoff::scaled`] needs a positive factor, and
     /// [`Metric::normalise`] answers 0 whatever the kernel would say.
@@ -238,10 +238,8 @@ impl Metric {
     ///
     /// `cutoff` is the caller's current pruning threshold (in this
     /// metric's scale): the per-segment accumulation bails as soon as the
-    /// partial sum strictly exceeds its *current* value — a
-    /// [`Cutoff::constant`], or a [`Cutoff::shared`] atomic that
-    /// concurrent workers tighten mid-kernel. Pass `f64::INFINITY.into()`
-    /// for the full bound. Partial sums are admissible (all terms are
+    /// partial sum strictly exceeds it. Pass `f64::INFINITY.into()` for
+    /// the full bound. Partial sums are admissible (all terms are
     /// non-negative), so the returned value is a sound pruning key under
     /// either metric. Only the raw metric guarantees
     /// "`result <= cutoff.current()` implies `result` is the full bound

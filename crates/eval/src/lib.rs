@@ -5,6 +5,7 @@
 //! (precision of retrieved neighbour sets, rank of a known relevant
 //! trajectory, and the fraction of the database an index avoids scoring).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use traj_index::{Neighbor, QueryStats, TrajId};

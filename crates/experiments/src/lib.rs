@@ -9,6 +9,7 @@
 //! database does it prune, and does EDwP retrieve the original trajectory
 //! from a distorted (resampled, noisy) query?
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use traj_core::Trajectory;

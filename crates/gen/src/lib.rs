@@ -14,6 +14,7 @@
 //! Everything is seeded and deterministic: no external RNG crates, no
 //! process entropy, identical output on every platform.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use traj_core::{Point, StPoint, Trajectory};

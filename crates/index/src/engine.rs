@@ -414,18 +414,16 @@ pub(crate) fn best_first<C: Collector>(
                 QueueItem::Node(root, si as u32),
             );
         }
-        // Delta members are invisible to the tree: seed each live one
-        // directly as a per-trajectory candidate under its (admissible)
-        // polyline bound. From here they compete in the same queue under
-        // the same threshold and the same exact-distance refinement as
-        // tree-routed candidates, so a shard mid-delta answers bitwise
-        // identically to one whose tree covers everything.
+        // Delta members are invisible to the tree: seed each (removal
+        // deletes from the delta, so every one is live) directly as a
+        // per-trajectory candidate under its (admissible) polyline bound.
+        // From here they compete in the same queue under the same
+        // threshold and the same exact-distance refinement as tree-routed
+        // candidates, so a shard mid-delta answers bitwise identically to
+        // one whose tree covers everything.
         let base = shard.base().len() as TrajId;
         for (di, (_, t)) in shard.delta().iter().enumerate() {
             let local = base + di as TrajId;
-            if shard.is_dead(local) {
-                continue;
-            }
             stats.bump_bounds();
             let lb = metric.lower_bound_trajectory(
                 mode,
@@ -523,8 +521,8 @@ pub(crate) fn best_first<C: Collector>(
                     Node::Leaf { ids, .. } => {
                         for &id in ids {
                             // Tombstoned members still sit in the tree (the
-                            // base is immutable until the next reshard or
-                            // fold); skip them here so they never become
+                            // base is immutable until the next reshard);
+                            // skip them here so they never become
                             // candidates.
                             if shard.is_dead(id) {
                                 continue;

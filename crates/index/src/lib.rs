@@ -79,6 +79,7 @@
 //! (one-sided, hence mode-independent) accumulation — the argument is
 //! on [`traj_dist::Metric::lower_bound_boxes`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -42,7 +42,6 @@ use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use traj_core::{TrajError, Trajectory};
 use traj_dist::{EdwpScratch, Metric, QueryMode};
@@ -212,32 +211,25 @@ fn build_shards(
 /// ```
 #[derive(Debug)]
 pub struct Session {
-    /// The live epoch. Readers clone the outer `Arc` (a [`Snapshot`]);
-    /// writers swap in the next epoch under the write lock — held only
-    /// for the in-memory apply + publish, never across disk I/O.
-    shards: RwLock<Arc<Vec<Arc<Shard>>>>,
-    /// Watermark the next insert's global id is issued from — monotone,
-    /// so ids are never reused: once a trajectory is removed its id is
-    /// retired forever. Mutated only under the writer lock (the atomic is
-    /// for lock-free reads; `Relaxed` suffices since the writer lock
-    /// orders every mutation).
-    next_id: AtomicU32,
+    /// The live epoch: the shards and the id watermark, one published
+    /// value. Readers clone it (a [`Snapshot`]); writers publish the next
+    /// epoch under the write lock — held only for the in-memory apply +
+    /// publish, never across disk I/O.
+    live: RwLock<Snapshot>,
     config: TrajTreeConfig,
     scratch: EdwpScratch,
     /// Delta-merge threshold: a shard folds its delta buffer into its
     /// tree once the buffer holds this many trajectories
     /// ([`SessionBuilder::delta_merge_threshold`], clamped >= 1).
     delta_threshold: usize,
-    /// Serialises writers (insert / insert_batch / compact) without
-    /// touching the epoch lock, so readers stay wait-free while a writer
-    /// is on the disk portion of its critical section. Lock order is
-    /// always writer -> engine -> epoch; the epoch lock is never held
-    /// while waiting on the other two, so the three never deadlock.
-    writer: Mutex<()>,
-    /// The durable storage engine of a [`SessionBuilder::open`]ed session
-    /// (`None` for in-memory sessions). Only locked while the writer lock
-    /// is held (see `writer` for the lock order).
-    durable: Option<Mutex<StorageEngine>>,
+    /// Serialises writers (insert / remove / reshard / compact / sync)
+    /// and owns the durable storage engine of a [`SessionBuilder::open`]ed
+    /// session (`None` for in-memory sessions). A writer holds it across
+    /// its disk I/O without touching the epoch lock, so readers stay
+    /// wait-free meanwhile. Lock order is always writer -> epoch; the
+    /// epoch lock is never held while waiting on the writer lock, so the
+    /// two never deadlock.
+    writer: Mutex<Option<StorageEngine>>,
 }
 
 impl Default for Session {
@@ -251,22 +243,19 @@ impl Clone for Session {
     /// An O(shards) fork: the clone shares the current epoch's shard data
     /// and diverges copy-on-write on the first insert to either side.
     ///
-    /// The fork is a **consistent cut**: it is taken under the writer
-    /// lock, so it never lands between a write's epoch publication and its
-    /// id-watermark advance — every id live in the fork is below the id
-    /// the fork issues next. (It therefore waits for a write in flight,
-    /// disk I/O included; use [`Session::snapshot`] for a wait-free read
-    /// view.)
+    /// The fork is a **consistent cut** by construction: it copies one
+    /// published epoch, and the id watermark is part of the epoch, so
+    /// every id live in the fork is below the id the fork issues next. It
+    /// takes only the epoch read lock, so it never waits for a write's
+    /// disk I/O.
     ///
     /// The fork is always **in-memory**: a database directory has exactly
     /// one writer, so a clone of a durable session does not inherit the
     /// storage engine — its inserts land in memory only, while the
     /// original keeps logging.
     fn clone(&self) -> Self {
-        let _writer = self.writer.lock().expect("session writer lock poisoned");
         Session::assemble(
-            self.snapshot().shards,
-            self.next_id.load(Ordering::Relaxed),
+            self.snapshot(),
             self.config.clone(),
             self.delta_threshold,
             None,
@@ -294,34 +283,27 @@ impl Session {
     /// the store but not the tree is invisible to index searches).
     pub fn from_parts(store: TrajStore, tree: TrajTree) -> Self {
         let config = tree.config().clone();
-        let next_id = store.len() as u32;
-        let shard = Arc::new(Shard::from_parts(store, tree));
-        Session::assemble(
-            Arc::new(vec![shard]),
-            next_id,
-            config,
-            DELTA_MERGE_THRESHOLD,
-            None,
-        )
+        let live = Snapshot {
+            next_id: store.len() as TrajId,
+            shards: Arc::new(vec![Arc::new(Shard::from_parts(store, tree))]),
+        };
+        Session::assemble(live, config, DELTA_MERGE_THRESHOLD, None)
     }
 
     /// The one place a session is put together from its parts: a first
-    /// epoch, the id watermark above every id in it, and the knobs.
+    /// epoch (with the id watermark above every id in it) and the knobs.
     fn assemble(
-        shards: Arc<Vec<Arc<Shard>>>,
-        next_id: u32,
+        live: Snapshot,
         config: TrajTreeConfig,
         delta_threshold: usize,
         durable: Option<StorageEngine>,
     ) -> Self {
         Session {
-            shards: RwLock::new(shards),
-            next_id: AtomicU32::new(next_id),
+            live: RwLock::new(live),
             config,
             scratch: EdwpScratch::new(),
             delta_threshold,
-            writer: Mutex::new(()),
-            durable: durable.map(Mutex::new),
+            writer: Mutex::new(durable),
         }
     }
 
@@ -331,8 +313,7 @@ impl Session {
     /// Store ids are dense `0..len` — any holes removal punched in the
     /// session's id space are closed, so ids shift when removals happened.
     pub fn into_store(self) -> TrajStore {
-        let shards = self.shards.into_inner().expect("shard epoch lock poisoned");
-        let snap = Snapshot { shards };
+        let snap = self.live.into_inner().expect("session epoch lock poisoned");
         let mut out = TrajStore::new();
         for (_, t) in snap.iter() {
             out.insert(t.clone());
@@ -360,8 +341,9 @@ impl Session {
     /// # Consistency contract
     ///
     /// * Writes are serialized (the session's writer lock) and atomic: one
-    ///   epoch is published for the whole batch, so queries see every
-    ///   trajectory of it (delta or tree) or none. The routed per-shard
+    ///   epoch — shards and id watermark together — is published for the
+    ///   whole batch, so queries see every trajectory of it (delta or
+    ///   tree) or none. The routed per-shard
     ///   sub-batches are applied on parallel workers (one per touched
     ///   shard) when the session is sharded.
     /// * Readers are epoch-guarded: the batch is built into copy-on-write
@@ -405,18 +387,17 @@ impl Session {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let _writer = self.writer.lock().expect("session writer lock poisoned");
-        let base = self.next_id.load(Ordering::Relaxed);
+        let mut writer = self.writer.lock().expect("session writer lock poisoned");
+        // Only writers move the watermark and the shard count, and the
+        // writer lock is held, so both stay put until the publish below.
+        let base = self.snapshot().next_id;
+        let n = self.num_shards();
         let next_id = u32::try_from(batch.len())
             .ok()
             .and_then(|n| base.checked_add(n))
             .ok_or(TrajError::IdSpaceExhausted)?;
-        self.log(|engine| engine.append_group(&batch))?;
+        self.log(&mut writer, |engine| engine.append_group(&batch))?;
         let ids: Vec<TrajId> = (base..next_id).collect();
-        // Route by destination shard. The shard count is stable here: only
-        // `reshard` changes it and it also takes the writer lock, so a
-        // momentary epoch read gives this batch's routing denominator.
-        let n = self.shards.read().expect("shard epoch lock poisoned").len();
         // Consecutive ids keep each sub-batch ascending, so a sequential
         // apply per shard reproduces the single-insert loop exactly.
         let mut routed: Vec<Vec<(TrajId, Trajectory)>> = (0..n).map(|_| Vec::new()).collect();
@@ -424,8 +405,8 @@ impl Session {
             routed[shard_of(id, n)].push((id, t));
         }
         let threshold = self.delta_threshold;
-        let mut guard = self.shards.write().expect("shard epoch lock poisoned");
-        let state = Arc::make_mut(&mut *guard);
+        let mut live = self.live.write().expect("session epoch lock poisoned");
+        let state = Arc::make_mut(&mut live.shards);
         // One worker per touched shard: the sub-batches are disjoint
         // (`&mut` per shard), and each worker's work is pure CPU (delta
         // pushes + possible merges), so holding the epoch lock across the
@@ -442,21 +423,20 @@ impl Session {
                 shard.insert(id, t, threshold);
             }
         });
-        drop(guard);
-        self.next_id.store(next_id, Ordering::Relaxed);
+        live.next_id = next_id;
         Ok(ids)
     }
 
     /// Removes the trajectory with global id `id` from the database — the
     /// lifecycle counterpart of [`Session::insert`]. The member is
-    /// **tombstoned**: immediately invisible to every query, lookup and
-    /// iteration on epochs taken after this returns, while epochs taken
-    /// before keep answering from their original contents. The id is
-    /// retired forever — ids are watermark-issued and never reused, so a
-    /// removed id stays [`TrajError::UnknownId`] for the rest of the
-    /// database's life. Physical space is reclaimed lazily: a delta-buffer
-    /// member is dropped at the next fold, an indexed member at the next
-    /// [`Session::compact`] (disk) / [`Session::reshard`] (memory) —
+    /// immediately invisible to every query, lookup and iteration on
+    /// epochs taken after this returns, while epochs taken before keep
+    /// answering from their original contents. The id is retired forever —
+    /// ids are watermark-issued and never reused, so a removed id stays
+    /// [`TrajError::UnknownId`] for the rest of the database's life. A
+    /// delta-buffer member is dropped from the delta at once; an indexed
+    /// member is **tombstoned** and its space reclaimed lazily, at the
+    /// next [`Session::compact`] (disk) / [`Session::reshard`] (memory) —
     /// results are exact either way, since traversals skip tombstones at
     /// refinement.
     ///
@@ -482,7 +462,7 @@ impl Session {
         if ids.is_empty() {
             return Ok(());
         }
-        let _writer = self.writer.lock().expect("session writer lock poisoned");
+        let mut writer = self.writer.lock().expect("session writer lock poisoned");
         let snap = self.snapshot();
         let n = snap.num_shards();
         // Validate up front so the WAL never sees a tombstone that could
@@ -498,9 +478,9 @@ impl Session {
                 });
             }
         }
-        self.log(|engine| engine.append_tombstones(ids))?;
-        let mut guard = self.shards.write().expect("shard epoch lock poisoned");
-        let state = Arc::make_mut(&mut *guard);
+        self.log(&mut writer, |engine| engine.append_tombstones(ids))?;
+        let mut live = self.live.write().expect("session epoch lock poisoned");
+        let state = Arc::make_mut(&mut live.shards);
         for &id in ids {
             let shard = Arc::make_mut(&mut state[shard_of(id, n)]);
             let removed = shard.remove(id);
@@ -534,7 +514,7 @@ impl Session {
     /// `.shards(..)` reopens with the new count.
     pub fn reshard(&self, shards: usize) -> Result<(), TrajError> {
         let n = shards.max(1);
-        let _writer = self.writer.lock().expect("session writer lock poisoned");
+        let mut writer = self.writer.lock().expect("session writer lock poisoned");
         let snap = self.snapshot();
         let pairs: Vec<(TrajId, Trajectory)> =
             snap.iter().map(|(gid, t)| (gid, t.clone())).collect();
@@ -542,30 +522,31 @@ impl Session {
         // Log then publish, as everywhere: the layout change is one logged
         // record, and an `Err` here leaves memory and disk on the old
         // layout.
-        self.log(|engine| engine.append_reshard(n as u32))?;
-        let mut guard = self.shards.write().expect("shard epoch lock poisoned");
-        *guard = Arc::new(built);
+        self.log(&mut writer, |engine| engine.append_reshard(n as u32))?;
+        self.live
+            .write()
+            .expect("session epoch lock poisoned")
+            .shards = Arc::new(built);
         Ok(())
     }
 
-    /// The durable half of a write, run under the writer lock but *off*
-    /// the epoch lock: compacts the published epoch first if the log is
-    /// over its threshold (so every error path leaves engine and epoch
-    /// agreeing), then runs `append` — the one WAL group this write logs.
-    /// No-op for in-memory sessions.
+    /// The durable half of a write, run on the engine the caller's writer
+    /// lock guards but *off* the epoch lock: compacts the published epoch
+    /// first if the log is over its threshold (so every error path leaves
+    /// engine and epoch agreeing), then runs `append` — the one WAL group
+    /// this write logs. No-op for in-memory sessions.
     fn log(
         &self,
+        engine: &mut Option<StorageEngine>,
         append: impl FnOnce(&mut StorageEngine) -> Result<(), PersistError>,
     ) -> Result<(), TrajError> {
-        let Some(engine) = &self.durable else {
+        let Some(engine) = engine else {
             return Ok(());
         };
-        let mut engine = engine.lock().expect("storage engine lock poisoned");
         if engine.needs_compaction() {
-            let snap = self.snapshot();
-            engine.compact(&shard_sections(&snap))?;
+            engine.compact(&shard_sections(&self.snapshot()))?;
         }
-        append(&mut engine)?;
+        append(engine)?;
         Ok(())
     }
 
@@ -584,49 +565,47 @@ impl Session {
     /// poisoned-log error until a retried `compact` succeeds or the
     /// directory is reopened (see [`StorageEngine::compact`]).
     pub fn compact(&self) -> Result<(), TrajError> {
-        let Some(engine) = &self.durable else {
+        let mut writer = self.writer.lock().expect("session writer lock poisoned");
+        let Some(engine) = writer.as_mut() else {
             return Ok(());
         };
-        let _writer = self.writer.lock().expect("session writer lock poisoned");
-        let snap = self.snapshot();
-        let mut engine = engine.lock().expect("storage engine lock poisoned");
-        engine.compact(&shard_sections(&snap))?;
+        engine.compact(&shard_sections(&self.snapshot()))?;
         Ok(())
     }
 
     /// Forces every logged insert to stable storage regardless of the
     /// configured fsync policy — the explicit barrier for
     /// [`traj_persist::FsyncPolicy::EveryN`] / `OsManaged` sessions. A
-    /// no-op `Ok` on in-memory sessions.
+    /// no-op `Ok` on in-memory sessions. Takes the writer lock, so it
+    /// waits for a write in flight.
     pub fn sync(&self) -> Result<(), TrajError> {
-        let Some(engine) = &self.durable else {
-            return Ok(());
-        };
-        engine
-            .lock()
-            .expect("storage engine lock poisoned")
-            .sync()?;
+        let mut writer = self.writer.lock().expect("session writer lock poisoned");
+        if let Some(engine) = writer.as_mut() {
+            engine.sync()?;
+        }
         Ok(())
     }
 
     /// `true` when this session persists inserts to a database directory
     /// (built with [`SessionBuilder::open`] rather than
-    /// [`SessionBuilder::build`]).
+    /// [`SessionBuilder::build`]). The storage engine lives behind the
+    /// writer lock, so this reads through it and waits for a write in
+    /// flight.
     pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
+        self.writer
+            .lock()
+            .expect("session writer lock poisoned")
+            .is_some()
     }
 
     /// The current epoch: an immutable, shareable view of every shard.
     /// Queries on the snapshot ([`Snapshot::query`] / [`Snapshot::batch`])
     /// are unaffected by later inserts.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            shards: self
-                .shards
-                .read()
-                .expect("shard epoch lock poisoned")
-                .clone(),
-        }
+        self.live
+            .read()
+            .expect("session epoch lock poisoned")
+            .clone()
     }
 
     /// Number of **live** trajectories (current epoch) — removed
@@ -644,7 +623,7 @@ impl Session {
     /// fixed at build/open time until a [`Session::reshard`] publishes a
     /// new layout.
     pub fn num_shards(&self) -> usize {
-        self.shards.read().expect("shard epoch lock poisoned").len()
+        self.snapshot().num_shards()
     }
 
     /// The tree configuration every shard was built with.
@@ -668,14 +647,9 @@ impl Session {
     ///
     /// Finish with [`QueryBuilder::knn`] or [`QueryBuilder::range`].
     pub fn query<'s>(&'s mut self, query: &'s Trajectory) -> QueryBuilder<'s> {
-        let Session {
-            shards, scratch, ..
-        } = self;
-        let snap = Snapshot {
-            shards: shards.get_mut().expect("shard epoch lock poisoned").clone(),
-        };
+        let Session { live, scratch, .. } = self;
         QueryBuilder {
-            snapshot: snap,
+            snapshot: live.get_mut().expect("session epoch lock poisoned").clone(),
             query,
             scratch: Some(scratch),
             spec: Spec::default(),
@@ -760,9 +734,12 @@ impl SessionBuilder {
         // The recovered set is the live set with its original (possibly
         // holey) global ids — removals and reshards were replayed — so the
         // session is built straight from the pairs, watermark included.
-        let session = Session::assemble(
-            Arc::new(build_shards(recovered.trajs, shards, &self.config)),
+        let live = Snapshot {
+            shards: Arc::new(build_shards(recovered.trajs, shards, &self.config)),
             next_id,
+        };
+        let session = Session::assemble(
+            live,
             self.config,
             self.delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
             Some(engine),
@@ -810,10 +787,12 @@ impl SessionBuilder {
             .enumerate()
             .map(|(i, t)| (i as TrajId, t))
             .collect();
-        let next_id = pairs.len() as u32;
+        let live = Snapshot {
+            next_id: pairs.len() as TrajId,
+            shards: Arc::new(build_shards(pairs, n, &config)),
+        };
         Session::assemble(
-            Arc::new(build_shards(pairs, n, &config)),
-            next_id,
+            live,
             config,
             delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
             None,
@@ -1402,7 +1381,7 @@ mod tests {
             let indexed: usize = sizes.iter().map(|o| o.indexed).sum();
             let delta: usize = sizes.iter().map(|o| o.delta).sum();
             assert_eq!(indexed, 18, "two dead base members (shards: {shards})");
-            assert_eq!(delta, 3, "one dead delta member (shards: {shards})");
+            assert_eq!(delta, 3, "one removed delta member (shards: {shards})");
             let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
             let stats = snap.query(&q).collect_stats().knn(3).stats.unwrap();
             assert_eq!(stats.db_size, 21, "shards: {shards}");
@@ -1431,13 +1410,15 @@ mod tests {
             .expect("fresh directory");
         session.insert(t(0.0)).expect("id 0");
         let logged = |s: &Session| {
-            let engine = s.durable.as_ref().expect("durable").lock().unwrap();
+            let writer = s.writer.lock().unwrap();
+            let engine = writer.as_ref().expect("durable");
             (engine.wal_records(), engine.next_id())
         };
+        let set_watermark = |s: &Session, id: u32| s.live.write().unwrap().next_id = id;
         let before = logged(&session);
 
         // Watermark at the ceiling: no id is left for a single insert.
-        session.next_id.store(u32::MAX, Ordering::Relaxed);
+        set_watermark(&session, u32::MAX);
         assert_eq!(session.insert(t(1.0)), Err(TrajError::IdSpaceExhausted));
         assert_eq!(
             session.insert_batch(vec![t(1.0)]),
@@ -1445,7 +1426,7 @@ mod tests {
         );
         // A batch straddling the limit is refused whole: two ids are left,
         // three are asked for.
-        session.next_id.store(u32::MAX - 2, Ordering::Relaxed);
+        set_watermark(&session, u32::MAX - 2);
         assert_eq!(
             session.insert_batch(vec![t(1.0), t(2.0), t(3.0)]),
             Err(TrajError::IdSpaceExhausted)
@@ -1454,9 +1435,9 @@ mod tests {
         // not move — and a batch that fits still does.
         assert_eq!(session.len(), 1);
         assert_eq!(logged(&session), before);
-        assert_eq!(session.next_id.load(Ordering::Relaxed), u32::MAX - 2);
+        assert_eq!(session.snapshot().next_id, u32::MAX - 2);
         let in_memory = Session::build(TrajStore::new());
-        in_memory.next_id.store(u32::MAX - 2, Ordering::Relaxed);
+        set_watermark(&in_memory, u32::MAX - 2);
         assert_eq!(
             in_memory.insert_batch(vec![t(1.0), t(2.0)]),
             Ok(vec![u32::MAX - 2, u32::MAX - 1])
@@ -1477,8 +1458,8 @@ mod tests {
             .open(dir.path())
             .expect("fresh directory");
         let fsyncs = || {
-            let engine = session.durable.as_ref().expect("durable").lock().unwrap();
-            engine.fsyncs()
+            let writer = session.writer.lock().unwrap();
+            writer.as_ref().expect("durable").fsyncs()
         };
         let before = fsyncs();
         let ids = session

@@ -16,45 +16,44 @@
 //! With dense ids the router deals round-robin; once removals punch holes
 //! in the id space the residue-class invariant still holds (shard `s`
 //! owns exactly the live ids with `g mod n == s`, in ascending order), so
-//! each shard carries an explicit ascending `base_globals` table mapping
+//! each shard's base carries an explicit ascending `globals` table mapping
 //! its dense base slots back to global ids.
 //!
 //! # Delta buffers and tombstones
 //!
-//! Each shard is an **immutable base** — an `Arc`-shared store segment
-//! plus the [`TrajTree`] indexing exactly that segment — and a small
-//! append-only **delta buffer** of recently inserted `(id, trajectory)`
-//! pairs the tree does not cover yet. Local ids keep counting straight
-//! through: slot `l < base.len()` lives in the base store, slot
-//! `l >= base.len()` in the delta at offset `l - base.len()`. Queries
-//! merge the tree traversal with an exact brute scan of the delta, so
-//! results stay bitwise identical to a shard whose tree covers everything.
-//! Once the delta reaches the session's merge threshold it is folded into
-//! the base via the tree's least-volume-growth insert.
+//! Each shard is an **immutable base** — one `Arc` holding a store
+//! segment, its global-id table and the [`TrajTree`] indexing exactly that
+//! segment — and a small append-only **delta buffer** of recently
+//! inserted `(id, trajectory)` pairs the tree does not cover yet. Local
+//! ids keep counting straight through: slot `l < base.len()` lives in the
+//! base store, slot `l >= base.len()` in the delta at offset
+//! `l - base.len()`. Queries merge the tree traversal with an exact brute
+//! scan of the delta, so results stay bitwise identical to a shard whose
+//! tree covers everything. Once the delta reaches the session's merge
+//! threshold it is folded into the base via the tree's
+//! least-volume-growth insert.
 //!
-//! Removal is a **tombstone**: the base stays physically untouched (it is
-//! shared with live snapshots), and the shard records the dead global id
-//! in an `Arc`-shared set every traversal consults — a dead member is
-//! skipped at leaf refinement, delta seeding and brute scan, so it can
-//! never be offered to a collector and results match a shard rebuilt from
-//! the survivors bitwise. Node summaries still cover dead members; a
-//! superset bound is still admissible, so only pruning tightness (never
-//! exactness) is affected until the next fold or reshard rewrites the
-//! base. A tombstoned *delta* entry is physically dropped at the next
-//! fold; a tombstoned *base* entry leaves the disk at the next
-//! compaction and leaves memory at the next [`crate::Session::reshard`].
+//! Removing a delta member deletes it from the delta, which
+//! copy-on-write has already made the shard's own. Removing a base member
+//! is a **tombstone**: the base stays untouched (snapshots share it), and
+//! the shard records the dead id in an `Arc`-shared set that leaf
+//! refinement and brute scan consult, so a dead member never reaches a
+//! collector. Node summaries still cover dead members; a superset bound
+//! is still admissible, so only pruning tightness (never exactness)
+//! suffers until the member leaves the disk at the next compaction and
+//! memory at the next [`crate::Session::reshard`].
 //!
 //! # Epochs
 //!
-//! Shards are immutable once published: the session's live state is an
-//! `Arc<Vec<Arc<Shard>>>`, and a [`Snapshot`] is one atomic clone of that
-//! outer `Arc`. Inserts build the next epoch copy-on-write
-//! ([`std::sync::Arc::make_mut`]) and publish it by swapping the outer
-//! `Arc`, so a snapshot taken before a write keeps reading the pre-write
-//! epoch for as long as it lives. The delta split is what makes that
-//! cheap under reader pressure: cloning a shard bumps the base's `Arc`s
-//! (store, globals table, tree, tombstone set) and deep-copies only the
-//! (small, bounded) delta — only a delta merge pays a base copy, once per
+//! Shards are immutable once published: the session's live state is one
+//! [`Snapshot`] (the `Arc<Vec<Arc<Shard>>>` epoch plus the id watermark),
+//! and taking a snapshot clones it. Writes build the next epoch
+//! copy-on-write ([`std::sync::Arc::make_mut`]) and publish it under the
+//! session's epoch lock, so a snapshot taken before a write keeps reading
+//! the pre-write epoch for as long as it lives. The delta split is what
+//! makes that cheap under reader pressure: cloning a shard bumps two
+//! `Arc`s (base and tombstone set) and deep-copies only the (small,
+//! bounded) delta — only a delta merge pays a base copy, once per
 //! threshold crossing. See [`crate::Session::insert_batch`] for the full
 //! consistency contract.
 //!
@@ -75,52 +74,56 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use traj_core::{TrajError, Trajectory};
 
-/// One shard: an immutable base (a [`TrajStore`] segment with dense local
-/// ids, the ascending global-id table of those slots, and the
-/// [`TrajTree`] indexing exactly that segment — all `Arc`-shared across
-/// epochs), the `Arc`-shared tombstone set of dead global ids, and the
-/// append-only delta buffer of inserts the tree does not cover yet.
-#[derive(Debug, Clone, Default)]
+/// One shard: an immutable, `Arc`-shared [`Base`], the `Arc`-shared
+/// tombstone set of dead base members, and the append-only delta buffer
+/// of inserts the tree does not cover yet.
+#[derive(Debug, Clone)]
 pub(crate) struct Shard {
-    base: Arc<TrajStore>,
-    /// Global id of each base slot, ascending (`base_globals[l]` is the
-    /// id of `base.get(l)`). Dense sessions start with slot `l` holding
-    /// `l·n + s`; removals and reshards make the gaps explicit.
-    base_globals: Arc<Vec<TrajId>>,
-    tree: Arc<TrajTree>,
-    /// Tombstoned global ids, both base and delta members. Invariant:
-    /// every element is a member of this shard.
+    base: Arc<Base>,
+    /// Tombstoned global ids. Invariant: every element is a member of
+    /// `base` (a removed delta member leaves the delta instead).
     dead: Arc<BTreeSet<TrajId>>,
-    /// How many of `dead` are delta members (the rest are base members) —
-    /// keeps occupancy reporting O(1).
-    dead_delta: usize,
     delta: Vec<(TrajId, Trajectory)>,
 }
 
+/// The part of a shard the tree covers: a [`TrajStore`] segment with dense
+/// local ids, the global id of each slot, and the [`TrajTree`] indexing
+/// exactly that segment. The three always change together, at a fold.
+#[derive(Debug, Clone)]
+struct Base {
+    store: TrajStore,
+    /// Global id of each store slot, ascending (`globals[l]` is the id of
+    /// `store.get(l)`). Dense sessions start with slot `l` holding
+    /// `l·n + s`; removals and reshards make the gaps explicit.
+    globals: Vec<TrajId>,
+    tree: TrajTree,
+}
+
 impl Shard {
+    /// Wraps a base as a shard with an empty delta and tombstone set.
+    fn over(store: TrajStore, globals: Vec<TrajId>, tree: TrajTree) -> Self {
+        Shard {
+            base: Arc::new(Base {
+                store,
+                globals,
+                tree,
+            }),
+            dead: Arc::new(BTreeSet::new()),
+            delta: Vec::new(),
+        }
+    }
+
     /// Bulk-loads a shard over its `(global id, trajectory)` pairs, which
     /// must be ascending by id; the delta and tombstone set start empty.
     pub(crate) fn bulk(pairs: Vec<(TrajId, Trajectory)>, config: TrajTreeConfig) -> Self {
-        let mut globals = Vec::with_capacity(pairs.len());
-        let mut trajs = Vec::with_capacity(pairs.len());
-        for (gid, t) in pairs {
-            debug_assert!(
-                globals.last().is_none_or(|&p| p < gid),
-                "shard base ids must ascend"
-            );
-            globals.push(gid);
-            trajs.push(t);
-        }
+        let (globals, trajs): (Vec<TrajId>, Vec<Trajectory>) = pairs.into_iter().unzip();
+        debug_assert!(
+            globals.is_sorted_by(|a, b| a < b),
+            "shard base ids must ascend"
+        );
         let store = TrajStore::from(trajs);
         let tree = TrajTree::bulk_load(&store, config);
-        Shard {
-            base: Arc::new(store),
-            base_globals: Arc::new(globals),
-            tree: Arc::new(tree),
-            dead: Arc::new(BTreeSet::new()),
-            dead_delta: 0,
-            delta: Vec::new(),
-        }
+        Shard::over(store, globals, tree)
     }
 
     /// Wraps an existing store + tree as a shard with dense global ids
@@ -128,14 +131,7 @@ impl Shard {
     /// `store`.
     pub(crate) fn from_parts(store: TrajStore, tree: TrajTree) -> Self {
         let globals: Vec<TrajId> = (0..store.len() as TrajId).collect();
-        Shard {
-            base: Arc::new(store),
-            base_globals: Arc::new(globals),
-            tree: Arc::new(tree),
-            dead: Arc::new(BTreeSet::new()),
-            dead_delta: 0,
-            delta: Vec::new(),
-        }
+        Shard::over(store, globals, tree)
     }
 
     /// Appends the trajectory with global id `gid` (which must exceed
@@ -146,7 +142,7 @@ impl Shard {
     pub(crate) fn insert(&mut self, gid: TrajId, t: Trajectory, threshold: usize) {
         debug_assert!(
             self.delta.last().map(|e| e.0).is_none_or(|p| p < gid)
-                && self.base_globals.last().is_none_or(|&p| p < gid),
+                && self.base.globals.last().is_none_or(|&p| p < gid),
             "ids are issued monotonically"
         );
         self.delta.push((gid, t));
@@ -155,44 +151,37 @@ impl Shard {
         }
     }
 
-    /// Tombstones the live member with global id `gid`. Returns `false`
+    /// Removes the live member with global id `gid`: a delta member
+    /// leaves the delta, a base member is tombstoned. Returns `false`
     /// (and changes nothing) when `gid` is not a live member of this
-    /// shard — already dead, never inserted here, or routed elsewhere.
+    /// shard — already removed, never inserted here, or routed elsewhere.
     pub(crate) fn remove(&mut self, gid: TrajId) -> bool {
-        if self.dead.contains(&gid) {
-            return false;
+        if let Ok(i) = self.delta.binary_search_by_key(&gid, |e| e.0) {
+            self.delta.remove(i);
+            return true;
         }
-        let in_base = self.base_globals.binary_search(&gid).is_ok();
-        let in_delta = !in_base && self.delta.iter().any(|e| e.0 == gid);
-        if !in_base && !in_delta {
+        if self.dead.contains(&gid) || self.base.globals.binary_search(&gid).is_err() {
             return false;
         }
         Arc::make_mut(&mut self.dead).insert(gid);
-        if in_delta {
-            self.dead_delta += 1;
-        }
         true
     }
 
-    /// Folds the delta into the base: tombstoned entries are dropped for
-    /// good (their tombstones retire with them), every survivor is
-    /// appended to the store + globals table and inserted into the tree
-    /// via the least-volume-growth descent. Copy-on-write at the base
-    /// level: in place when no snapshot shares the base `Arc`s, one base
-    /// copy otherwise — the amortised cost the delta buffer bounds to
-    /// once per threshold crossing, and never paid when no entry survives.
+    /// Folds the delta into the base: every member is appended to the
+    /// store + globals table and inserted into the tree via the
+    /// least-volume-growth descent. Copy-on-write at the base level: in
+    /// place when no snapshot shares the base `Arc`, one base copy
+    /// otherwise — the amortised cost the delta buffer bounds to once per
+    /// threshold crossing, and never paid for an empty delta.
     pub(crate) fn merge_delta(&mut self) {
-        if self.dead_delta > 0 {
-            let dead = Arc::make_mut(&mut self.dead);
-            self.delta.retain(|(gid, _)| !dead.remove(gid));
-            self.dead_delta = 0;
-        }
         if self.delta.is_empty() {
             return;
         }
-        let store = Arc::make_mut(&mut self.base);
-        let globals = Arc::make_mut(&mut self.base_globals);
-        let tree = Arc::make_mut(&mut self.tree);
+        let Base {
+            store,
+            globals,
+            tree,
+        } = Arc::make_mut(&mut self.base);
         for (gid, t) in self.delta.drain(..) {
             let local = store.insert(t);
             globals.push(gid);
@@ -203,17 +192,18 @@ impl Shard {
     /// The tree over the immutable base (never covers the delta).
     #[inline]
     pub(crate) fn tree(&self) -> &TrajTree {
-        &self.tree
+        &self.base.tree
     }
 
     /// The immutable base segment the tree indexes.
     #[inline]
     pub(crate) fn base(&self) -> &TrajStore {
-        &self.base
+        &self.base.store
     }
 
     /// The delta buffer: `(id, trajectory)` pairs at local ids
-    /// `base().len() .. `, in insertion (= ascending id) order.
+    /// `base().len() .. `, in insertion (= ascending id) order. Every
+    /// entry is live.
     #[inline]
     pub(crate) fn delta(&self) -> &[(TrajId, Trajectory)] {
         &self.delta
@@ -223,30 +213,30 @@ impl Shard {
     /// first, then the delta in buffer order.
     #[inline]
     pub(crate) fn global(&self, local: TrajId) -> TrajId {
-        let base = self.base.len() as TrajId;
+        let base = self.base.store.len() as TrajId;
         if local < base {
-            self.base_globals[local as usize]
+            self.base.globals[local as usize]
         } else {
             self.delta[(local - base) as usize].0
         }
     }
 
-    /// Whether the member at local id `local` is tombstoned — the one check
-    /// that keeps a dead member from ever reaching a collector. Node
+    /// Whether the base member at local id `local` is tombstoned — the one
+    /// check that keeps a dead member from ever reaching a collector. Node
     /// summaries still cover dead members (a superset bound is admissible),
-    /// so the traversal asks only at leaf refinement and delta seeding.
+    /// so the traversal asks only at leaf refinement.
     #[inline]
     pub(crate) fn is_dead(&self, local: TrajId) -> bool {
-        !self.dead.is_empty() && self.dead.contains(&self.global(local))
+        !self.dead.is_empty() && self.dead.contains(&self.base.globals[local as usize])
     }
 
     /// The trajectory at local id `local`, whichever side of the
     /// base/delta split it lives on.
     #[inline]
     pub(crate) fn traj(&self, local: TrajId) -> &Trajectory {
-        let base = self.base.len() as TrajId;
+        let base = self.base.store.len() as TrajId;
         if local < base {
-            self.base.get(local)
+            self.base.store.get(local)
         } else {
             &self.delta[(local - base) as usize].1
         }
@@ -258,40 +248,36 @@ impl Shard {
         if self.dead.contains(&gid) {
             return None;
         }
-        if let Ok(slot) = self.base_globals.binary_search(&gid) {
-            return Some(self.base.get(slot as TrajId));
+        if let Ok(slot) = self.base.globals.binary_search(&gid) {
+            return Some(self.base.store.get(slot as TrajId));
         }
         self.delta.iter().find(|&&(g, _)| g == gid).map(|(_, t)| t)
     }
 
     /// All live `(global id, trajectory)` pairs of this shard, ascending
-    /// by id — the base survivors followed by the delta survivors (delta
-    /// ids always exceed base ids).
+    /// by id — the base survivors followed by the delta (delta ids always
+    /// exceed base ids).
     pub(crate) fn live_pairs(&self) -> impl Iterator<Item = (TrajId, &Trajectory)> {
         let base = self
-            .base_globals
+            .base
+            .globals
             .iter()
-            .zip(self.base.as_slice())
+            .zip(self.base.store.as_slice())
+            .filter(|(gid, _)| !self.dead.contains(gid))
             .map(|(&gid, t)| (gid, t));
         let delta = self.delta.iter().map(|&(gid, ref t)| (gid, t));
         base.chain(delta)
-            .filter(|(gid, _)| !self.dead.contains(gid))
     }
 
     /// Number of **live** trajectories in this shard (members minus
     /// tombstones).
     pub(crate) fn len(&self) -> usize {
-        self.base.len() + self.delta.len() - self.dead.len()
+        self.indexed_len() + self.delta.len()
     }
 
     /// Live trajectories the tree covers (base survivors).
     pub(crate) fn indexed_len(&self) -> usize {
-        self.base.len() - (self.dead.len() - self.dead_delta)
-    }
-
-    /// Live trajectories waiting in the delta buffer.
-    pub(crate) fn delta_len(&self) -> usize {
-        self.delta.len() - self.dead_delta
+        self.base.store.len() - self.dead.len()
     }
 }
 
@@ -305,10 +291,8 @@ pub(crate) fn shard_of(id: TrajId, shards: usize) -> usize {
 /// its tree covers and how many sit in the delta buffer awaiting a merge
 /// — the introspection [`Snapshot::shard_sizes`] reports per shard, in
 /// shard order, so rebalancing and capacity decisions have data to act
-/// on. Tombstoned members are excluded on both sides of the split (a
-/// dead base member still occupies store memory until the next reshard
-/// or compaction, but it is not *occupancy* — it can never answer a
-/// query).
+/// on. Tombstoned base members are excluded (one still occupies store
+/// memory until the next reshard, but it can never answer a query).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardOccupancy {
     /// Live trajectories in the shard's immutable base (covered by its
@@ -351,6 +335,11 @@ impl ShardOccupancy {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) shards: Arc<Vec<Arc<Shard>>>,
+    /// The id watermark: the id the next insert is issued, above every id
+    /// in `shards` — ids are never reused, so once a trajectory is removed
+    /// its id is retired forever. Published with `shards`, so every
+    /// snapshot is a consistent cut of the two.
+    pub(crate) next_id: TrajId,
 }
 
 impl Snapshot {
@@ -383,7 +372,7 @@ impl Snapshot {
             .iter()
             .map(|s| ShardOccupancy {
                 indexed: s.indexed_len(),
-                delta: s.delta_len(),
+                delta: s.delta().len(),
             })
             .collect()
     }
@@ -472,6 +461,7 @@ mod tests {
             .collect();
         let snap = Snapshot {
             shards: Arc::new(shards),
+            next_id: 7,
         };
         assert_eq!(snap.len(), 7);
         assert_eq!(snap.num_shards(), 3);
@@ -490,13 +480,13 @@ mod tests {
     #[test]
     fn delta_inserts_route_and_merge_at_the_threshold() {
         let mut shard = Shard::bulk(dense(0..4), TrajTreeConfig::default());
-        assert_eq!((shard.indexed_len(), shard.delta_len()), (4, 0));
+        assert_eq!((shard.indexed_len(), shard.delta().len()), (4, 0));
         // Below the threshold: inserts buffer in the delta, lookups cover
         // both sides of the split.
         for i in 4..7u32 {
             shard.insert(i, t(i as f64), 8);
         }
-        assert_eq!((shard.indexed_len(), shard.delta_len()), (4, 3));
+        assert_eq!((shard.indexed_len(), shard.delta().len()), (4, 3));
         assert_eq!(shard.len(), 7);
         for i in 0..7u32 {
             assert_eq!(shard.get_global(i).unwrap().first().p.x, i as f64);
@@ -505,9 +495,9 @@ mod tests {
         // The 8th member crosses the threshold: the delta folds into the
         // base and the tree covers everything again.
         shard.insert(7, t(7.0), 4);
-        assert_eq!((shard.indexed_len(), shard.delta_len()), (8, 0));
+        assert_eq!((shard.indexed_len(), shard.delta().len()), (8, 0));
         assert_eq!(shard.tree().len(), 8);
-        assert_eq!(*shard.base_globals, (0..8).collect::<Vec<_>>());
+        assert_eq!(shard.base.globals, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -520,22 +510,23 @@ mod tests {
         assert!(shard.remove(2), "base member");
         assert!(shard.remove(6), "delta member");
         assert!(!shard.remove(2), "already dead");
+        assert!(!shard.remove(6), "already removed from the delta");
         assert!(!shard.remove(3), "never a member");
         assert_eq!(shard.len(), 3);
-        assert_eq!((shard.indexed_len(), shard.delta_len()), (2, 1));
+        assert_eq!((shard.indexed_len(), shard.delta().len()), (2, 1));
         assert!(shard.get_global(2).is_none(), "dead ids stop resolving");
         assert!(shard.get_global(6).is_none());
         assert_eq!(
             shard.live_pairs().map(|(g, _)| g).collect::<Vec<_>>(),
             vec![0, 4, 8]
         );
-        // Folding drops the dead delta entry physically and keeps the dead
-        // base entry tombstoned.
+        // Folding appends the delta survivor and keeps the dead base entry
+        // tombstoned.
         shard.merge_delta();
-        assert_eq!(*shard.base_globals, &[0, 2, 4, 8]);
+        assert_eq!(shard.base.globals, &[0, 2, 4, 8]);
         assert_eq!(shard.dead.iter().copied().collect::<Vec<_>>(), vec![2]);
         assert_eq!(shard.len(), 3);
-        assert_eq!((shard.indexed_len(), shard.delta_len()), (3, 0));
+        assert_eq!((shard.indexed_len(), shard.delta().len()), (3, 0));
     }
 
     #[test]
@@ -544,7 +535,7 @@ mod tests {
         // table, not arithmetic, maps slots to ids.
         let mut shard = Shard::bulk(dense([1, 5, 9]), TrajTreeConfig::default());
         shard.insert(13, t(13.0), 1); // threshold 1: folds immediately
-        assert_eq!(*shard.base_globals, &[1, 5, 9, 13]);
+        assert_eq!(shard.base.globals, &[1, 5, 9, 13]);
         for g in [1u32, 5, 9, 13] {
             assert_eq!(shard.get_global(g).unwrap().first().p.x, g as f64);
         }
@@ -561,6 +552,7 @@ mod tests {
         b.remove(5);
         let snap = Snapshot {
             shards: Arc::new(vec![Arc::new(a), Arc::new(b)]),
+            next_id: 6,
         };
         assert_eq!(snap.len(), 4, "two of six members are dead");
         let sizes = snap.shard_sizes();
@@ -593,20 +585,15 @@ mod tests {
         shard.insert(16, t(16.0), 1000);
         shard.remove(3);
         let clone = shard.clone();
-        assert!(Arc::ptr_eq(&shard.base, &clone.base), "base store shared");
-        assert!(Arc::ptr_eq(&shard.tree, &clone.tree), "base tree shared");
-        assert!(
-            Arc::ptr_eq(&shard.base_globals, &clone.base_globals),
-            "globals table shared"
-        );
+        assert!(Arc::ptr_eq(&shard.base, &clone.base), "base shared");
         assert!(Arc::ptr_eq(&shard.dead, &clone.dead), "tombstones shared");
-        assert_eq!(clone.delta_len(), 1);
+        assert_eq!(clone.delta().len(), 1);
         // A merge on the original copies the base out from under the
-        // shared Arcs; the clone keeps its epoch untouched.
+        // shared Arc; the clone keeps its epoch untouched.
         shard.merge_delta();
         assert_eq!(shard.indexed_len(), 16);
         assert_eq!(clone.indexed_len(), 15);
-        assert_eq!(clone.delta_len(), 1);
+        assert_eq!(clone.delta().len(), 1);
         assert_eq!(clone.get_global(16).unwrap().first().p.x, 16.0);
         // A removal on the clone copies only the tombstone set.
         let mut clone2 = clone.clone();
@@ -620,18 +607,30 @@ mod tests {
         let mut shard = Shard::bulk(dense(0..16), TrajTreeConfig::default());
         shard.insert(16, t(16.0), 1000);
         shard.insert(17, t(17.0), 1000);
+        let held = shard.clone(); // a snapshot shares the base Arc
         assert!(shard.remove(16) && shard.remove(17));
-        let held = shard.clone(); // a snapshot shares the base Arcs
         shard.merge_delta();
-        assert!(Arc::ptr_eq(&shard.base, &held.base), "base store copied");
-        assert!(Arc::ptr_eq(&shard.tree, &held.tree), "base tree copied");
-        assert!(
-            Arc::ptr_eq(&shard.base_globals, &held.base_globals),
-            "globals table copied"
-        );
-        // The dead entries and their tombstones are gone all the same.
-        assert_eq!((shard.indexed_len(), shard.delta_len()), (16, 0));
+        assert!(Arc::ptr_eq(&shard.base, &held.base), "base copied");
+        // The removed entries are gone, and no tombstone stands for them.
+        assert_eq!((shard.indexed_len(), shard.delta().len()), (16, 0));
         assert!(shard.delta().is_empty() && shard.dead.is_empty());
-        assert_eq!(held.dead.len(), 2, "the held epoch is untouched");
+        assert_eq!(held.delta().len(), 2, "the held epoch is untouched");
+    }
+
+    #[test]
+    fn removing_a_delta_member_drops_it_at_once_and_spares_held_clones() {
+        let mut shard = Shard::bulk(dense([0, 2]), TrajTreeConfig::default());
+        for g in [4, 6, 8] {
+            shard.insert(g, t(g as f64), 1000);
+        }
+        let held = shard.clone();
+        assert!(shard.remove(6));
+        assert_eq!(shard.delta().len(), 2, "the delta shrinks at once");
+        assert!(shard.dead.is_empty(), "no tombstone for a delta member");
+        assert!(shard.get_global(6).is_none());
+        // Local ids past the removed slot shift down and still resolve.
+        assert_eq!((shard.global(3), shard.traj(3).first().p.x), (8, 8.0));
+        // The clone taken before the removal still holds the member.
+        assert_eq!(held.get_global(6).unwrap().first().p.x, 6.0);
     }
 }

@@ -7,7 +7,8 @@ use traj_dist::BoxSeq;
 pub struct TrajTreeConfig {
     /// Maximum trajectories per leaf before it splits.
     pub leaf_capacity: usize,
-    /// Maximum children per internal node before it splits.
+    /// Maximum children per internal node before it splits. Values below 2
+    /// act as 2 (a node needs two children for the tree to narrow).
     pub fanout: usize,
     /// Box budget for leaf summaries (coarsening cap of the tBoxSeq).
     pub leaf_boxes: usize,
@@ -159,7 +160,7 @@ impl TrajTree {
                 .enumerate()
                 .map(|(i, n)| (i, n.center()))
                 .collect();
-            let tiles = str_tiles(&mut reps, config.fanout);
+            let tiles = str_tiles(&mut reps, config.fanout.max(2));
             // Drain `nodes` into parents without cloning subtrees.
             let mut slots: Vec<Option<Node>> = nodes.into_iter().map(Some).collect();
             nodes = tiles
@@ -369,7 +370,7 @@ fn insert_rec(
                 Some(child_merged),
             ) {
                 children.push(sibling);
-                if children.len() > config.fanout {
+                if children.len() > config.fanout.max(2) {
                     return Some(split_internal(children, summary, max_len, config));
                 }
             }
@@ -511,7 +512,7 @@ mod tests {
                 Node::Internal {
                     children, summary, ..
                 } => {
-                    assert!((1..=config.fanout).contains(&children.len()));
+                    assert!((1..=config.fanout.max(2)).contains(&children.len()));
                     assert!(summary.len() <= config.internal_boxes);
                     for c in children {
                         walk(c, store, config);
@@ -554,14 +555,17 @@ mod tests {
     #[test]
     fn bulk_load_respects_leaf_capacity_and_fanout() {
         let store = store_of(100);
-        let config = TrajTreeConfig {
-            leaf_capacity: 4,
-            fanout: 4,
-            ..TrajTreeConfig::default()
-        };
-        let tree = TrajTree::bulk_load(&store, config);
-        check_invariants(&tree, &store);
-        assert!(tree.height() >= 3, "height {}", tree.height());
+        // Fanouts 0 and 1 act as 2, so the build still narrows and returns.
+        for fanout in [0, 1, 4] {
+            let config = TrajTreeConfig {
+                leaf_capacity: 4,
+                fanout,
+                ..TrajTreeConfig::default()
+            };
+            let tree = TrajTree::bulk_load(&store, config);
+            check_invariants(&tree, &store);
+            assert!(tree.height() >= 3, "fanout {fanout}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! `Session::clone` forks a consistent cut: taken beside a running
 //! writer, a fork must never hold a trajectory whose id its own watermark
 //! has not passed — the next id it issues would be a duplicate. A write
-//! publishes its epoch *before* it advances the watermark, so the fork
-//! has to serialise with writers; this bounded stress run (a race cannot
-//! be forced from outside the crate) forks beside a tight insert loop and
-//! checks every fork. The writer does a fixed amount of work per round
-//! and the forking stops with it, so the run time is bounded however the
-//! scheduler and the (unfair) writer lock interleave the two.
+//! publishes its shards and its watermark as one epoch value, and a fork
+//! copies one epoch; this bounded stress run (a race cannot be forced
+//! from outside the crate) forks beside a tight insert loop and checks
+//! every fork. The writer does a fixed amount of work per round and the
+//! forking stops with it, so the run time is bounded however the
+//! scheduler and the epoch lock interleave the two.
 
 use traj_core::Trajectory;
 use traj_index::{Session, TrajStore};

@@ -1,10 +1,11 @@
 //! Held-snapshot insert cost must not scale with database size: a shard
-//! is an immutable base behind `Arc`s plus a small delta buffer, so
-//! copy-on-write under a pinned epoch copies the delta — never the base
-//! store or the tree. A counting global allocator tallies the bytes one
-//! insert allocates while a snapshot is held, on a small and a large
-//! database; if the whole shard were cloned the large database's insert
-//! would allocate roughly `large/small` times as much.
+//! is an immutable base (store, global-id table and tree) behind one
+//! `Arc`, a shared tombstone set and a small delta buffer, so
+//! copy-on-write under a pinned epoch bumps two `Arc`s and copies the
+//! delta — never the base store or the tree. A counting global allocator
+//! tallies the bytes one insert allocates while a snapshot is held, on a
+//! small and a large database; if the whole shard were cloned the large
+//! database's insert would allocate roughly `large/small` times as much.
 //!
 //! The file contains exactly one `#[test]` so no concurrently running
 //! test can perturb the counter.

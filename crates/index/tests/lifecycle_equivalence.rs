@@ -99,7 +99,7 @@ proptest! {
 
     /// Random interleavings of insert / remove / reshard over the shard ×
     /// merge-threshold grid, checked against the surviving set. Threshold
-    /// 64 keeps inserts delta-resident (tombstones over delta members);
+    /// 64 keeps inserts delta-resident (removals delete from the delta);
     /// threshold 1 folds immediately (tombstones over indexed members);
     /// reshards mid-script rebuild from mixed states.
     #[test]

@@ -25,6 +25,7 @@
 //!   directory fsynced; old generations are pruned afterwards. A crash at
 //!   any point leaves a recoverable directory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;

@@ -12,7 +12,7 @@
 //!   hot paths, [`Metric`]'s four entry points (`distance`,
 //!   `distance_bounded`, `lower_bound_boxes`, `lower_bound_trajectory` —
 //!   one per (metric × mode), all on a pooled [`EdwpScratch`] under a
-//!   [`Cutoff`], the constant or shared-atomic pruning threshold) with
+//!   [`Cutoff`], the constant pruning threshold) with
 //!   the raw pooled DPs [`edwp_with_scratch`] / [`edwp_sub_with_scratch`]
 //!   beneath them; the [`TrajDistance`] trait and the paper's baselines
 //!   in [`baselines`]. The bound kernels
@@ -32,9 +32,10 @@
 //!   and `.collect_stats()` work counters, returning [`QueryResult`] /
 //!   [`BatchQueryResult`]. [`Session::insert`] streams new trajectories in
 //!   while concurrent readers keep a stable epoch ([`Snapshot`]);
-//! * lifecycle: [`Session::remove`] / [`Session::remove_batch`] tombstone
-//!   trajectories (immediately invisible, ids retired forever, space
-//!   reclaimed at the next fold/compaction) and [`Session::reshard`]
+//! * lifecycle: [`Session::remove`] / [`Session::remove_batch`] retire
+//!   trajectories (immediately invisible, ids retired forever; a
+//!   delta-buffer member is dropped at once, an indexed one is tombstoned
+//!   until the next compaction or reshard) and [`Session::reshard`]
 //!   rebalances the database across a new shard count online — held
 //!   snapshots keep answering from their epoch, and both operations ride
 //!   the write-ahead log on durable sessions;
@@ -56,6 +57,7 @@
 //! for the full retire-and-rebalance walkthrough (fleet → remove →
 //! reshard → reopen).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use traj_core::{
