@@ -158,12 +158,6 @@ impl BoxSeq {
         BoxSeq { boxes: out }
     }
 
-    /// The growth in total volume that merging `t` would cause — the
-    /// insertion criterion of Alg. 1 (line 11).
-    pub fn merge_volume_delta(&self, t: &Trajectory) -> f64 {
-        self.merge_trajectory(t).volume() - self.volume()
-    }
-
     /// Greedily unions adjacent boxes until at most `max` remain, choosing
     /// at each step the neighbouring pair whose union grows total volume
     /// least. Keeps tBoxSeqs bounded as more trajectories merge in (the
@@ -339,11 +333,7 @@ pub(crate) fn boxes_bounded_simd(
     soa.fill(seq.boxes());
     let mut sum = 0.0;
     for &(e, len) in pieces {
-        // Safety: this path is only dispatched to when AVX2 is available
-        // (runtime detection in `Isa`, or `force_isa` which refuses the
-        // request on unsupported CPUs).
-        let d2 =
-            unsafe { crate::simd::seg_min_dist_sq_avx2(soa, e.a.p.x, e.a.p.y, e.b.p.x, e.b.p.y) };
+        let d2 = crate::simd::seg_min_dist_sq(soa, e.a.p.x, e.a.p.y, e.b.p.x, e.b.p.y);
         sum += 2.0 * d2.sqrt() * len;
         if sum > cutoff.current() {
             return sum;
@@ -383,9 +373,9 @@ pub(crate) fn boxes_bounded_simd(
 ///
 /// The accumulation stops early once **every** candidate's running sum
 /// strictly exceeds `cutoff`; partial sums are admissible per candidate, so
-/// `out` is usable either way. Both dispatch paths compute the identical
-/// accumulation in the identical order and produce bitwise-equal sums
-/// (pinned by the property tests).
+/// `out` is usable either way.
+///
+/// Scalar on every dispatch path; [`crate::simd`] says why.
 pub fn edwp_lower_bound_aabb_batch(
     t: &Trajectory,
     children: &[StBox],
@@ -393,47 +383,10 @@ pub fn edwp_lower_bound_aabb_batch(
     scratch: &mut EdwpScratch,
     out: &mut Vec<f64>,
 ) {
-    aabb_batch_dispatch(
-        crate::simd::Isa::current(),
-        t,
-        children,
-        cutoff,
-        scratch,
-        out,
-    );
-}
-
-/// Dispatch-pinned body of [`edwp_lower_bound_aabb_batch`].
-pub(crate) fn aabb_batch_dispatch(
-    isa: crate::simd::Isa,
-    t: &Trajectory,
-    children: &[StBox],
-    cutoff: f64,
-    scratch: &mut EdwpScratch,
-    out: &mut Vec<f64>,
-) {
     out.clear();
-    if children.is_empty() {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if isa == crate::simd::Isa::Avx2 {
-        let (pieces, soa) = scratch.pieces_and_soa(t);
-        soa.fill(children);
-        out.resize(soa.padded_len(), 0.0);
-        // Safety: dispatched only when AVX2 is available (see
-        // `boxes_bounded_simd`); `out` was just sized to the SoA's padded
-        // length.
-        unsafe { crate::simd::aabb_batch_avx2(soa, pieces, cutoff, out) };
-        out.truncate(children.len());
-        return;
-    }
-    let _ = isa;
     out.resize(children.len(), 0.0);
     for &(e, len) in scratch.query_pieces(t) {
-        // Zero-length pieces contribute exactly zero to every sum; both
-        // paths skip them (in the AVX2 path a zero weight would turn the
-        // +inf padding lanes into NaN and disable the early exit).
+        // Zero-length pieces contribute exactly zero to every sum.
         if len == 0.0 {
             continue;
         }

@@ -72,10 +72,9 @@ pub struct EdwpScratch {
     /// lower-bound kernels (see [`EdwpScratch::set_query`]).
     query_segs: Vec<(Segment, f64)>,
     /// Structure-of-arrays mirror of the box sequence under evaluation,
-    /// rebuilt per bound call by the SIMD kernels (see [`crate::simd`]).
+    /// rebuilt per bound call by the SIMD box-bound kernel (see
+    /// [`crate::simd`]).
     box_soa: crate::simd::BoxSoa,
-    /// Per-row staging for the vectorised DP cell prologue.
-    prologue: crate::simd::DpPrologue,
 }
 
 impl EdwpScratch {
@@ -114,7 +113,7 @@ impl EdwpScratch {
 
     /// [`EdwpScratch::query_pieces`] plus the SoA mirror buffer, borrowed
     /// disjointly so a kernel can iterate the pieces while (re)filling the
-    /// mirror — the shape the SIMD bound kernels need.
+    /// mirror — the shape the SIMD box-bound kernel needs.
     pub(crate) fn pieces_and_soa(
         &mut self,
         t: &Trajectory,
@@ -301,7 +300,6 @@ pub(crate) fn run_dp(
         cur,
         nxt,
         anchor_cells,
-        prologue,
         ..
     } = scratch;
     cur.clear();
@@ -324,40 +322,9 @@ pub(crate) fn run_dp(
     let p = t1.points();
     let q = t2.points();
 
-    // With AVX2 dispatched, the kind-independent cell prologue (the two
-    // `ins` split projections and three head distances per `(i, j)` cell)
-    // is precomputed for a whole row at a time, four `j` lanes per
-    // iteration. The vector lanes replicate the scalar operation order
-    // exactly and the relax sweep below stays scalar, so reported
-    // distances are bitwise-unchanged by dispatch (see `crate::simd`).
-    let use_prepass = crate::simd::Isa::current() == crate::simd::Isa::Avx2 && m >= 2;
-    if use_prepass {
-        prologue.stage_query(q);
-    }
-
     for i in 0..n {
         let stamp = i as u32 + 1;
         let has_t1 = i + 1 < n;
-        #[cfg(target_arch = "x86_64")]
-        if use_prepass && has_t1 {
-            let a1 = p[i].p;
-            let e1 = p[i + 1].p;
-            let done = unsafe { prologue.fill_row_avx2(a1.x, a1.y, e1.x, e1.y) };
-            // Scalar tail (and any lane the vector loop could not start):
-            // the exact formulas the cell body uses below.
-            for j in done..m - 1 {
-                let e2 = q[j + 1].p;
-                let a2 = proj_on_seg1(t1, i, e2);
-                let b2 = proj_on_seg2(t2, j, e1);
-                prologue.a2x[j] = a2.x;
-                prologue.a2y[j] = a2.y;
-                prologue.b2x[j] = b2.x;
-                prologue.b2y[j] = b2.y;
-                prologue.d12[j] = e1.dist(e2);
-                prologue.a2e2[j] = a2.dist(e2);
-                prologue.e1b2[j] = e1.dist(b2);
-            }
-        }
         for j in 0..m {
             // A cell with no reachable kind relaxes nothing — skip it
             // before paying for split projections it would never use.
@@ -371,25 +338,16 @@ pub(crate) fn run_dp(
             // segment-head distances depend only on the cell, not on the
             // anchor kind the edit leaves from. Values are identical to the
             // per-kind recomputation, just computed once.
-            let (mut a2, mut b2) = (Point::new(0.0, 0.0), Point::new(0.0, 0.0));
-            let (mut d12, mut a2e2, mut e1b2) = (0.0, 0.0, 0.0);
-            if both {
-                if use_prepass {
-                    a2 = Point::new(prologue.a2x[j], prologue.a2y[j]);
-                    b2 = Point::new(prologue.b2x[j], prologue.b2y[j]);
-                    d12 = prologue.d12[j];
-                    a2e2 = prologue.a2e2[j];
-                    e1b2 = prologue.e1b2[j];
-                } else {
-                    let e1 = p[i + 1].p;
-                    let e2 = q[j + 1].p;
-                    a2 = proj_on_seg1(t1, i, e2);
-                    b2 = proj_on_seg2(t2, j, e1);
-                    d12 = e1.dist(e2);
-                    a2e2 = a2.dist(e2);
-                    e1b2 = e1.dist(b2);
-                }
-            }
+            let (a2, b2, d12, a2e2, e1b2) = if both {
+                let e1 = p[i + 1].p;
+                let e2 = q[j + 1].p;
+                let a2 = proj_on_seg1(t1, i, e2);
+                let b2 = proj_on_seg2(t2, j, e1);
+                (a2, b2, e1.dist(e2), a2.dist(e2), e1.dist(b2))
+            } else {
+                let origin = Point::new(0.0, 0.0);
+                (origin, origin, 0.0, 0.0, 0.0)
+            };
             for k in KINDS {
                 let base = cur[j][k as usize];
                 if !base.is_finite() {

@@ -33,13 +33,19 @@
 //! paper: DTW, LCSS, ERP, EDR, DISSIM and MA, all behind the common
 //! [`TrajDistance`] trait so the experiment harness can sweep over them.
 //!
-//! The bound kernels and the DP cell prologue are vectorised (4-wide AVX2)
-//! behind a runtime dispatch — see the [`simd`] module for the dispatch
-//! model ([`Isa`], [`simd::force_isa`], the `TRAJ_FORCE_SCALAR`
-//! environment variable) and for why bound values may differ between
-//! dispatch paths while reported distances and query results cannot.
+//! One kernel is vectorised: the segment-to-box minimum inside
+//! [`edwp_lower_bound_boxes_bounded`] runs 4-wide AVX2 behind a runtime
+//! dispatch — see the [`simd`] module for the dispatch model ([`Isa`],
+//! [`simd::force_isa`], the `TRAJ_FORCE_SCALAR` environment variable) and
+//! for why box-bound values may differ between dispatch paths while
+//! reported distances and query results cannot. The exact DP and every
+//! other kernel have a single scalar path. Entering that kernel is the
+//! only step the compiler cannot prove sound; the lint attributes below
+//! require a `// SAFETY:` argument on every such step.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod baselines;
 pub mod boxes;

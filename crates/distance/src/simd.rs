@@ -1,9 +1,9 @@
-//! Runtime-dispatched SIMD kernels for the bound-evaluation hot path.
+//! Runtime-dispatched SIMD for the one kernel where it pays: the
+//! segment-to-box minimum inside the Theorem 2 box bound
+//! ([`crate::edwp_lower_bound_boxes_bounded`]).
 //!
-//! Every query the engine answers bottoms out in two scalar-`f64` loops:
-//! the Theorem 2 box-bound accumulation in [`crate::boxes`] and the exact
-//! EDwP dynamic program in `edwp`. This module vectorises both with 4-wide
-//! AVX2 (`core::arch::x86_64`), behind a runtime dispatch:
+//! That kernel runs 4-wide AVX2 (`core::arch::x86_64`), four boxes per
+//! iteration, behind a runtime dispatch:
 //!
 //! * [`Isa::current`] resolves once per process to [`Isa::Avx2`] when the
 //!   CPU supports it (`is_x86_feature_detected!`) and the
@@ -13,46 +13,46 @@
 //! * [`force_isa`] overrides the cached resolution programmatically — the
 //!   hook tests and benchmarks use to exercise both paths in one process.
 //!
+//! Nothing else reads the dispatch. The exact EDwP dynamic program and the
+//! batched child prescreen ([`crate::edwp_lower_bound_aabb_batch`]) are
+//! scalar only: both once had AVX2 twins that replicated the scalar
+//! operation order bit for bit, and neither twin paid end to end, so they
+//! were deleted.
+//!
 //! # Exactness posture
 //!
-//! The **scalar** dispatch path is bit-for-bit today's pre-SIMD code. The
-//! **vectorised box bounds** are *not* required to be bitwise-equal to the
-//! scalar bounds: index exactness rests only on admissibility (every bound
+//! The vectorised box bound is *not* required to be bitwise-equal to the
+//! scalar bound: index exactness rests only on admissibility (every bound
 //! is a true lower bound of the metric distance), which holds for both
 //! paths independently and is pinned by the proptests in
-//! `tests/simd_properties.rs`. The AVX2 segment-to-box kernel in fact
-//! computes the same minimum through a different exact decomposition —
-//! `0` when a vectorised Liang–Barsky clip finds an intersection, else the
-//! minimum over both segment-endpoint-to-box distances and all four
-//! box-corner-to-segment distances (for disjoint convex sets the minimum
-//! distance is attained at a vertex of one of them) — so the two paths
-//! agree to rounding, not to the bit.
-//!
-//! The **DP prologue** prepass (`DpPrologue`) is different: it feeds the
-//! exact distance, so its vector lanes replicate the scalar operation
-//! order exactly (IEEE add/sub/mul/div/sqrt are correctly rounded per
-//! lane, and no FMA contraction is emitted from explicit intrinsics).
-//! Reported distances are therefore bitwise-unchanged under either
-//! dispatch. (Clamped projection parameters can differ in the *sign of
-//! zero* between `vmaxpd` and scalar `clamp`; every consumer squares a
-//! difference, where `±0` are indistinguishable.)
+//! `tests/simd_properties.rs`. The AVX2 kernel computes the same minimum
+//! through a different exact decomposition — `0` when a vectorised
+//! Liang–Barsky clip finds an intersection, else the minimum over both
+//! segment-endpoint-to-box distances and all four box-corner-to-segment
+//! distances (for disjoint convex sets the minimum distance is attained at
+//! a vertex of one of them) — so the two paths agree to rounding, not to
+//! the bit. Reported distances never depend on dispatch.
 //!
 //! # NaN and padding discipline
 //!
 //! Structure-of-arrays buffers (`BoxSoa`) pad the tail to a full 4-lane
-//! block with all-`+inf` boxes. Padded lanes flow through the kernels as
+//! block with all-`+inf` boxes. Padded lanes flow through the kernel as
 //! distance `+inf` (never selected by a `min`) thanks to one invariant:
 //! `vmaxpd`/`vminpd` return their **second** operand when either input is
 //! NaN, so every clamp is written `min(max(x, 0), 1)` with the constant
 //! second — a NaN produced by `inf · 0` inside a padded lane collapses to
 //! `0` and the lane's distance stays `+inf` instead of poisoning the
 //! block.
+//!
+//! The kernel reads its lanes as whole `[f64; 4]` blocks of safe slices,
+//! so the one precondition the compiler cannot check is the CPU feature
+//! itself; `seg_min_dist_sq` asserts it before entering the kernel.
 
 use crate::boxes::BoxSeq;
 use crate::cutoff::Cutoff;
 use crate::edwp::EdwpScratch;
 use std::sync::atomic::{AtomicU8, Ordering};
-use traj_core::{StBox, StPoint, Trajectory};
+use traj_core::{StBox, Trajectory};
 
 /// Vector width of the AVX2 kernels (four `f64` lanes).
 pub(crate) const LANES: usize = 4;
@@ -126,8 +126,8 @@ fn resolve() -> Isa {
 /// This is the programmatic twin of the `TRAJ_FORCE_SCALAR` environment
 /// variable, intended for tests, benchmarks and operational canarying. The
 /// override is global and takes effect on the *next* kernel call; flipping
-/// it mid-query keeps results exact (both paths are admissible and the
-/// exact DP is bitwise path-independent) but makes work counters
+/// it mid-query keeps results exact (both box-bound paths are admissible,
+/// and nothing else reads the dispatch) but makes work counters
 /// non-reproducible, so flip it between queries, not during.
 pub fn force_isa(isa: Isa) -> bool {
     if isa == Isa::Avx2 && Isa::available() != Isa::Avx2 {
@@ -138,7 +138,7 @@ pub fn force_isa(isa: Isa) -> bool {
 }
 
 /// Structure-of-arrays mirror of a box sequence: the `x`/`y` extents of
-/// each box in four parallel, `+inf`-padded arrays so the AVX2 kernels can
+/// each box in four parallel, `+inf`-padded arrays so the AVX2 kernel can
 /// load four boxes per iteration. Pooled inside [`EdwpScratch`] and
 /// rebuilt lazily per kernel call (per node visit in the index), so a warm
 /// scratch fills it without allocating.
@@ -153,7 +153,7 @@ pub(crate) struct BoxSoa {
 impl BoxSoa {
     /// Mirrors `boxes` into the SoA buffers, padding the tail to a full
     /// lane block with all-`+inf` boxes (see the module docs for why that
-    /// padding is inert in every kernel).
+    /// padding is inert in the kernel).
     pub(crate) fn fill(&mut self, boxes: &[StBox]) {
         let padded = boxes.len().div_ceil(LANES) * LANES;
         self.xlo.clear();
@@ -174,177 +174,40 @@ impl BoxSoa {
         }
     }
 
-    /// Number of lanes including padding (a multiple of [`LANES`]).
-    #[inline]
-    pub(crate) fn padded_len(&self) -> usize {
-        self.xlo.len()
+    /// The padding invariant [`BoxSoa::fill`] establishes: four arrays of
+    /// one length, a whole number of lane blocks.
+    fn is_padded(&self) -> bool {
+        let n = self.xlo.len();
+        n.is_multiple_of(LANES) && self.xhi.len() == n && self.ylo.len() == n && self.yhi.len() == n
     }
 }
 
-/// Caller-pooled arrays for the kind-independent cell prologue of the EDwP
-/// DP: per-`j` staging of `t2`'s coordinates plus the per-row projection
-/// and head-distance arrays the relax sweep reads. Lives in
-/// [`EdwpScratch`]; see `run_dp` for the fill/consume protocol.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DpPrologue {
-    /// `x` coordinates of `t2`'s points, staged for contiguous vector loads.
-    pub(crate) qx: Vec<f64>,
-    /// `y` coordinates of `t2`'s points.
-    pub(crate) qy: Vec<f64>,
-    /// `proj(q_{j+1}, seg1_i)` — the `ins`-into-`T1` split anchor.
-    pub(crate) a2x: Vec<f64>,
-    /// `y` of the same.
-    pub(crate) a2y: Vec<f64>,
-    /// `proj(p_{i+1}, seg2_j)` — the `ins`-into-`T2` split anchor.
-    pub(crate) b2x: Vec<f64>,
-    /// `y` of the same.
-    pub(crate) b2y: Vec<f64>,
-    /// `dist(p_{i+1}, q_{j+1})` — the rep head distance.
-    pub(crate) d12: Vec<f64>,
-    /// `dist(a2, q_{j+1})`.
-    pub(crate) a2e2: Vec<f64>,
-    /// `dist(p_{i+1}, b2)`.
-    pub(crate) e1b2: Vec<f64>,
+/// The one entry to [`seg_min_dist_sq_avx2`]: asserts that the CPU has
+/// AVX2 (a cached flag read; dispatch only routes here when it does, so the
+/// assert never fires) and, in debug builds, the SoA padding invariant:
+/// the kernel reads whole lane blocks only, so an unpadded tail would be
+/// skipped.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn seg_min_dist_sq(soa: &BoxSoa, ax: f64, ay: f64, bx: f64, by: f64) -> f64 {
+    debug_assert!(soa.is_padded(), "BoxSoa lanes are not padded to a block");
+    assert!(
+        std::arch::is_x86_feature_detected!("avx2"),
+        "AVX2 kernel entered on a CPU without AVX2"
+    );
+    // SAFETY: `seg_min_dist_sq_avx2` is a safe function compiled for the
+    // `avx2` target feature; calling it is sound exactly when the CPU
+    // supports AVX2, which the assert above has just established.
+    unsafe { seg_min_dist_sq_avx2(soa, ax, ay, bx, by) }
 }
 
-impl DpPrologue {
-    /// Stages `t2`'s coordinates and sizes the per-row arrays for `m`
-    /// points. Allocation-free once the buffers have grown to the largest
-    /// `m` seen.
-    pub(crate) fn stage_query(&mut self, q: &[StPoint]) {
-        let m = q.len();
-        self.qx.clear();
-        self.qy.clear();
-        for s in q {
-            self.qx.push(s.p.x);
-            self.qy.push(s.p.y);
-        }
-        for v in [
-            &mut self.a2x,
-            &mut self.a2y,
-            &mut self.b2x,
-            &mut self.b2y,
-            &mut self.d12,
-            &mut self.a2e2,
-            &mut self.e1b2,
-        ] {
-            v.clear();
-            v.resize(m, 0.0);
-        }
-    }
-
-    /// Fills the per-row arrays for `j` in full 4-lane blocks of
-    /// `0..m - 1`, given row `i`'s segment of `t1` (`a1 → b1`; note
-    /// `e1 = p[i+1] = b1`). Returns the first `j` **not** filled — the
-    /// caller completes the tail with the scalar formulas.
-    ///
-    /// Every lane replicates the scalar operation order of
-    /// `Segment::project` + `Point::lerp` + `Point::dist` exactly (no
-    /// FMA), so the filled values match a scalar fill bitwise up to the
-    /// sign of zero in clamped parameters — which every consumer squares
-    /// away. See the module docs.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by dispatch: only called when
-    /// [`Isa::current`] is [`Isa::Avx2`]) and a prior
-    /// [`DpPrologue::stage_query`] with `m` points.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn fill_row_avx2(&mut self, a1x: f64, a1y: f64, b1x: f64, b1y: f64) -> usize {
-        use core::arch::x86_64::*;
-
-        let m = self.qx.len();
-        if m < 2 {
-            return 0;
-        }
-        // seg1 direction and squared length, exactly as Segment::project
-        // computes them (d = b - a; len_sq = d.dot(d)).
-        let d1x = b1x - a1x;
-        let d1y = b1y - a1y;
-        let len1sq = d1x * d1x + d1y * d1y;
-        let e1x = b1x;
-        let e1y = b1y;
-
-        let va1x = _mm256_set1_pd(a1x);
-        let va1y = _mm256_set1_pd(a1y);
-        let vd1x = _mm256_set1_pd(d1x);
-        let vd1y = _mm256_set1_pd(d1y);
-        let vlen1sq = _mm256_set1_pd(len1sq);
-        let ve1x = _mm256_set1_pd(e1x);
-        let ve1y = _mm256_set1_pd(e1y);
-        let zeros = _mm256_setzero_pd();
-        let ones = _mm256_set1_pd(1.0);
-
-        let qx = self.qx.as_ptr();
-        let qy = self.qy.as_ptr();
-        let mut j = 0usize;
-        // Full blocks only: lanes j..j+3 read q[j..j+4] (the shifted
-        // "next point" load), so the last started lane needs j + 4 < m.
-        while j + LANES < m {
-            // e2 = q[j+1] per lane; (ax, ay) = q[j] per lane.
-            let e2x = _mm256_loadu_pd(qx.add(j + 1));
-            let e2y = _mm256_loadu_pd(qy.add(j + 1));
-            let ax = _mm256_loadu_pd(qx.add(j));
-            let ay = _mm256_loadu_pd(qy.add(j));
-
-            // a2 = proj(e2, seg1): t = clamp(((e2 - a1) · d1) / len1sq).
-            let (a2x, a2y) = if len1sq > 0.0 {
-                let rx = _mm256_sub_pd(e2x, va1x);
-                let ry = _mm256_sub_pd(e2y, va1y);
-                let dot = _mm256_add_pd(_mm256_mul_pd(rx, vd1x), _mm256_mul_pd(ry, vd1y));
-                let t = _mm256_min_pd(_mm256_max_pd(_mm256_div_pd(dot, vlen1sq), zeros), ones);
-                (
-                    _mm256_add_pd(va1x, _mm256_mul_pd(vd1x, t)),
-                    _mm256_add_pd(va1y, _mm256_mul_pd(vd1y, t)),
-                )
-            } else {
-                // Degenerate seg1: the projection parameter is 0, the
-                // anchor is a1 (lerp at t = 0 adds an exact zero term).
-                (va1x, va1y)
-            };
-
-            // b2 = proj(e1, seg2_j) with seg2 = q[j] → q[j+1], lane-wise
-            // degenerate handling (len2sq == 0 ⇒ t = 0 ⇒ anchor q[j]).
-            let s2x = _mm256_sub_pd(e2x, ax);
-            let s2y = _mm256_sub_pd(e2y, ay);
-            let len2sq = _mm256_add_pd(_mm256_mul_pd(s2x, s2x), _mm256_mul_pd(s2y, s2y));
-            let rx = _mm256_sub_pd(ve1x, ax);
-            let ry = _mm256_sub_pd(ve1y, ay);
-            let dot2 = _mm256_add_pd(_mm256_mul_pd(rx, s2x), _mm256_mul_pd(ry, s2y));
-            // The division may produce NaN/inf in degenerate lanes; the
-            // NaN-safe clamp collapses those to a finite value and the
-            // blend below discards them anyway.
-            let traw = _mm256_div_pd(dot2, len2sq);
-            let tcl = _mm256_min_pd(_mm256_max_pd(traw, zeros), ones);
-            let tpos = _mm256_cmp_pd::<_CMP_GT_OQ>(len2sq, zeros);
-            let t2 = _mm256_blendv_pd(zeros, tcl, tpos);
-            let b2x = _mm256_add_pd(ax, _mm256_mul_pd(s2x, t2));
-            let b2y = _mm256_add_pd(ay, _mm256_mul_pd(s2y, t2));
-
-            // The three head distances (each `(Δx² + Δy²).sqrt()`, the
-            // exact Point::dist order: self − other).
-            let dx = _mm256_sub_pd(ve1x, e2x);
-            let dy = _mm256_sub_pd(ve1y, e2y);
-            let d12 = _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-            let dx = _mm256_sub_pd(a2x, e2x);
-            let dy = _mm256_sub_pd(a2y, e2y);
-            let a2e2 = _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-            let dx = _mm256_sub_pd(ve1x, b2x);
-            let dy = _mm256_sub_pd(ve1y, b2y);
-            let e1b2 = _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-
-            _mm256_storeu_pd(self.a2x.as_mut_ptr().add(j), a2x);
-            _mm256_storeu_pd(self.a2y.as_mut_ptr().add(j), a2y);
-            _mm256_storeu_pd(self.b2x.as_mut_ptr().add(j), b2x);
-            _mm256_storeu_pd(self.b2y.as_mut_ptr().add(j), b2y);
-            _mm256_storeu_pd(self.d12.as_mut_ptr().add(j), d12);
-            _mm256_storeu_pd(self.a2e2.as_mut_ptr().add(j), a2e2);
-            _mm256_storeu_pd(self.e1b2.as_mut_ptr().add(j), e1b2);
-            j += LANES;
-        }
-        j
-    }
+/// One lane block as a vector; the four element reads compile to one
+/// unaligned vector load.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn lanes(l: &[f64; LANES]) -> core::arch::x86_64::__m256d {
+    core::arch::x86_64::_mm256_set_pd(l[3], l[2], l[1], l[0])
 }
 
 /// Minimum **squared** distance from segment `(ax, ay) → (bx, by)` to the
@@ -358,13 +221,10 @@ impl DpPrologue {
 /// at a vertex of one of them, so this decomposition is exact, not a
 /// bound.
 ///
-/// # Safety
-///
-/// Requires AVX2; guaranteed by dispatch (only reached when
-/// [`Isa::current`] resolved to [`Isa::Avx2`]).
+/// Entered only through [`seg_min_dist_sq`], which checks for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn seg_min_dist_sq_avx2(soa: &BoxSoa, ax: f64, ay: f64, bx: f64, by: f64) -> f64 {
+fn seg_min_dist_sq_avx2(soa: &BoxSoa, ax: f64, ay: f64, bx: f64, by: f64) -> f64 {
     use core::arch::x86_64::*;
 
     let dx = bx - ax;
@@ -396,14 +256,13 @@ pub(crate) unsafe fn seg_min_dist_sq_avx2(soa: &BoxSoa, ax: f64, ay: f64, bx: f6
     let deg_y = dy.abs() < f64::EPSILON;
 
     let mut best2 = f64::INFINITY;
-    let n = soa.padded_len();
-    let mut i = 0usize;
-    while i < n {
-        let xlo = _mm256_loadu_pd(soa.xlo.as_ptr().add(i));
-        let xhi = _mm256_loadu_pd(soa.xhi.as_ptr().add(i));
-        let ylo = _mm256_loadu_pd(soa.ylo.as_ptr().add(i));
-        let yhi = _mm256_loadu_pd(soa.yhi.as_ptr().add(i));
-        i += LANES;
+    // Whole lane blocks only: padding leaves no remainder to drop.
+    let blocks = (soa.xlo.as_chunks::<LANES>().0.iter())
+        .zip(soa.xhi.as_chunks::<LANES>().0)
+        .zip(soa.ylo.as_chunks::<LANES>().0)
+        .zip(soa.yhi.as_chunks::<LANES>().0);
+    for (((xlo, xhi), ylo), yhi) in blocks {
+        let (xlo, xhi, ylo, yhi) = (lanes(xlo), lanes(xhi), lanes(ylo), lanes(yhi));
 
         // AABB prescreen: a block where no lane can beat the running
         // minimum is skipped whole (compared squared, no sqrt). Padded
@@ -513,76 +372,6 @@ pub(crate) unsafe fn seg_min_dist_sq_avx2(soa: &BoxSoa, ax: f64, ay: f64, bx: f6
     best2
 }
 
-/// The AVX2 body of the batched AABB prescreen
-/// ([`crate::edwp_lower_bound_aabb_batch`]): accumulates, for every child
-/// box (lane), `Σ_e 2 · len(e) · aabb_dist(bbox(e), child)` over the query
-/// pieces, writing per-lane running sums into `out` (length padded to a
-/// lane multiple, pre-zeroed). Stops early once **every** lane's sum
-/// strictly exceeds `cutoff` (partial sums are admissible per lane).
-///
-/// The accumulation order (per segment, then per lane) and every operation
-/// match the scalar body exactly, so both dispatch paths produce bitwise
-/// identical sums.
-///
-/// # Safety
-///
-/// Requires AVX2; `out.len()` must equal `soa.padded_len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn aabb_batch_avx2(
-    soa: &BoxSoa,
-    pieces: &[(traj_core::Segment, f64)],
-    cutoff: f64,
-    out: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-
-    debug_assert_eq!(out.len(), soa.padded_len());
-    let zeros = _mm256_setzero_pd();
-    let vcut = _mm256_set1_pd(cutoff);
-    for &(e, len) in pieces {
-        // Matches the scalar body: zero-length pieces contribute exactly
-        // zero, and a zero weight would turn the +inf padding lanes into
-        // NaN (0 · inf) and permanently disable the all-over early exit.
-        if len == 0.0 {
-            continue;
-        }
-        let (ax, ay) = (e.a.p.x, e.a.p.y);
-        let (bx, by) = (e.b.p.x, e.b.p.y);
-        let (sxlo, sxhi) = if ax <= bx { (ax, bx) } else { (bx, ax) };
-        let (sylo, syhi) = if ay <= by { (ay, by) } else { (by, ay) };
-        let vsxlo = _mm256_set1_pd(sxlo);
-        let vsxhi = _mm256_set1_pd(sxhi);
-        let vsylo = _mm256_set1_pd(sylo);
-        let vsyhi = _mm256_set1_pd(syhi);
-        let w = _mm256_set1_pd(2.0 * len);
-        let mut all_over = true;
-        let mut i = 0usize;
-        while i < out.len() {
-            let xlo = _mm256_loadu_pd(soa.xlo.as_ptr().add(i));
-            let xhi = _mm256_loadu_pd(soa.xhi.as_ptr().add(i));
-            let ylo = _mm256_loadu_pd(soa.ylo.as_ptr().add(i));
-            let yhi = _mm256_loadu_pd(soa.yhi.as_ptr().add(i));
-            let dx = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(xlo, vsxhi), _mm256_sub_pd(vsxlo, xhi)),
-                zeros,
-            );
-            let dy = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(ylo, vsyhi), _mm256_sub_pd(vsylo, yhi)),
-                zeros,
-            );
-            let d = _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-            let sums = _mm256_add_pd(_mm256_loadu_pd(out.as_ptr().add(i)), _mm256_mul_pd(w, d));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), sums);
-            all_over &= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(sums, vcut)) == 0b1111;
-            i += LANES;
-        }
-        if all_over {
-            return;
-        }
-    }
-}
-
 /// [`crate::edwp_lower_bound_boxes_bounded`] on an explicitly chosen
 /// dispatch path, regardless of [`Isa::current`]. Race-free alternative to
 /// [`force_isa`] for comparing paths in one process (benchmarks, the
@@ -595,29 +384,17 @@ pub fn edwp_lower_bound_boxes_bounded_isa(
     cutoff: Cutoff<'_>,
     scratch: &mut EdwpScratch,
 ) -> f64 {
-    match isa {
-        Isa::Scalar => crate::boxes::boxes_bounded_scalar(t, seq, cutoff, scratch),
-        Isa::Avx2 => crate::boxes::boxes_bounded_simd(t, seq, cutoff, scratch),
+    if isa == Isa::Avx2 && Isa::available() == Isa::Avx2 {
+        crate::boxes::boxes_bounded_simd(t, seq, cutoff, scratch)
+    } else {
+        crate::boxes::boxes_bounded_scalar(t, seq, cutoff, scratch)
     }
-}
-
-/// [`crate::edwp_lower_bound_aabb_batch`] on an explicit dispatch path
-/// (see [`edwp_lower_bound_boxes_bounded_isa`] for when to prefer this
-/// over [`force_isa`]). Both paths produce bitwise identical sums.
-pub fn edwp_lower_bound_aabb_batch_isa(
-    isa: Isa,
-    t: &Trajectory,
-    children: &[StBox],
-    cutoff: f64,
-    scratch: &mut EdwpScratch,
-    out: &mut Vec<f64>,
-) {
-    crate::boxes::aabb_batch_dispatch(isa, t, children, cutoff, scratch, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traj_core::StPoint;
 
     #[test]
     fn dispatch_resolves_and_is_sticky() {
@@ -659,11 +436,11 @@ mod tests {
             })
             .collect();
         soa.fill(&boxes);
-        assert_eq!(soa.padded_len(), 8);
+        assert_eq!(soa.xlo.len(), 8);
         assert_eq!(soa.xlo[4], 4.0);
         assert!(soa.xlo[5..].iter().all(|v| v.is_infinite()));
         // Refill with fewer boxes shrinks the logical view.
         soa.fill(&boxes[..2]);
-        assert_eq!(soa.padded_len(), 4);
+        assert_eq!(soa.xlo.len(), 4);
     }
 }

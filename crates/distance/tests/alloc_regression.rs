@@ -12,10 +12,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use traj_dist::{
-    edwp, edwp_avg, edwp_bounded, edwp_lower_bound_boxes, edwp_lower_bound_boxes_bounded,
-    edwp_lower_bound_trajectory, edwp_lower_bound_trajectory_bounded, edwp_sub, edwp_sub_avg,
-    edwp_sub_bounded, edwp_sub_with_scratch, edwp_with_scratch, BoxSeq, Cutoff, EdwpScratch, Isa,
-    Metric, QueryMode,
+    edwp, edwp_avg, edwp_bounded, edwp_lower_bound_aabb_batch, edwp_lower_bound_boxes,
+    edwp_lower_bound_boxes_bounded, edwp_lower_bound_trajectory,
+    edwp_lower_bound_trajectory_bounded, edwp_sub, edwp_sub_avg, edwp_sub_bounded,
+    edwp_sub_with_scratch, edwp_with_scratch, BoxSeq, Cutoff, EdwpScratch, Isa, Metric, QueryMode,
 };
 
 const METRICS: [Metric; 2] = [Metric::Edwp, Metric::EdwpNormalized];
@@ -120,11 +120,11 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
     );
     assert!(sum.is_finite());
 
-    // The SIMD dispatch layer pools its structure-of-arrays mirrors
-    // (`BoxSoa`, the DP prologue rows, the prescreen sums) in the same
-    // scratch: once warmed, *both* dispatch paths — and the batched AABB
-    // prescreen — must stay allocation-free too. Each path is pinned via
-    // the explicit-ISA entries so the test is independent of what
+    // The box bound's structure-of-arrays mirror (`BoxSoa`) is pooled in
+    // the same scratch and the batched AABB prescreen reuses the caller's
+    // sums: once warmed, *both* box-bound dispatch paths and the prescreen
+    // must stay allocation-free too. Each path is pinned via the
+    // explicit-ISA entry so the test is independent of what
     // `Isa::current()` resolved to (and of `TRAJ_FORCE_SCALAR`).
     let isas: &[Isa] = if Isa::available() == Isa::Avx2 {
         &[Isa::Scalar, Isa::Avx2]
@@ -134,17 +134,10 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
     let children: Vec<traj_core::StBox> = seq.boxes().to_vec();
     let mut sums: Vec<f64> = Vec::new();
     for &isa in isas {
-        // Warm-up grows the SoA mirrors to this problem size.
+        // Warm-up grows the SoA mirror to this problem size.
         traj_dist::simd::edwp_lower_bound_boxes_bounded_isa(isa, &t1, &seq, open, &mut scratch);
-        traj_dist::simd::edwp_lower_bound_aabb_batch_isa(
-            isa,
-            &t1,
-            &children,
-            f64::INFINITY,
-            &mut scratch,
-            &mut sums,
-        );
     }
+    edwp_lower_bound_aabb_batch(&t1, &children, f64::INFINITY, &mut scratch, &mut sums);
     let (acc, simd_allocs) = counting(|| {
         let mut acc = 0.0;
         for _ in 0..8 {
@@ -163,16 +156,9 @@ fn scratch_kernels_are_allocation_free_after_warmup() {
                     0.0.into(),
                     &mut scratch,
                 );
-                traj_dist::simd::edwp_lower_bound_aabb_batch_isa(
-                    isa,
-                    &t1,
-                    &children,
-                    f64::INFINITY,
-                    &mut scratch,
-                    &mut sums,
-                );
-                acc += sums.iter().sum::<f64>();
             }
+            edwp_lower_bound_aabb_batch(&t1, &children, f64::INFINITY, &mut scratch, &mut sums);
+            acc += sums.iter().sum::<f64>();
         }
         acc
     });

@@ -170,6 +170,10 @@ fn own_sequence_alignment_is_free() {
     let a = t(&[(0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (7.0, 1.0)]);
     let seq = BoxSeq::from_trajectory(&a);
     assert_eq!(seq.merge_trajectory(&a), seq);
-    assert!(approx_eq(seq.merge_volume_delta(&a), 0.0));
+    // Alg. 1's insertion criterion (line 11): the volume the merge adds.
+    assert!(approx_eq(
+        seq.merge_trajectory(&a).volume() - seq.volume(),
+        0.0
+    ));
     assert!(approx_eq(edwp_lower_bound_boxes(&a, &seq), 0.0));
 }

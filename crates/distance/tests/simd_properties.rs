@@ -1,8 +1,8 @@
 //! Property-based tests for the SIMD dispatch layer.
 //!
-//! The vectorised box-bound kernels are *not* required to be bitwise
-//! equal to the scalar path — exactness of the query engine rests on
-//! admissibility (Theorem 2), not on any particular rounding of the
+//! The one vectorised kernel, the box bound, is *not* required to be
+//! bitwise equal to the scalar path — exactness of the query engine rests
+//! on admissibility (Theorem 2), not on any particular rounding of the
 //! bound. These properties pin exactly that contract on both paths:
 //!
 //! * **admissibility** — the bound never exceeds `edwp` / `edwp_sub`,
@@ -11,24 +11,27 @@
 //! * **agreement** — scalar and AVX2 agree to a documented relative
 //!   tolerance of `1e-9 · (1 + |scalar|)` (the paths reassociate the
 //!   same correctly-rounded IEEE operations, so divergence is a few
-//!   ULPs, never structural);
+//!   ULPs, never structural), and both answer `+inf` for an empty
+//!   sequence;
 //! * **cutoff contract** — `_bounded` bails only strictly above the
 //!   cutoff, and whenever the returned value is ≤ the cutoff it is
 //!   bit-for-bit the full bound — on either path;
-//! * **batched AABB prescreen** — scalar and AVX2 are bitwise
-//!   *identical* (same op order by construction) and each per-child sum
+//! * **batched AABB prescreen** (scalar only) — each child's sum is
+//!   bitwise identical whether it is swept alone or among siblings, and
 //!   is itself admissible against the exact box bound.
 //!
-//! Every property pins its ISA through the explicit `_isa` entry points,
+//! Members have 2..=10 points, so bulk sequences span 1..=9 boxes: every
+//! remainder modulo the 4-lane width, in the first and the second lane
+//! block of the AVX2 kernel.
+//!
+//! Every property pins its ISA through the explicit `_isa` entry point,
 //! so the suite is deterministic regardless of what the process-global
 //! dispatch resolved to (and of `TRAJ_FORCE_SCALAR`).
 
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
-use traj_dist::simd::{
-    edwp_lower_bound_aabb_batch_isa, edwp_lower_bound_boxes_bounded_isa, force_isa,
-};
-use traj_dist::{edwp, edwp_sub, BoxSeq, Cutoff, EdwpScratch, Isa};
+use traj_dist::simd::{edwp_lower_bound_boxes_bounded_isa, force_isa};
+use traj_dist::{edwp, edwp_lower_bound_aabb_batch, edwp_sub, BoxSeq, Cutoff, EdwpScratch, Isa};
 
 /// Strategy: a random trajectory with `n` points in a 100×100 box and
 /// unit-spaced timestamps.
@@ -72,7 +75,7 @@ proptest! {
     #[test]
     fn box_bound_is_admissible_on_every_isa(
         q in trajectory(2, 8),
-        member in trajectory(2, 8),
+        member in trajectory(2, 10),
         other in trajectory(2, 6),
     ) {
         let mut scratch = EdwpScratch::new();
@@ -95,25 +98,32 @@ proptest! {
     #[test]
     fn scalar_and_simd_agree_to_documented_tolerance(
         q in trajectory(2, 8),
-        member in trajectory(2, 8),
+        member in trajectory(2, 10),
         other in trajectory(2, 6),
     ) {
         if Isa::available() != Isa::Avx2 {
             return Ok(());
         }
         let mut scratch = EdwpScratch::new();
-        for seq in seq_variants(&member, &other) {
+        let mut seqs = seq_variants(&member, &other);
+        seqs.push(BoxSeq::from_boxes(Vec::new()));
+        for seq in seqs {
             let s = full_bound(Isa::Scalar, &q, &seq, &mut scratch);
             let v = full_bound(Isa::Avx2, &q, &seq, &mut scratch);
-            prop_assert!((s - v).abs() <= 1e-9 * (1.0 + s.abs()),
-                "scalar {s} vs avx2 {v} diverge beyond tolerance");
+            if seq.is_empty() {
+                prop_assert!(s == f64::INFINITY && v == f64::INFINITY,
+                    "empty sequence: scalar {s}, avx2 {v}");
+            } else {
+                prop_assert!((s - v).abs() <= 1e-9 * (1.0 + s.abs()),
+                    "scalar {s} vs avx2 {v} diverge beyond tolerance");
+            }
         }
     }
 
     #[test]
     fn bounded_cutoff_contract_holds_on_every_isa(
         q in trajectory(2, 8),
-        member in trajectory(2, 8),
+        member in trajectory(2, 10),
         frac in 0.0..1.5f64,
     ) {
         let mut scratch = EdwpScratch::new();
@@ -144,27 +154,24 @@ proptest! {
     #[test]
     fn aabb_batch_is_bitwise_identical_and_admissible(
         q in trajectory(2, 8),
-        member in trajectory(3, 8),
+        member in trajectory(2, 10),
     ) {
         let mut scratch = EdwpScratch::new();
         let seq = BoxSeq::from_trajectory(&member);
         let children = seq.boxes().to_vec();
-        let mut scalar_sums = Vec::new();
-        edwp_lower_bound_aabb_batch_isa(
-            Isa::Scalar, &q, &children, f64::INFINITY, &mut scratch, &mut scalar_sums);
-        prop_assert_eq!(scalar_sums.len(), children.len());
-        if Isa::available() == Isa::Avx2 {
-            let mut simd_sums = Vec::new();
-            edwp_lower_bound_aabb_batch_isa(
-                Isa::Avx2, &q, &children, f64::INFINITY, &mut scratch, &mut simd_sums);
-            // Same op order by construction: the two paths are *bitwise*
-            // equal, not merely close.
-            prop_assert_eq!(&scalar_sums, &simd_sums);
-        }
-        // Each child's prescreen sum relaxes the exact box bound over
-        // the single-box sequence holding just that child (box `i` of a
-        // bulk sequence is exactly segment `i`'s tight box).
-        for (i, &pre) in scalar_sums.iter().enumerate() {
+        let mut sums = Vec::new();
+        edwp_lower_bound_aabb_batch(&q, &children, f64::INFINITY, &mut scratch, &mut sums);
+        prop_assert_eq!(sums.len(), children.len());
+        let mut alone = Vec::new();
+        for (i, &pre) in sums.iter().enumerate() {
+            // Lanes are independent: a child swept on its own gets the
+            // *bitwise* same sum as in the batch, whatever its position.
+            edwp_lower_bound_aabb_batch(
+                &q, &children[i..=i], f64::INFINITY, &mut scratch, &mut alone);
+            prop_assert_eq!(alone.as_slice(), &[pre][..]);
+            // And it relaxes the exact box bound over the single-box
+            // sequence holding just that child (box `i` of a bulk
+            // sequence is exactly segment `i`'s tight box).
             let single = BoxSeq::from_trajectory(&member.sub_trajectory(i, i + 1));
             prop_assert_eq!(single.boxes(), &children[i..=i]);
             for &isa in isas() {
@@ -176,10 +183,10 @@ proptest! {
     }
 }
 
-/// The DP prologue must leave reported distances bitwise unchanged: the
-/// AVX2 lanes replicate the exact scalar operation order, so `edwp` (and
-/// with it every query result) is identical whichever path ran. Pinned
-/// here by flipping the process-global dispatch around the same input.
+/// The exact DP reads no dispatch: `edwp` and `edwp_sub` (and with them
+/// every query result) are bitwise identical whichever path is live.
+/// Pinned here by flipping the process-global dispatch around the same
+/// input.
 #[test]
 fn edwp_dp_is_bitwise_identical_across_dispatch() {
     if Isa::available() != Isa::Avx2 {

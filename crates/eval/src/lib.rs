@@ -85,8 +85,10 @@ impl PruningSummary {
         }
     }
 
-    /// Summarises an already-merged aggregate (e.g. the stats returned by
-    /// `TrajTree::batch_knn`), whose counters cover `stats.queries` queries.
+    /// Summarises an already-merged aggregate (e.g. the stats a batch
+    /// query returns under
+    /// [`BatchQueryBuilder::collect_stats`](traj_index::BatchQueryBuilder::collect_stats)),
+    /// whose counters cover `stats.queries` queries.
     pub fn from_aggregate(stats: &QueryStats) -> Self {
         PruningSummary {
             queries: stats.queries,

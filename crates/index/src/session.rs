@@ -631,12 +631,14 @@ impl Session {
         &self.config
     }
 
-    /// The instruction-set path the distance kernels execute on
+    /// The instruction-set path the box-bound kernel executes on
     /// (`"scalar"` / `"avx2"`) — runtime CPU detection, the
     /// `TRAJ_FORCE_SCALAR` environment variable and
     /// [`traj_dist::simd::force_isa`] all feed into this one process-wide
-    /// resolution, so operational logs can record which kernels actually
-    /// ran. Results are exact on every path; only speed differs.
+    /// resolution, so operational logs can record which kernel actually
+    /// ran. Only the box bound's segment-to-box minimum is vectorised; the
+    /// exact DP and every other kernel run one scalar path. Results are
+    /// exact on every path; only speed differs.
     pub fn kernel_isa(&self) -> &'static str {
         traj_dist::Isa::current().name()
     }

@@ -15,8 +15,8 @@
 //!   [`Cutoff`], the constant pruning threshold) with
 //!   the raw pooled DPs [`edwp_with_scratch`] / [`edwp_sub_with_scratch`]
 //!   beneath them; the [`TrajDistance`] trait and the paper's baselines
-//!   in [`baselines`]. The bound kernels
-//!   run on runtime-dispatched SIMD ([`Isa`], [`force_isa`], the
+//!   in [`baselines`]. The box-sequence bound
+//!   runs on runtime-dispatched SIMD ([`Isa`], [`force_isa`], the
 //!   `TRAJ_FORCE_SCALAR` environment variable) with a scalar fallback —
 //!   results are exact on either path;
 //! * the query surface: a sharded [`Session`] (built via
