@@ -101,12 +101,6 @@ impl Segment {
         (Segment::new(self.a, p), Segment::new(p, self.b))
     }
 
-    /// Midpoint of the segment (parametric 0.5).
-    #[inline]
-    pub fn midpoint(&self) -> StPoint {
-        self.point_at(0.5)
-    }
-
     /// `true` when the two segments intersect (including touching).
     pub fn intersects(&self, other: &Segment) -> bool {
         fn orient(a: Point, b: Point, c: Point) -> f64 {

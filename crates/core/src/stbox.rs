@@ -73,13 +73,6 @@ impl StBox {
         p.x >= self.lo.x && p.x <= self.hi.x && p.y >= self.lo.y && p.y <= self.hi.y
     }
 
-    /// `true` when `e`'s endpoints both lie inside (convexity then implies
-    /// the whole segment does).
-    #[inline]
-    pub fn contains_segment(&self, e: &Segment) -> bool {
-        self.contains_point(e.a.p) && self.contains_point(e.b.p)
-    }
-
     /// The point of the box closest to `q` — the generalised *projection*
     /// `p^{ins(b, s)}` of Sec. IV-A. Equals `q` itself when `q` is inside.
     #[inline]

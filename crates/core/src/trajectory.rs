@@ -171,11 +171,6 @@ impl Trajectory {
             e.a.p.lerp(e.b.p, (t - e.a.t) / dur)
         }
     }
-
-    /// Consumes the trajectory, returning its points.
-    pub fn into_points(self) -> Vec<StPoint> {
-        self.points
-    }
 }
 
 #[cfg(test)]

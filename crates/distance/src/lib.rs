@@ -138,6 +138,22 @@ impl Metric {
         }
     }
 
+    /// Lifts a `threshold` in this metric's scale back to raw
+    /// (cumulative-EDwP) scale — the inverse of [`Metric::normalise`], for
+    /// a raw kernel's early exit. The raw metric passes it through; Eq. 4
+    /// multiplies a finite threshold by `denom()` (evaluated only then) and
+    /// keeps an infinite one infinite. A larger `denom()` gives a looser
+    /// raw threshold, so lifting by an upper bound on the true denominator
+    /// never stops a kernel early that the true one would not.
+    #[inline]
+    pub fn raw_threshold(self, threshold: f64, denom: impl FnOnce() -> f64) -> f64 {
+        match self {
+            Metric::Edwp => threshold,
+            Metric::EdwpNormalized if threshold.is_finite() => threshold * denom(),
+            Metric::EdwpNormalized => f64::INFINITY,
+        }
+    }
+
     /// Runs one raw kernel under this metric: the raw metric hands
     /// `cutoff` straight through; the normalised metric lifts it into raw
     /// space by `denom()` and normalises

@@ -470,20 +470,9 @@ pub(crate) fn best_first<C: Collector>(
                             // scale with the loosest denominator among the
                             // children (any cutoff is sound; this one stops
                             // only when every child is provably prunable).
-                            let sweep_cutoff = match metric {
-                                Metric::Edwp => thr,
-                                Metric::EdwpNormalized => {
-                                    if thr.is_finite() {
-                                        let widest = children
-                                            .iter()
-                                            .map(|c| c.max_len())
-                                            .fold(0.0, f64::max);
-                                        thr * (qlen + widest)
-                                    } else {
-                                        f64::INFINITY
-                                    }
-                                }
-                            };
+                            let sweep_cutoff = metric.raw_threshold(thr, || {
+                                qlen + children.iter().map(|c| c.max_len()).fold(0.0, f64::max)
+                            });
                             edwp_lower_bound_aabb_batch(
                                 query,
                                 &child_boxes,

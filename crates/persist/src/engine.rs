@@ -10,9 +10,9 @@
 
 use crate::error::PersistError;
 use crate::snapshot::{
-    load_snapshot, parse_generation, snapshot_file_name, sync_dir, write_snapshot,
+    check_sections, load_snapshot, parse_generation, snapshot_file_name, write_snapshot,
 };
-use crate::wal::{replay_wal, wal_file_name, FsyncPolicy, WalRecord, WalWriter};
+use crate::wal::{replay_wal, wal_file_name, FsyncPolicy, WalRecord, WalReplay, WalWriter};
 use std::fs;
 use std::path::{Path, PathBuf};
 use traj_core::{TrajId, Trajectory};
@@ -94,59 +94,54 @@ impl StorageEngine {
     /// Opens (or initialises) the database in `dir`, returning the engine
     /// and everything recovery found.
     ///
-    /// * An empty or missing directory is initialised: generation 0 gets
-    ///   an empty single-shard snapshot and an empty WAL.
-    /// * Otherwise the newest snapshot that fully verifies wins; its WAL
-    ///   is replayed (typed records applied in order) and truncated at the
-    ///   first torn or corrupt record. A WAL that is missing (crash
-    ///   between snapshot rename and WAL creation) or torn within its
-    ///   header (crash during creation, when no record can exist yet) is
-    ///   replaced by a fresh empty one.
-    /// * If snapshots exist but none verifies — corrupt, or stamped with a
-    ///   format version other than [`crate::FORMAT_VERSION`] — opening
-    ///   fails with [`PersistError::NoUsableSnapshot`]; a WAL of another
-    ///   version under a valid snapshot fails with
-    ///   [`PersistError::UnsupportedVersion`]. Silently starting empty
-    ///   would be data loss.
+    /// * An empty or missing directory is initialised as generation 0: an
+    ///   empty single-shard snapshot, whose WAL recovery then creates like
+    ///   any other missing log.
+    /// * The newest snapshot that fully verifies wins; its WAL is replayed
+    ///   (typed records applied in order) and truncated at the first torn
+    ///   or corrupt record. A WAL that is missing (crash between snapshot
+    ///   rename and WAL creation) or torn within its header (crash during
+    ///   creation, when no record can exist yet) is replaced by a fresh
+    ///   empty one.
+    /// * A snapshot that fails verification — corrupt, or stamped with a
+    ///   format version other than [`crate::FORMAT_VERSION`] — is skipped
+    ///   for an older generation only while its own WAL provably holds no
+    ///   record; otherwise, or when no snapshot verifies, opening fails
+    ///   with [`PersistError::NoUsableSnapshot`]. A WAL of another version
+    ///   under a valid snapshot fails with
+    ///   [`PersistError::UnsupportedVersion`]. Silently starting empty, or
+    ///   from a generation that misses acknowledged writes, would be data
+    ///   loss.
     pub fn open(dir: &Path, cfg: DurabilityConfig) -> Result<(Recovered, Self), PersistError> {
         fs::create_dir_all(dir)?;
         let mut generations = snapshot_generations(dir)?;
         if generations.is_empty() {
             write_snapshot(dir, 0, &[Vec::new()], 0)?;
-            let wal = WalWriter::create(dir, 0, 0, cfg.fsync)?;
-            sync_dir(dir)?;
-            return Ok((
-                Recovered {
-                    trajs: Vec::new(),
-                    snapshot_shards: 1,
-                    next_id: 0,
-                    wal_records: 0,
-                    wal_tail_error: None,
-                },
-                StorageEngine {
-                    dir: dir.to_path_buf(),
-                    cfg,
-                    generation: 0,
-                    live: 0,
-                    next_id: 0,
-                    wal,
-                },
-            ));
+            generations.push(0);
         }
 
         generations.sort_unstable_by(|a, b| b.cmp(a)); // newest first
-        let mut last_err: Option<PersistError> = None;
+        let mut newest_err: Option<PersistError> = None;
         for &generation in &generations {
+            let wal_path = dir.join(wal_file_name(generation));
             let contents = match load_snapshot(&dir.join(snapshot_file_name(generation))) {
                 Ok(c) => c,
                 Err(e) => {
                     // Keep the error from the *newest* candidate — that is
-                    // the one whose failure explains the fallback.
-                    last_err.get_or_insert(e);
-                    continue;
+                    // the one whose failure explains the refusal.
+                    newest_err.get_or_insert(e);
+                    // Skipping a log that holds records would drop
+                    // acknowledged writes, and the next compaction would
+                    // recreate that log over them.
+                    let log_is_empty = read_log(&wal_path)
+                        .is_ok_and(|log| log.is_none_or(|replay| replay.records.is_empty()));
+                    if log_is_empty {
+                        continue;
+                    }
+                    break;
                 }
             };
-            let snapshot_shards = contents.sections.len();
+            let mut layout = contents.sections.len();
             // Ascending per section with pairwise-distinct residues, so a
             // plain merge-by-id reconstructs global order.
             let mut trajs: Vec<(TrajId, Trajectory)> =
@@ -154,11 +149,9 @@ impl StorageEngine {
             trajs.sort_unstable_by_key(|&(gid, _)| gid);
             let base_live = trajs.len() as u64;
             let mut next_id = contents.next_id;
-            let mut layout = snapshot_shards;
 
-            let wal_path = dir.join(wal_file_name(generation));
-            let (wal, wal_records, wal_tail_error) = match replay_wal(&wal_path) {
-                Ok(replay) => {
+            let (wal, wal_records, wal_tail_error) = match read_log(&wal_path)? {
+                Some(replay) => {
                     if replay.base_count != base_live {
                         return Err(PersistError::StateMismatch {
                             detail: format!(
@@ -176,23 +169,11 @@ impl StorageEngine {
                         WalWriter::reopen(&wal_path, replay.valid_len, records, cfg.fsync)?;
                     (writer, records, replay.tail_error)
                 }
-                // Crash between snapshot rename and WAL creation (no
-                // file), or torn during creation (the header never
-                // finished, so no record was ever appended): start the
-                // generation's log afresh.
-                Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => (
+                None => (
                     WalWriter::create(dir, generation, base_live, cfg.fsync)?,
                     0,
                     None,
                 ),
-                Err(PersistError::Truncated {
-                    what: "wal header", ..
-                }) => (
-                    WalWriter::create(dir, generation, base_live, cfg.fsync)?,
-                    0,
-                    None,
-                ),
-                Err(e) => return Err(e),
             };
             let engine = StorageEngine {
                 dir: dir.to_path_buf(),
@@ -215,7 +196,7 @@ impl StorageEngine {
         }
         Err(PersistError::NoUsableSnapshot {
             dir: dir.to_path_buf(),
-            cause: Box::new(last_err.expect("non-empty generation list implies an error")),
+            cause: Box::new(newest_err.expect("every way out of the loop records an error")),
         })
     }
 
@@ -227,10 +208,7 @@ impl StorageEngine {
     /// [`PersistError::WalPoisoned`] until the directory is reopened or
     /// compacted, so nothing is ever acknowledged behind a failed write.
     pub fn append(&mut self, t: &Trajectory) -> Result<(), PersistError> {
-        self.wal.append_insert(t)?;
-        self.live += 1;
-        self.next_id += 1;
-        Ok(())
+        self.append_group(std::slice::from_ref(t))
     }
 
     /// Appends a whole batch of inserts to the WAL as one group:
@@ -311,11 +289,6 @@ impl StorageEngine {
         self.generation
     }
 
-    /// The database directory this engine owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The engine's durability configuration.
     pub fn config(&self) -> &DurabilityConfig {
         &self.cfg
@@ -370,35 +343,11 @@ impl StorageEngine {
                 ),
             });
         }
-        let n = shards.len();
-        for (s, section) in shards.iter().enumerate() {
-            let mut prev: Option<TrajId> = None;
-            for &(gid, _) in section {
-                if gid as usize % n != s || gid as u64 >= self.next_id {
-                    return Err(PersistError::StateMismatch {
-                        detail: format!(
-                            "compaction handed id {gid} to section {s} of {n} \
-                             (watermark {})",
-                            self.next_id
-                        ),
-                    });
-                }
-                if prev.is_some_and(|p| p >= gid) {
-                    return Err(PersistError::StateMismatch {
-                        detail: format!("compaction section {s} ids are not ascending at {gid}"),
-                    });
-                }
-                prev = Some(gid);
-            }
-        }
+        check_sections(shards, self.next_id)?;
         let next = self.generation + 1;
-        let swap = || -> Result<WalWriter, PersistError> {
-            write_snapshot(&self.dir, next, shards, self.next_id)?;
-            let wal = WalWriter::create(&self.dir, next, total, self.cfg.fsync)?;
-            sync_dir(&self.dir)?;
-            Ok(wal)
-        };
-        let mut wal = swap().inspect_err(|_| self.wal.poison())?;
+        let mut wal = write_snapshot(&self.dir, next, shards, self.next_id)
+            .and_then(|_| WalWriter::create(&self.dir, next, total, self.cfg.fsync))
+            .inspect_err(|_| self.wal.poison())?;
         wal.fsyncs = self.wal.fsyncs;
         self.generation = next;
         self.live = total;
@@ -465,6 +414,21 @@ fn apply_record(
         }
     }
     Ok(())
+}
+
+/// Replays the WAL at `path`, or `None` when the log provably never held a
+/// record: the file is missing (crash between snapshot rename and WAL
+/// creation) or torn inside its header (crash during creation — the header
+/// is fsynced before any append).
+fn read_log(path: &Path) -> Result<Option<WalReplay>, PersistError> {
+    match replay_wal(path) {
+        Ok(replay) => Ok(Some(replay)),
+        Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(PersistError::Truncated {
+            what: "wal header", ..
+        }) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 /// Generation numbers of every `snapshot-*.snap` in `dir`.
@@ -813,6 +777,43 @@ mod tests {
         let (rec, engine) = StorageEngine::open(dir.path(), cfg()).expect("fallback open");
         assert_eq!(engine.generation(), 0);
         assert!(rec.trajs.is_empty(), "fell back to the older snapshot");
+    }
+
+    #[test]
+    fn no_fallback_past_a_log_that_holds_records() {
+        let dir = TempDir::new("engine-fallback-guard");
+        let (_, mut engine) = StorageEngine::open(dir.path(), cfg()).expect("open");
+        engine.append(&traj(0.0)).expect("append");
+        // Generation 0's files as a crash between the compaction's rename
+        // and its prune leaves them.
+        let gen0: Vec<(PathBuf, Vec<u8>)> = [snapshot_file_name(0), wal_file_name(0)]
+            .into_iter()
+            .map(|name| dir.path().join(name))
+            .map(|path| (path.clone(), fs::read(&path).unwrap()))
+            .collect();
+        let live = vec![(0u32, traj(0.0))];
+        engine
+            .compact(&deal_sections(&live, 1))
+            .expect("compact to gen 1");
+        engine.append(&traj(1.0)).expect("acknowledged into wal 1");
+        drop(engine);
+        for (path, bytes) in gen0 {
+            fs::write(path, bytes).unwrap();
+        }
+        let g1 = dir.path().join(snapshot_file_name(1));
+        let mut bytes = fs::read(&g1).unwrap();
+        let len = bytes.len();
+        bytes[len - 10] ^= 0xFF;
+        fs::write(&g1, &bytes).unwrap();
+
+        // Generation 0 verifies, but recovering it would drop the insert
+        // acknowledged into generation 1's log.
+        match StorageEngine::open(dir.path(), cfg()) {
+            Err(PersistError::NoUsableSnapshot { cause, .. }) => {
+                assert!(matches!(*cause, PersistError::Checksum { .. }), "{cause:?}");
+            }
+            other => panic!("expected NoUsableSnapshot, got {other:?}"),
+        }
     }
 
     #[test]

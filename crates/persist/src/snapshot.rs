@@ -27,8 +27,10 @@
 //! trajectory decodes, the section counts sum to the declared total, and
 //! every id respects the section/ordering/watermark rules — anything less
 //! (including any format version other than the current one) surfaces a
-//! typed [`PersistError`] and the loader moves on to an older generation
-//! (or refuses to open). Loading never panics on untrusted bytes.
+//! typed [`PersistError`], and recovery either moves on to an older
+//! generation or refuses to open (see
+//! [`StorageEngine::open`](crate::StorageEngine::open)). Loading never
+//! panics on untrusted bytes.
 //!
 //! Trees are **not** serialized: on open the TrajTree of every shard is
 //! rebuilt from the recovered trajectories (deterministic STR bulk-load +
@@ -39,7 +41,7 @@
 
 use crate::crc::crc32;
 use crate::error::PersistError;
-use crate::FORMAT_VERSION;
+use crate::{read_header, write_header};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -105,21 +107,13 @@ fn encode_snapshot(shards: &[Vec<(TrajId, &Trajectory)>], next_id: u64) -> Vec<u
             t.encode_into(&mut body);
         }
     }
-
-    let mut file = Vec::with_capacity(SNAPSHOT_HEADER_LEN + body.len() + 4);
-    file.extend_from_slice(&SNAPSHOT_MAGIC);
-    put_u32(&mut file, FORMAT_VERSION);
-    put_u32(&mut file, shards.len() as u32);
-    put_u64(&mut file, total);
-    put_u64(&mut file, next_id);
-    put_u64(&mut file, body.len() as u64);
-    let header_crc = crc32(&file);
-    put_u32(&mut file, header_crc);
-    debug_assert_eq!(file.len(), SNAPSHOT_HEADER_LEN);
-    let body_crc = crc32(&body);
-    file.extend_from_slice(&body);
-    put_u32(&mut file, body_crc);
-    file
+    let header = write_header(&SNAPSHOT_MAGIC, |h| {
+        put_u32(h, shards.len() as u32);
+        put_u64(h, total);
+        put_u64(h, next_id);
+        put_u64(h, body.len() as u64);
+    });
+    [&header[..], &body, &crc32(&body).to_le_bytes()].concat()
 }
 
 /// Writes the snapshot for `generation` atomically: the bytes go to a
@@ -152,52 +146,16 @@ pub fn write_snapshot(
 /// and never a partial result.
 pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
     let bytes = fs::read(path)?;
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return Err(PersistError::Truncated {
-            what: "snapshot header",
-            needed: SNAPSHOT_HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    let (header, rest) = bytes.split_at(SNAPSHOT_HEADER_LEN);
-    let mut r = ByteReader::new(header);
-    let magic: [u8; 8] = r.bytes(8).expect("header length checked")[..8]
-        .try_into()
-        .expect("8-byte slice");
-    if magic != SNAPSHOT_MAGIC {
-        return Err(PersistError::BadMagic {
-            what: "snapshot",
-            found: magic,
-        });
-    }
-    // Checked before the header CRC: another revision's header has another
-    // layout, so its checksum would not sit where this one's does.
-    let version = r.u32().expect("header length checked");
-    if version != FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            what: "snapshot",
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let shard_count = r.u32().expect("header length checked");
-    let total = r.u64().expect("header length checked");
-    let next_id = r.u64().expect("header length checked");
-    let body_len = r.u64().expect("header length checked");
-    let stored_header_crc = r.u32().expect("header length checked");
-    let computed_header_crc = crc32(&header[..SNAPSHOT_HEADER_LEN - 4]);
-    if stored_header_crc != computed_header_crc {
-        return Err(PersistError::Checksum {
-            what: "snapshot header",
-            stored: stored_header_crc,
-            computed: computed_header_crc,
-        });
-    }
-    if shard_count == 0 {
-        return Err(PersistError::StateMismatch {
-            detail: "snapshot declares 0 shards".into(),
-        });
-    }
+    let (mut r, rest) = read_header(
+        &bytes,
+        &SNAPSHOT_MAGIC,
+        SNAPSHOT_HEADER_LEN,
+        "snapshot header",
+    )?;
+    let shard_count = r.u32()?;
+    let total = r.u64()?;
+    let next_id = r.u64()?;
+    let body_len = r.u64()?;
 
     let needed = body_len.checked_add(4).ok_or(PersistError::StateMismatch {
         detail: format!("snapshot body length {body_len} overflows"),
@@ -227,31 +185,42 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotContents, PersistError> {
             detail: format!("header declares {total} trajectories, sections hold {seen}"),
         });
     }
-    // The id discipline the router and replay rely on: ascending per
-    // section, residue matches the section, nothing at or above the
-    // watermark.
-    for (s, section) in sections.iter().enumerate() {
-        let mut prev: Option<TrajId> = None;
-        for &(gid, _) in section {
-            if gid as usize % shard_count as usize != s {
+    check_sections(&sections, next_id)?;
+    Ok(SnapshotContents { sections, next_id })
+}
+
+/// The id discipline of a snapshot's sections, which the router and replay
+/// rely on: at least one section, and in section `s` of `n` every id is
+/// `≡ s (mod n)`, strictly above its predecessor and below the `next_id`
+/// watermark. Checked on load and, before any byte is written, on the
+/// sections a compaction hands over.
+pub(crate) fn check_sections<T>(
+    sections: &[Vec<(TrajId, T)>],
+    next_id: u64,
+) -> Result<(), PersistError> {
+    let n = sections.len() as u64;
+    if n == 0 {
+        return Err(PersistError::StateMismatch {
+            detail: "a snapshot needs at least one section".into(),
+        });
+    }
+    for (s, section) in (0..).zip(sections) {
+        // Smallest id the next entry may carry.
+        let mut floor = 0;
+        for (gid, _) in section {
+            let gid = u64::from(*gid);
+            if gid % n != s || gid < floor || gid >= next_id {
                 return Err(PersistError::StateMismatch {
-                    detail: format!("global id {gid} cannot live in section {s} of {shard_count}"),
+                    detail: format!(
+                        "id {gid} breaks section {s} of {n}: ids ascend, are \
+                         {s} mod {n} and stay below the watermark {next_id}"
+                    ),
                 });
             }
-            if prev.is_some_and(|p| p >= gid) {
-                return Err(PersistError::StateMismatch {
-                    detail: format!("section {s} global ids are not strictly ascending at {gid}"),
-                });
-            }
-            if gid as u64 >= next_id {
-                return Err(PersistError::StateMismatch {
-                    detail: format!("global id {gid} is at or above the id watermark {next_id}"),
-                });
-            }
-            prev = Some(gid);
+            floor = gid + 1;
         }
     }
-    Ok(SnapshotContents { sections, next_id })
+    Ok(())
 }
 
 /// Bytes every entry consumes before its points: `u32` id + `u64` count.
@@ -287,6 +256,7 @@ fn decode_sections(
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+    use crate::FORMAT_VERSION;
 
     fn traj(x: f64) -> Trajectory {
         Trajectory::from_xy(&[(x, 0.0), (x + 1.0, 1.0)])

@@ -30,9 +30,10 @@
 
 use crate::crc::crc32;
 use crate::error::PersistError;
-use crate::FORMAT_VERSION;
+use crate::snapshot::sync_dir;
+use crate::{read_header, write_header};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use traj_core::codec::{put_u32, put_u64, ByteReader};
 use traj_core::{TrajId, Trajectory};
@@ -107,7 +108,6 @@ pub(crate) struct WalWriter {
     /// state: compaction carries it over to the next generation's writer.
     pub(crate) fsyncs: u64,
     policy: FsyncPolicy,
-    scratch: Vec<u8>,
     /// Latched by the first failed write or fsync (see [`WalWriter::io`])
     /// or by a failed compaction ([`WalWriter::poison`]).
     poisoned: bool,
@@ -115,34 +115,22 @@ pub(crate) struct WalWriter {
 
 impl WalWriter {
     /// Creates a fresh WAL for `generation` with the given base count,
-    /// overwriting any existing file of that name. The header is written
-    /// and fsynced up front regardless of policy: records must never land
-    /// in a file whose header could still vanish.
+    /// overwriting any existing file of that name. The header and the
+    /// directory entry are fsynced up front regardless of policy: records
+    /// must never land in a file whose header — or name — could still
+    /// vanish.
     pub(crate) fn create(
         dir: &Path,
         generation: u64,
         base_count: u64,
         policy: FsyncPolicy,
     ) -> Result<Self, PersistError> {
-        let path = dir.join(wal_file_name(generation));
-        let mut header = Vec::with_capacity(WAL_HEADER_LEN);
-        header.extend_from_slice(&WAL_MAGIC);
-        put_u32(&mut header, FORMAT_VERSION);
-        put_u64(&mut header, base_count);
-        let crc = crc32(&header);
-        put_u32(&mut header, crc);
-        let mut file = File::create(&path)?;
+        let header = write_header(&WAL_MAGIC, |h| put_u64(h, base_count));
+        let mut file = File::create(dir.join(wal_file_name(generation)))?;
         file.write_all(&header)?;
         file.sync_all()?;
-        Ok(WalWriter {
-            file,
-            records: 0,
-            unsynced: 0,
-            fsyncs: 0,
-            policy,
-            scratch: Vec::new(),
-            poisoned: false,
-        })
+        sync_dir(dir)?;
+        Ok(Self::at_end(file, 0, policy))
     }
 
     /// Reopens an existing WAL for appending after replay: truncates the
@@ -154,28 +142,22 @@ impl WalWriter {
         records: u64,
         policy: FsyncPolicy,
     ) -> Result<Self, PersistError> {
-        let file = OpenOptions::new().write(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
-        // `append` mode positions at the (new) end on every write; but a
-        // plain write handle after set_len needs an explicit seek.
-        let mut file = file;
-        std::io::Seek::seek(&mut file, std::io::SeekFrom::Start(valid_len))?;
-        Ok(WalWriter {
+        file.seek(SeekFrom::Start(valid_len))?;
+        Ok(Self::at_end(file, records, policy))
+    }
+
+    /// A writer over `file`, positioned at its end after `records` records.
+    fn at_end(file: File, records: u64, policy: FsyncPolicy) -> Self {
+        WalWriter {
             file,
             records,
             unsynced: 0,
             fsyncs: 0,
             policy,
-            scratch: Vec::new(),
             poisoned: false,
-        })
-    }
-
-    /// Appends one framed insert record and applies the fsync policy. On
-    /// `Err` nothing is logically appended and the writer is poisoned
-    /// (see [`WalWriter::io`]).
-    pub(crate) fn append_insert(&mut self, t: &Trajectory) -> Result<(), PersistError> {
-        self.append_inserts(std::slice::from_ref(t))
+        }
     }
 
     /// Appends a whole batch of inserts as one **group**: every record is
@@ -192,57 +174,43 @@ impl WalWriter {
     /// the first torn frame. On `Err` nothing is logically appended and the
     /// writer is poisoned (see [`WalWriter::io`]).
     pub(crate) fn append_inserts(&mut self, batch: &[Trajectory]) -> Result<(), PersistError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut group = Vec::new();
-        for t in batch {
-            self.scratch.clear();
-            self.scratch.push(KIND_INSERT);
-            t.encode_into(&mut self.scratch);
-            put_u32(&mut group, self.scratch.len() as u32);
-            put_u32(&mut group, crc32(&self.scratch));
-            group.extend_from_slice(&self.scratch);
-        }
-        self.commit_group(&group, batch.len() as u64)
+        self.append_group(KIND_INSERT, batch, Trajectory::encode_into)
     }
 
     /// Appends one tombstone record per id as one group commit — deletes
     /// batch exactly like inserts: one buffered write, one application of
     /// the fsync policy.
     pub(crate) fn append_tombstones(&mut self, ids: &[TrajId]) -> Result<(), PersistError> {
-        if ids.is_empty() {
-            return Ok(());
-        }
-        let mut group = Vec::with_capacity(ids.len() * (WAL_FRAME_LEN + 5));
-        for &id in ids {
-            let mut payload = [0u8; 5];
-            payload[0] = KIND_TOMBSTONE;
-            payload[1..].copy_from_slice(&id.to_le_bytes());
-            put_u32(&mut group, payload.len() as u32);
-            put_u32(&mut group, crc32(&payload));
-            group.extend_from_slice(&payload);
-        }
-        self.commit_group(&group, ids.len() as u64)
+        self.append_group(KIND_TOMBSTONE, ids, |&id, p| put_u32(p, id))
     }
 
     /// Appends one reshard record declaring the new shard count.
     pub(crate) fn append_reshard(&mut self, shards: u32) -> Result<(), PersistError> {
-        let mut payload = [0u8; 5];
-        payload[0] = KIND_RESHARD;
-        payload[1..].copy_from_slice(&shards.to_le_bytes());
-        let mut group = Vec::with_capacity(WAL_FRAME_LEN + 5);
-        put_u32(&mut group, payload.len() as u32);
-        put_u32(&mut group, crc32(&payload));
-        group.extend_from_slice(&payload);
-        self.commit_group(&group, 1)
+        self.append_group(KIND_RESHARD, &[shards], |&n, p| put_u32(p, n))
     }
 
-    /// Writes an already-framed run of `n` records and applies the fsync
-    /// policy once. The counters move only after every I/O step succeeded,
-    /// so on `Err` they still describe the acknowledged records.
-    fn commit_group(&mut self, group: &[u8], n: u64) -> Result<(), PersistError> {
-        self.io(|file| file.write_all(group))?;
+    /// Frames one `kind` record per item (`body` encodes what follows the
+    /// kind byte), writes the run with one `write_all` and applies the
+    /// fsync policy once. The counters move only after every I/O step
+    /// succeeded, so on `Err` they still describe the acknowledged records.
+    fn append_group<T>(
+        &mut self,
+        kind: u8,
+        items: &[T],
+        body: impl Fn(&T, &mut Vec<u8>),
+    ) -> Result<(), PersistError> {
+        if items.is_empty() {
+            return Ok(());
+        }
+        let mut group = Vec::new();
+        for item in items {
+            push_frame(&mut group, |p| {
+                p.push(kind);
+                body(item, p);
+            });
+        }
+        self.io(|file| file.write_all(&group))?;
+        let n = items.len() as u64;
         let unsynced = self.unsynced.saturating_add(n as u32);
         match self.policy {
             FsyncPolicy::Always => self.sync()?,
@@ -297,6 +265,19 @@ impl WalWriter {
     pub(crate) fn records(&self) -> u64 {
         self.records
     }
+}
+
+/// Appends one record frame to `group` — payload length, payload CRC-32,
+/// payload — where `payload` writes the payload in place. The only place
+/// frame bytes are assembled.
+fn push_frame(group: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = group.len();
+    group.extend_from_slice(&[0; WAL_FRAME_LEN]);
+    payload(group);
+    let written = &group[start + WAL_FRAME_LEN..];
+    let (len, crc) = (written.len() as u32, crc32(written));
+    group[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    group[start + 4..start + WAL_FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The outcome of scanning a WAL: the decoded records of the valid prefix,
@@ -368,42 +349,8 @@ fn decode_record(payload: &[u8], index: usize) -> Result<WalRecord, PersistError
 /// error: that is a writer bug, never a torn write.
 pub fn replay_wal(path: &Path) -> Result<WalReplay, PersistError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < WAL_HEADER_LEN {
-        return Err(PersistError::Truncated {
-            what: "wal header",
-            needed: WAL_HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    let (header, body) = bytes.split_at(WAL_HEADER_LEN);
-    let mut r = ByteReader::new(header);
-    let magic: [u8; 8] = r.bytes(8).expect("header length checked")[..8]
-        .try_into()
-        .expect("8-byte slice");
-    if magic != WAL_MAGIC {
-        return Err(PersistError::BadMagic {
-            what: "wal",
-            found: magic,
-        });
-    }
-    let version = r.u32().expect("header length checked");
-    if version != FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            what: "wal",
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let base_count = r.u64().expect("header length checked");
-    let stored_crc = r.u32().expect("header length checked");
-    let computed_crc = crc32(&header[..WAL_HEADER_LEN - 4]);
-    if stored_crc != computed_crc {
-        return Err(PersistError::Checksum {
-            what: "wal header",
-            stored: stored_crc,
-            computed: computed_crc,
-        });
-    }
+    let (mut r, body) = read_header(&bytes, &WAL_MAGIC, WAL_HEADER_LEN, "wal header")?;
+    let base_count = r.u64()?;
 
     let mut records = Vec::new();
     let mut offset = 0usize; // into `body`
@@ -454,6 +401,7 @@ pub fn replay_wal(path: &Path) -> Result<WalReplay, PersistError> {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+    use crate::FORMAT_VERSION;
 
     fn traj(x: f64) -> Trajectory {
         Trajectory::from_xy(&[(x, 0.0), (x + 1.0, 1.0), (x + 2.0, 0.5)])
@@ -469,7 +417,7 @@ mod tests {
         let mut w = WalWriter::create(dir.path(), 0, 5, FsyncPolicy::Always).expect("create");
         let trajs: Vec<Trajectory> = (0..4).map(|i| traj(i as f64)).collect();
         for t in &trajs {
-            w.append_insert(t).expect("append");
+            w.append_inserts(std::slice::from_ref(t)).expect("append");
         }
         assert_eq!(w.records(), 4);
         let path = dir.path().join(wal_file_name(0));
@@ -485,10 +433,10 @@ mod tests {
     fn typed_records_round_trip_in_order() {
         let dir = TempDir::new("wal-typed");
         let mut w = WalWriter::create(dir.path(), 0, 3, FsyncPolicy::Always).expect("create");
-        w.append_insert(&traj(0.0)).expect("insert");
+        w.append_inserts(&[traj(0.0)]).expect("insert");
         w.append_tombstones(&[1, 3]).expect("tombstones");
         w.append_reshard(4).expect("reshard");
-        w.append_insert(&traj(1.0)).expect("insert");
+        w.append_inserts(&[traj(1.0)]).expect("insert");
         assert_eq!(w.records(), 5);
         let path = dir.path().join(wal_file_name(0));
         drop(w);
@@ -512,7 +460,9 @@ mod tests {
         let trajs: Vec<Trajectory> = (0..5).map(|i| traj(i as f64)).collect();
         let mut singles = WalWriter::create(dir.path(), 0, 0, FsyncPolicy::Always).expect("create");
         for t in &trajs {
-            singles.append_insert(t).expect("append");
+            singles
+                .append_inserts(std::slice::from_ref(t))
+                .expect("append");
         }
         let mut grouped = WalWriter::create(dir.path(), 1, 0, FsyncPolicy::Always).expect("create");
         grouped.append_inserts(&trajs).expect("group append");
@@ -558,9 +508,10 @@ mod tests {
     fn every_n_policy_clamps_zero() {
         let dir = TempDir::new("wal-everyn");
         let mut w = WalWriter::create(dir.path(), 0, 0, FsyncPolicy::EveryN(0)).expect("create");
-        w.append_insert(&traj(0.0)).expect("append under EveryN(0)");
+        w.append_inserts(&[traj(0.0)])
+            .expect("append under EveryN(0)");
         let mut w2 = WalWriter::create(dir.path(), 1, 0, FsyncPolicy::OsManaged).expect("create");
-        w2.append_insert(&traj(1.0))
+        w2.append_inserts(&[traj(1.0)])
             .expect("append under OsManaged");
     }
 
@@ -568,8 +519,8 @@ mod tests {
     fn reopen_truncates_and_continues() {
         let dir = TempDir::new("wal-reopen");
         let mut w = WalWriter::create(dir.path(), 0, 0, FsyncPolicy::Always).expect("create");
-        w.append_insert(&traj(0.0)).expect("append");
-        w.append_insert(&traj(1.0)).expect("append");
+        w.append_inserts(&[traj(0.0)]).expect("append");
+        w.append_inserts(&[traj(1.0)]).expect("append");
         let path = dir.path().join(wal_file_name(0));
         drop(w);
         // Tear the second record by lopping off its last byte.
@@ -588,7 +539,7 @@ mod tests {
             FsyncPolicy::Always,
         )
         .expect("reopen");
-        w.append_insert(&traj(2.0))
+        w.append_inserts(&[traj(2.0)])
             .expect("append after truncation");
         assert_eq!(w.records(), 2);
         drop(w);
@@ -614,7 +565,7 @@ mod tests {
         // may end in a torn frame, and nothing may be acknowledged behind it.
         w.file = healthy;
         for refused in [
-            w.append_insert(&traj(4.0)),
+            w.append_inserts(&[traj(4.0)]),
             w.append_tombstones(&[1]),
             w.append_reshard(2),
             w.sync(),
@@ -634,7 +585,8 @@ mod tests {
         assert_eq!(replay.records, acked);
         let mut w =
             WalWriter::reopen(&path, replay.valid_len, 3, FsyncPolicy::Always).expect("reopen");
-        w.append_insert(&traj(5.0)).expect("a reopened log appends");
+        w.append_inserts(&[traj(5.0)])
+            .expect("a reopened log appends");
         assert_eq!(w.records(), 4);
     }
 

@@ -7,7 +7,10 @@
 use proptest::prelude::*;
 use traj_core::{ByteReader, StPoint, TrajId, Trajectory};
 use traj_persist::tempdir::TempDir;
-use traj_persist::{load_snapshot, snapshot_file_name, write_snapshot};
+use traj_persist::{
+    crc32, load_snapshot, snapshot_file_name, wal_file_name, write_snapshot, DurabilityConfig,
+    StorageEngine,
+};
 
 /// Finite f64s that stress the codec: boundary magnitudes, signed zero,
 /// subnormals, and ordinary values picked by index. (NaN is excluded by
@@ -97,6 +100,48 @@ fn empty_store_round_trips() {
     assert!(back.sections.iter().all(|s| s.is_empty()));
     assert_eq!(back.next_id, 0);
 }
+
+/// Format rev 2, pinned byte for byte: a fixed 2-shard snapshot and a WAL
+/// holding an insert group, a tombstone group and a reshard record must
+/// keep the exact length and CRC-32 they had when the constants were
+/// recorded. Round trips cannot catch a writer and a reader that drift
+/// together; this can.
+#[test]
+fn format_rev_2_bytes_are_pinned() {
+    let dir = TempDir::new("codec-format-pin");
+    let t = |x: f64| Trajectory::from_xy(&[(x, 0.5), (x + 1.25, -2.0), (x + 3.0, 4.75)]);
+    let (a, b, c) = (t(0.0), t(10.0), t(-7.5));
+    // Holey ids with residues matching their sections, watermark above.
+    let sections: Vec<Vec<(TrajId, &Trajectory)>> = vec![vec![(0, &a), (4, &b)], vec![(3, &c)]];
+    write_snapshot(dir.path(), 0, &sections, 5).expect("write snapshot");
+    let snapshot = std::fs::read(dir.path().join(snapshot_file_name(0))).expect("read snapshot");
+    assert_eq!(
+        (snapshot.len(), crc32(&snapshot)),
+        (SNAPSHOT_PIN.0, SNAPSHOT_PIN.1),
+        "snapshot bytes drifted"
+    );
+
+    // No WAL yet: opening creates generation 0's log over the 3 live
+    // trajectories, and the appends below extend it.
+    let cfg = DurabilityConfig::default().compact_after(None);
+    let (_, mut engine) = StorageEngine::open(dir.path(), cfg).expect("open");
+    engine
+        .append_group(&[t(1.0), t(2.0)])
+        .expect("insert group");
+    engine.append_tombstones(&[4, 5]).expect("tombstone group");
+    engine.append_reshard(3).expect("reshard");
+    drop(engine);
+    let wal = std::fs::read(dir.path().join(wal_file_name(0))).expect("read wal");
+    assert_eq!(
+        (wal.len(), crc32(&wal)),
+        (WAL_PIN.0, WAL_PIN.1),
+        "wal bytes drifted"
+    );
+}
+
+/// `(length, CRC-32)` of the pinned files, recorded from the rev-2 writer.
+const SNAPSHOT_PIN: (usize, u32) = (316, 0x2E3B_C3FC);
+const WAL_PIN: (usize, u32) = (241, 0xC41D_A21D);
 
 /// One very long trajectory — the per-record worst case for the length
 /// prefix and checksum framing.
