@@ -106,11 +106,6 @@ impl StBox {
         *self = self.union(&sb);
     }
 
-    /// The increase in volume that would result from absorbing `other`.
-    pub fn expansion_cost(&self, other: &StBox) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
-
     /// The four boundary edges of the box as degenerate-time segments
     /// (counter-clockwise from the lower-left corner).
     pub fn edges(&self) -> [Segment; 4] {
@@ -231,14 +226,6 @@ mod tests {
         assert_eq!(u.lo, Point::new(0.0, -1.0));
         assert_eq!(u.hi, Point::new(4.0, 1.0));
         assert!(approx_eq(u.min_len, 0.5));
-    }
-
-    #[test]
-    fn expansion_cost_is_zero_for_contained() {
-        let big = StBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0), 1.0);
-        let small = StBox::new(Point::new(2.0, 2.0), Point::new(3.0, 3.0), 1.0);
-        assert!(approx_eq(big.expansion_cost(&small), 0.0));
-        assert!(small.expansion_cost(&big) > 0.0);
     }
 
     #[test]

@@ -493,12 +493,39 @@ fn col(j: usize, k: usize) -> usize {
     j * 2 + k
 }
 
-/// The anchor st-point of state `(i, j, INTERP)`: the point on segment `i`
-/// of `t` closest to box `j - 1` (the last consumed box).
-fn interp_anchor(t: &Trajectory, boxes: &[StBox], i: usize, j: usize) -> StPoint {
-    let seg = t.segment(i);
-    let (param, _) = boxes[j - 1].closest_param_on_segment(&seg);
-    seg.point_at(param)
+/// The reverse projection of every segment of `t` onto every box: cell
+/// `(i, j)` holds the point of segment `i` closest to box `j` and that
+/// point's distance to box `j`. The projection depends only on the pair,
+/// yet the DP needs it at up to three states per cell (both anchor kinds'
+/// `ins(T, B)` edit and the interpolated anchor of `(i, j + 1, INTERP)`),
+/// and traceback again — so it is computed once, before the DP.
+struct Projections {
+    boxes: usize,
+    cells: Vec<(StPoint, f64)>,
+}
+
+impl Projections {
+    fn new(t: &Trajectory, boxes: &[StBox]) -> Self {
+        let mut cells = Vec::with_capacity((t.num_points() - 1) * boxes.len());
+        for seg in t.segments() {
+            cells.extend(boxes.iter().map(|b| {
+                let (param, _) = b.closest_param_on_segment(&seg);
+                let pt = seg.point_at(param);
+                (pt, b.dist_to_point(pt.p))
+            }));
+        }
+        Projections {
+            boxes: boxes.len(),
+            cells,
+        }
+    }
+
+    /// The point of segment `i` closest to box `j`, and its distance to
+    /// box `j`.
+    #[inline]
+    fn get(&self, i: usize, j: usize) -> (StPoint, f64) {
+        self.cells[i * self.boxes + j]
+    }
 }
 
 /// Aligns `t` against `seq` with the box-mode `EDwP_sub` dynamic program
@@ -506,9 +533,10 @@ fn interp_anchor(t: &Trajectory, boxes: &[StBox], i: usize, j: usize) -> StPoint
 /// alignment, in trajectory order — which piece of `t` each consumed box
 /// must grow to cover. Empty when `seq` has no boxes.
 fn align_boxes(t: &Trajectory, seq: &BoxSeq) -> Vec<RepOp> {
+    let proj = Projections::new(t, seq.boxes());
     let mut trace = TraceTable::new(t.num_points(), seq.len());
-    run_box_dp(t, seq, &mut trace);
-    trace.reconstruct(t, seq)
+    run_box_dp(t, seq, &proj, &mut trace);
+    trace.reconstruct(t, &proj)
 }
 
 /// Encodes the DP op that produced a state, for traceback.
@@ -554,7 +582,7 @@ impl TraceTable {
 
     /// Walks parents back from the best terminal state (recorded by
     /// `run_box_dp`), emitting the rep pieces in forward order.
-    fn reconstruct(&self, t: &Trajectory, seq: &BoxSeq) -> Vec<RepOp> {
+    fn reconstruct(&self, t: &Trajectory, proj: &Projections) -> Vec<RepOp> {
         let (mut i, mut j, mut k) = self.terminal;
         let mut ops_rev = Vec::new();
         loop {
@@ -564,7 +592,7 @@ impl TraceTable {
                 Op::Rep | Op::InsB => {
                     // Piece: from predecessor anchor to p[i] (i advanced).
                     let (pi_, pj_, pk_) = (pi as usize, pj as usize, pk as usize);
-                    let from_pt = anchor_point(t, seq, pi_, pj_, pk_);
+                    let from_pt = anchor_point(t, proj, pi_, pj_, pk_);
                     let to_pt = t.points()[i];
                     ops_rev.push(RepOp {
                         box_idx: if op == Op::Rep { j - 1 } else { j },
@@ -576,8 +604,8 @@ impl TraceTable {
                 }
                 Op::InsT => {
                     let (pi_, pj_, pk_) = (pi as usize, pj as usize, pk as usize);
-                    let from_pt = anchor_point(t, seq, pi_, pj_, pk_);
-                    let to_pt = anchor_point(t, seq, i, j, k);
+                    let from_pt = anchor_point(t, proj, pi_, pj_, pk_);
+                    let to_pt = anchor_point(t, proj, i, j, k);
                     ops_rev.push(RepOp {
                         box_idx: j - 1,
                         piece: Segment::new(from_pt, to_pt),
@@ -593,12 +621,14 @@ impl TraceTable {
     }
 }
 
-/// The anchor st-point of a DP state.
-fn anchor_point(t: &Trajectory, seq: &BoxSeq, i: usize, j: usize, k: usize) -> StPoint {
+/// The anchor st-point of a DP state: sample `i` itself, or for
+/// `(i, j, INTERP)` the point on segment `i` closest to box `j - 1` (the
+/// last consumed box).
+fn anchor_point(t: &Trajectory, proj: &Projections, i: usize, j: usize, k: usize) -> StPoint {
     if k == AT_SAMPLE {
         t.points()[i]
     } else {
-        interp_anchor(t, seq.boxes(), i, j)
+        proj.get(i, j - 1).0
     }
 }
 
@@ -608,7 +638,7 @@ fn anchor_point(t: &Trajectory, seq: &BoxSeq, i: usize, j: usize, k: usize) -> S
 /// `Coverage(T.e, B.b) = length(e) + b.minL`; when a box is consumed by
 /// several segments (the box-split `ins(B, T)` edit) the `minL` term is
 /// charged only on the step that advances past the box.
-fn run_box_dp(t: &Trajectory, seq: &BoxSeq, trace: &mut TraceTable) {
+fn run_box_dp(t: &Trajectory, seq: &BoxSeq, proj: &Projections, trace: &mut TraceTable) {
     let n = t.num_points();
     let kboxes = seq.len();
     if kboxes == 0 {
@@ -625,19 +655,16 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, trace: &mut TraceTable) {
         trace.set(0, j, AT_SAMPLE, (Op::Start, 0, 0, 0));
     }
 
-    for i in 0..n {
-        let has_seg = i + 1 < n;
-        for j in 0..=kboxes {
+    // No edit leaves the last row (`t` consumed) or the column past the
+    // last box, so their states are only read as terminals below.
+    for i in 0..n - 1 {
+        for (j, b) in boxes.iter().enumerate() {
             for k in [AT_SAMPLE, INTERP] {
                 let base = dp.get(i, col(j, k));
                 if !base.is_finite() {
                     continue;
                 }
-                if j >= kboxes || !has_seg {
-                    continue; // terminal or dead-end state
-                }
-                let a = anchor_point(t, seq, i, j, k);
-                let b = &boxes[j];
+                let a = anchor_point(t, proj, i, j, k);
                 let e1 = p[i + 1];
                 let bd_a = b.dist_to_point(a.p);
                 let bd_e1 = b.dist_to_point(e1.p);
@@ -653,8 +680,7 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, trace: &mut TraceTable) {
                 }
                 // ins into t: split segment i at its closest point to box
                 // j; consume the box against the split piece.
-                let pi_pt = interp_anchor(t, boxes, i, j + 1);
-                let bd_pi = b.dist_to_point(pi_pt.p);
+                let (pi_pt, bd_pi) = proj.get(i, j);
                 let ins_t = (bd_a + bd_pi) * (a.dist(pi_pt) + b.min_len);
                 if dp.relax(i, col(j + 1, INTERP), base + ins_t) {
                     trace.set(i, j + 1, INTERP, (Op::InsT, i as u32, j as u32, k as u8));

@@ -661,6 +661,99 @@ mod tests {
         check_invariants(&incremental, &grown);
     }
 
+    /// FNV-1a over a pre-order walk of the tree: per node its kind, a
+    /// leaf's ids, every summary box's `lo`/`hi`/`min_len` bits and the
+    /// node's `max_len` bits — the whole summary, bit for bit.
+    fn tree_digest(tree: &TrajTree) -> u64 {
+        fn eat(h: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *h ^= u64::from(byte);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn walk(node: &Node, h: &mut u64) {
+            match node {
+                Node::Leaf { ids, .. } => {
+                    eat(h, 0);
+                    for &id in ids {
+                        eat(h, u64::from(id));
+                    }
+                }
+                Node::Internal { .. } => eat(h, 1),
+            }
+            for b in node.summary().boxes() {
+                for v in [b.lo.x, b.lo.y, b.hi.x, b.hi.y, b.min_len] {
+                    eat(h, v.to_bits());
+                }
+            }
+            eat(h, node.max_len().to_bits());
+            if let Node::Internal { children, .. } = node {
+                for c in children {
+                    walk(c, h);
+                }
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        if let Some(root) = &tree.root {
+            walk(root, &mut h);
+        }
+        h
+    }
+
+    #[test]
+    fn inserted_trees_are_pinned_bit_for_bit() {
+        // Every summary an insert grows comes from the merge alignment, so
+        // any change to its ops — or to one float it computes — moves a
+        // digest. The coverage and budget invariants above only catch a
+        // change that breaks them.
+        let mut gen = traj_gen::TrajGen::with_config(
+            0x7733,
+            traj_gen::GenConfig {
+                area: 400.0,
+                clusters: 8,
+                cluster_spread: 8.0,
+                step: 4.0,
+                ..traj_gen::GenConfig::default()
+            },
+        );
+        let trips = gen.database(500, 6, 16);
+
+        // Default config: a bulk-loaded 300, then 200 Alg. 1 inserts.
+        let mut store = TrajStore::new();
+        for t in &trips[..300] {
+            store.insert(t.clone());
+        }
+        let mut mixed = TrajTree::build(&store);
+        for t in &trips[300..] {
+            let id = store.insert(t.clone());
+            mixed.insert(&store, id);
+        }
+        check_invariants(&mixed, &store);
+
+        // Small nodes grown by inserts alone: leaf splits, internal splits
+        // and root growth all run.
+        let small = TrajTreeConfig {
+            leaf_capacity: 3,
+            fanout: 3,
+            leaf_boxes: 6,
+            internal_boxes: 4,
+        };
+        let mut grown = TrajStore::new();
+        let mut incremental = TrajTree::bulk_load(&grown, small);
+        for t in &trips[..120] {
+            let id = grown.insert(t.clone());
+            incremental.insert(&grown, id);
+        }
+        check_invariants(&incremental, &grown);
+        assert!(incremental.height() >= 4, "height {}", incremental.height());
+
+        assert_eq!(
+            (tree_digest(&mixed), tree_digest(&incremental)),
+            (0x307c_1bbf_ab6c_1699, 0x2133_cf77_d5d3_b5be),
+            "tree digests (mixed, incremental)"
+        );
+    }
+
     #[test]
     fn str_tiles_partitions_exactly() {
         let mut items: Vec<(u32, Point)> = (0..37)
