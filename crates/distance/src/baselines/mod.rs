@@ -3,8 +3,8 @@
 //!
 //! Each baseline is implemented from its original paper's definition (see
 //! the per-module docs) and exposed both as a free function and through the
-//! [`crate::TrajDistance`] trait, so the experiment harness can sweep all
-//! of them uniformly. The threshold-dependent techniques (LCSS, EDR, MA)
+//! [`crate::TrajDistance`] trait, so a ranking can swap any of them in for
+//! EDwP uniformly. The threshold-dependent techniques (LCSS, EDR, MA)
 //! take their thresholds explicitly — the paper's Sec. II argues this
 //! dependency is precisely their weakness under sampling noise.
 

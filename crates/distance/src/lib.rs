@@ -31,7 +31,7 @@
 //!
 //! The `baselines` module reimplements every comparison technique of the
 //! paper: DTW, LCSS, ERP, EDR, DISSIM and MA, all behind the common
-//! [`TrajDistance`] trait so the experiment harness can sweep over them.
+//! [`TrajDistance`] trait so a ranking can swap any of them in for EDwP.
 //!
 //! One kernel is vectorised: the segment-to-box minimum inside
 //! [`edwp_lower_bound_boxes_bounded`] runs 4-wide AVX2 behind a runtime

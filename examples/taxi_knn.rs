@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --release --example taxi_knn`
 
-use trajrep::eval::PruningSummary;
 use trajrep::{GenConfig, Session, TrajGen, TrajStore, Trajectory};
 
 /// One canonical route per (start cluster, heading); trips are noisy,
@@ -117,14 +116,15 @@ fn main() {
         );
     }
 
+    // The batch's stats are merged over its queries: `db_size` sums each
+    // query's candidate count, so the fleet size is the per-query share.
     let batch_stats = batch.stats.expect("collect_stats() was requested");
-    let summary = PruningSummary::from_aggregate(&batch_stats);
     println!("\nroute purity: {same_route_hits}/{checked} neighbours shared the query's route");
     println!(
         "pruning:      {:.1} EDwP evaluations per query on a {}-trip fleet ({:.0}% pruned)",
-        summary.mean_edwp_evaluations,
-        summary.db_size,
-        summary.mean_pruning_ratio * 100.0
+        batch_stats.mean_edwp_evaluations(),
+        batch_stats.db_size / batch_stats.queries,
+        batch_stats.pruning_ratio() * 100.0
     );
     println!(
         "kernels:      {} ISA; {} children skipped by the AABB prescreen, {} queue entries \

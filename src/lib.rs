@@ -45,9 +45,7 @@
 //!   checksummed write-ahead log, recovered (torn tail truncated) on
 //!   reopen; storage failures surface as [`PersistError`] /
 //!   [`TrajError::Persist`], never panics;
-//! * data generation: [`TrajGen`], [`GenConfig`];
-//! * evaluation: metric helpers under [`eval`] and the experiment harness
-//!   under [`experiments`].
+//! * data generation: [`TrajGen`], [`GenConfig`].
 //!
 //! See `examples/quickstart.rs` for the end-to-end flow: generate → index →
 //! query (k-NN and range, both metrics, sharded and not) → inspect pruning
@@ -75,16 +73,6 @@ pub use traj_index::{
     QueryBuilder, QueryResult, QueryStats, Session, SessionBuilder, ShardOccupancy, Snapshot,
     TrajId, TrajStore, TrajTree, TrajTreeConfig,
 };
-
-/// Metric helpers (precision, recall, reciprocal rank, pruning summaries).
-pub mod eval {
-    pub use traj_eval::*;
-}
-
-/// End-to-end experiment harness over generator + index + metrics.
-pub mod experiments {
-    pub use traj_experiments::*;
-}
 
 #[cfg(test)]
 mod tests {
