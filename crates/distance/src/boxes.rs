@@ -449,38 +449,70 @@ pub fn edwp_lower_bound_trajectory_bounded(
 ) -> f64 {
     let mut sum = 0.0;
     for (e, len) in scratch.query_pieces(t) {
-        // Same prescreen as [`edwp_lower_bound_boxes_bounded`]: the
-        // axis-aligned distance between the two segments' bounding boxes
-        // lower-bounds their true distance, so candidates that cannot
-        // improve the running minimum skip the exact closest-point
-        // computation without changing the result.
-        let (exlo, exhi) = minmax(e.a.p.x, e.b.p.x);
-        let (eylo, eyhi) = minmax(e.a.p.y, e.b.p.y);
-        let mut d = f64::INFINITY;
-        let mut d2 = f64::INFINITY;
-        for f in s.segments() {
-            let (fxlo, fxhi) = minmax(f.a.p.x, f.b.p.x);
-            let (fylo, fyhi) = minmax(f.a.p.y, f.b.p.y);
-            let dx = (fxlo - exhi).max(exlo - fxhi).max(0.0);
-            let dy = (fylo - eyhi).max(eylo - fyhi).max(0.0);
-            if dx * dx + dy * dy >= d2 {
-                continue;
-            }
-            let v = e.closest_params(&f).2;
-            if v < d {
-                d = v;
-                d2 = v * v;
-                if v == 0.0 {
-                    break;
-                }
-            }
-        }
-        sum += 2.0 * d * len;
+        sum += 2.0 * dist_to_polyline(e, s.segments()) * len;
         if sum > cutoff.current() {
             return sum;
         }
     }
     sum
+}
+
+/// The whole-mode member bound `LB(q, s) + LB(s, q)`: the one-sided
+/// [`edwp_lower_bound_trajectory_bounded`] plus, for each segment `f` of
+/// `s`, `2 · len(f) · dist(f, q)` over the pooled query pieces. Sound only
+/// when both sides are fully consumed — the argument is on
+/// [`crate::Metric::lower_bound_trajectory`]. The reverse half runs only
+/// when the forward half is within the cutoff, under the same strict bail,
+/// so the cutoff contract of the one-sided kernel carries over unchanged.
+pub(crate) fn edwp_lower_bound_trajectory_two_sided_bounded(
+    q: &Trajectory,
+    s: &Trajectory,
+    cutoff: Cutoff<'_>,
+    scratch: &mut EdwpScratch,
+) -> f64 {
+    let mut sum = edwp_lower_bound_trajectory_bounded(q, s, cutoff, scratch);
+    if sum > cutoff.current() {
+        return sum;
+    }
+    let pieces = scratch.query_pieces(q);
+    for f in s.segments() {
+        sum += 2.0 * dist_to_polyline(&f, pieces.iter().map(|&(e, _)| e)) * f.length();
+        if sum > cutoff.current() {
+            return sum;
+        }
+    }
+    sum
+}
+
+/// `min_f dist(e, f)` over the segments `others` of a polyline — the inner
+/// loop of both halves of the member bound. The axis-aligned distance
+/// between the two segments' bounding boxes lower-bounds their true
+/// distance, so a segment that cannot improve the running minimum skips
+/// the exact closest-point computation without changing the result.
+#[inline]
+fn dist_to_polyline(e: &Segment, others: impl Iterator<Item = Segment>) -> f64 {
+    let (exlo, exhi) = minmax(e.a.p.x, e.b.p.x);
+    let (eylo, eyhi) = minmax(e.a.p.y, e.b.p.y);
+    let mut d = f64::INFINITY;
+    let mut d2 = f64::INFINITY;
+    for f in others {
+        let (fxlo, fxhi) = minmax(f.a.p.x, f.b.p.x);
+        let (fylo, fyhi) = minmax(f.a.p.y, f.b.p.y);
+        let dx = (fxlo - exhi).max(exlo - fxhi).max(0.0);
+        let dy = (fylo - eyhi).max(eylo - fyhi).max(0.0);
+        if dx * dx + dy * dy >= d2 {
+            continue;
+        }
+        let v = e.closest_params(&f).2;
+        if v < d {
+            d = v;
+            d2 = v * v;
+            if v == 0.0 {
+                break;
+            }
+        }
+    }
+    d
 }
 
 /// DP state kinds for the box-mode alignment.
@@ -861,6 +893,16 @@ mod tests {
             let poly =
                 Metric::Edwp.lower_bound_trajectory(QueryMode::Sub, &q, member, open, &mut scratch);
             assert!(poly <= d + 1e-9, "sub polyline bound {poly} > edwp_sub {d}");
+            // The whole-mode member bound also charges the member's own
+            // segments, which a sub match skips: here it overshoots.
+            let whole = Metric::Edwp.lower_bound_trajectory(
+                QueryMode::Whole,
+                &q,
+                member,
+                open,
+                &mut scratch,
+            );
+            assert!(whole > d, "two-sided bound {whole} <= edwp_sub {d}");
         }
     }
 

@@ -18,8 +18,9 @@
 //! [`edwp_sub_with_scratch`], [`edwp_sub_bounded`],
 //! [`edwp_lower_bound_boxes_bounded`],
 //! [`edwp_lower_bound_trajectory_bounded`],
-//! [`edwp_lower_bound_aabb_batch`]). With a warm scratch every one of them
-//! is allocation-free.
+//! [`edwp_lower_bound_aabb_batch`]), all but the two-sided whole-mode
+//! member bound, which only [`Metric::lower_bound_trajectory`] reaches.
+//! With a warm scratch every one of them is allocation-free.
 //!
 //! The paper-facing one-off conveniences allocate their own scratch:
 //! [`edwp`], [`edwp_avg`], [`edwp_sub`], [`edwp_sub_avg`], the
@@ -77,9 +78,12 @@ use traj_core::Trajectory;
 /// free, so a short probe embeds cheaply into a long host — the
 /// partial-trip lookup and motif-discovery workload.
 ///
-/// Both modes are exact under both metrics: the Theorem 2 relaxation is
-/// one-sided, so the same accumulation is admissible against `EDwP_sub`
-/// as well (see [`Metric::lower_bound_boxes`]).
+/// Both modes are exact under both metrics. The node bound is the same in
+/// both: the Theorem 2 relaxation is one-sided, so the same accumulation
+/// is admissible against `EDwP_sub` as well (see
+/// [`Metric::lower_bound_boxes`]). The per-candidate bound is not: whole mode
+/// consumes the stored trajectory too, so it also charges the stored
+/// side's segments (see [`Metric::lower_bound_trajectory`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum QueryMode {
     /// Whole-trajectory matching: distances are `edwp` / `edwp_avg`.
@@ -288,16 +292,32 @@ impl Metric {
     }
 
     /// Admissible lower bound on `self.distance(mode, q, t, ..)` for one
-    /// concrete candidate: [`edwp_lower_bound_trajectory`] (exact
-    /// segment-to-polyline distances in place of box distances, hence
-    /// tighter), normalised by the exact `length(q) + length(t)`.
-    /// Mode-independent by the same one-sided argument as
-    /// [`Metric::lower_bound_boxes`], with `t`'s polyline in place of the
-    /// box union; same `cutoff` contract.
+    /// concrete candidate, normalised by the exact `length(q) + length(t)`;
+    /// same `cutoff` contract as [`Metric::lower_bound_boxes`].
+    ///
+    /// [`QueryMode::Sub`] uses [`edwp_lower_bound_trajectory`]: the
+    /// one-sided sum `LB(q, t) = Σ_{e ∈ q} 2 · len(e) · dist(e, t)`, with
+    /// exact segment-to-polyline distances in place of box distances
+    /// (hence tighter), admissible by the argument on
+    /// [`Metric::lower_bound_boxes`] with `t`'s polyline in place of the
+    /// box union.
+    ///
+    /// [`QueryMode::Whole`] adds the other side: `LB(q, t) + LB(t, q)`.
+    /// Every edit of a whole-mode alignment pairs a piece `a` of a segment
+    /// `e` of `q` with a piece `b` of a segment `f` of `t`, and costs
+    /// `(d₁ + d₂) · (len a + len b)`, where each of `d₁`, `d₂` joins a
+    /// point of `a` to a point of `b` — so each is at least `dist(e, t)`
+    /// and at least `dist(f, q)`. The edit therefore costs at least
+    /// `2 · dist(e, t) · len a + 2 · dist(f, q) · len b`. Both trajectories
+    /// are fully consumed, so the pieces tile every segment of both sides,
+    /// and summing over the alignment gives `LB(q, t) + LB(t, q)`. In sub
+    /// mode `t`'s prefix and suffix are skipped for free, so only `LB(q, t)`
+    /// survives. The reverse half is evaluated only when the forward half
+    /// is within the cutoff.
     #[inline]
     pub fn lower_bound_trajectory(
         self,
-        _mode: QueryMode,
+        mode: QueryMode,
         q: &Trajectory,
         t: &Trajectory,
         cutoff: Cutoff<'_>,
@@ -306,7 +326,12 @@ impl Metric {
         self.evaluate(
             || q.length() + t.length(),
             cutoff,
-            |cutoff| edwp_lower_bound_trajectory_bounded(q, t, cutoff, scratch),
+            |cutoff| match mode {
+                QueryMode::Whole => {
+                    boxes::edwp_lower_bound_trajectory_two_sided_bounded(q, t, cutoff, scratch)
+                }
+                QueryMode::Sub => edwp_lower_bound_trajectory_bounded(q, t, cutoff, scratch),
+            },
         )
     }
 

@@ -45,8 +45,101 @@ fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajector
     })
 }
 
+/// Strategy: a trajectory `t` and a query drawn from it the way the index
+/// sees queries — a subset of `t`'s samples (endpoints kept), each jittered
+/// by under half a unit. Such pairs sit close to the bound's tight cases.
+fn resampled_pair() -> impl Strategy<Value = (Trajectory, Trajectory)> {
+    let picks = prop::collection::vec((0u32..2, -0.5..0.5f64, -0.5..0.5f64), 10);
+    (trajectory(2, 10), picks).prop_map(|(t, picks)| {
+        let last = t.num_points() - 1;
+        let q = t
+            .points()
+            .iter()
+            .zip(&picks)
+            .enumerate()
+            .filter(|&(i, (_, &(keep, _, _)))| i == 0 || i == last || keep == 1)
+            .map(|(_, (s, &(_, dx, dy)))| StPoint::new(s.p.x + dx, s.p.y + dy, s.t))
+            .collect();
+        (Trajectory::new(q).expect("valid by construction"), t)
+    })
+}
+
+/// The member-bound obligations behind the engine's strict `>` pruning,
+/// checked for one pair under both metrics with **no slack**: the
+/// whole-mode bound never exceeds the whole-mode distance, the one-sided
+/// (sub-mode) bound never exceeds the two-sided (whole-mode) one, and the
+/// sub-mode bound is the crate-root Theorem 2 kernel bit-for-bit.
+fn member_bounds_hold_strictly(q: &Trajectory, t: &Trajectory) -> Result<(), String> {
+    let forward = traj_dist::edwp_lower_bound_trajectory(q, t);
+    for metric in METRICS {
+        let whole = poly_bound(metric, QueryMode::Whole, q, t);
+        let sub = poly_bound(metric, QueryMode::Sub, q, t);
+        let d = distance(metric, QueryMode::Whole, q, t);
+        let one_sided = metric.normalise(forward, q.length() + t.length());
+        let name = metric.name();
+        if whole > d {
+            return Err(format!("{name}: whole bound {whole} > distance {d}"));
+        }
+        if sub > whole {
+            return Err(format!("{name}: one-sided {sub} > two-sided {whole}"));
+        }
+        if sub.to_bits() != one_sided.to_bits() {
+            return Err(format!("{name}: sub bound {sub} != crate-root {one_sided}"));
+        }
+    }
+    Ok(())
+}
+
+/// Every 2- and 3-point trajectory whose samples sit on a `w × h` integer
+/// lattice, at unit-spaced timestamps (repeated samples included).
+fn lattice_trips(w: usize, h: usize) -> Vec<Trajectory> {
+    let cells: Vec<(f64, f64)> = (0..w)
+        .flat_map(|x| (0..h).map(move |y| (x as f64, y as f64)))
+        .collect();
+    let mut trips = Vec::new();
+    for &a in &cells {
+        for &b in &cells {
+            trips.push(Trajectory::from_xy(&[a, b]));
+            for &c in &cells {
+                trips.push(Trajectory::from_xy(&[a, b, c]));
+            }
+        }
+    }
+    trips
+}
+
+/// [`member_bounds_hold_strictly`] over every ordered pair of lattice
+/// trips: exact ties (collinear, repeated and identical trips) are where a
+/// bound reaches the distance, so a one-ulp overshoot would show here.
+#[test]
+fn member_bounds_hold_without_slack_on_a_lattice() {
+    let trips = lattice_trips(3, 2);
+    for q in &trips {
+        for t in &trips {
+            if let Err(msg) = member_bounds_hold_strictly(q, t) {
+                panic!("{msg}\n  q = {:?}\n  t = {:?}", q.points(), t.points());
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`member_bounds_hold_strictly`] on random pairs: unrelated trips,
+    /// and resampled, jittered copies of one trip.
+    #[test]
+    fn member_bounds_hold_without_slack(
+        q in trajectory(2, 8),
+        t in trajectory(2, 8),
+        near in resampled_pair(),
+    ) {
+        let (near_q, near_t) = &near;
+        let fail = member_bounds_hold_strictly(&q, &t)
+            .and_then(|()| member_bounds_hold_strictly(near_q, near_t))
+            .and_then(|()| member_bounds_hold_strictly(near_t, near_q));
+        prop_assert!(fail.is_ok(), "{}", fail.unwrap_err());
+    }
 
     #[test]
     fn edwp_is_symmetric(a in trajectory(2, 8), b in trajectory(2, 8)) {
@@ -301,7 +394,9 @@ proptest! {
     /// that correctly certifies the full bound is above the cutoff too.
     /// "Full" is the same kernel under an infinite cutoff; the plain
     /// iterator forms are the independent reference it must match (to
-    /// rounding — the AVX2 box kernel reassociates, see `traj_dist::simd`).
+    /// rounding — the AVX2 box kernel reassociates, see `traj_dist::simd`,
+    /// and the whole-mode member bound sums its two one-sided halves in
+    /// one running total).
     #[test]
     fn raw_bounds_honour_the_cutoff_contract_in_both_modes(
         ts in prop::collection::vec(trajectory(2, 6), 1..4),
@@ -315,10 +410,17 @@ proptest! {
         let full = box_bound(Metric::Edwp, QueryMode::Whole, &q, &seq, 0.0);
         let reference = traj_dist::edwp_lower_bound_boxes(&q, &seq);
         prop_assert!((full - reference).abs() <= 1e-9 * (1.0 + reference));
-        let full_poly = poly_bound(Metric::Edwp, QueryMode::Whole, &q, t);
-        prop_assert_eq!(full_poly, traj_dist::edwp_lower_bound_trajectory(&q, t));
+        let forward = traj_dist::edwp_lower_bound_trajectory(&q, t);
+        let two_sided = forward + traj_dist::edwp_lower_bound_trajectory(t, &q);
 
         for mode in MODES {
+            let full_poly = poly_bound(Metric::Edwp, mode, &q, t);
+            match mode {
+                QueryMode::Whole => prop_assert!(
+                    (full_poly - two_sided).abs() <= 1e-9 * (1.0 + two_sided),
+                    "whole member bound {} != LB(q,t) + LB(t,q) = {}", full_poly, two_sided),
+                QueryMode::Sub => prop_assert_eq!(full_poly, forward),
+            }
             // A cutoff below, at, and above the full bound.
             for cutoff in [full * frac, full, f64::INFINITY] {
                 let got = Metric::Edwp.lower_bound_boxes(
@@ -369,9 +471,9 @@ proptest! {
         let t = &ts[0];
         let raw = Metric::Edwp;
         let full = box_bound(raw, QueryMode::Whole, &q, &seq, 0.0) / (q.length() + max_len);
-        let full_poly = poly_bound(raw, QueryMode::Whole, &q, t) / (q.length() + t.length());
 
         for mode in MODES {
+            let full_poly = poly_bound(raw, mode, &q, t) / (q.length() + t.length());
             prop_assert_eq!(box_bound(norm, mode, &q, &seq, max_len), full);
             prop_assert_eq!(poly_bound(norm, mode, &q, t), full_poly);
             let clipped = norm.lower_bound_boxes(

@@ -6,7 +6,8 @@
 //! [`Metric::lower_bound_boxes`] of their (coarsened) tBoxSeq summaries.
 //! Popping an internal node refines it into its children; popping a leaf
 //! refines each member into a per-trajectory candidate keyed by the
-//! tighter polyline bound [`Metric::lower_bound_trajectory`]; popping a
+//! tighter polyline bound [`Metric::lower_bound_trajectory`] (two-sided in
+//! whole mode: the stored trip's own segments are charged too); popping a
 //! candidate finally pays for one exact [`Metric::distance_bounded`]. All
 //! distance work runs through one [`EdwpScratch`], so steady-state searches
 //! never allocate inside the kernels.
@@ -34,14 +35,15 @@
 //!
 //! Exactness: every queue key is a true lower bound of the query's
 //! metric-and-mode distance (whole-trajectory EDwP or sub-trajectory
-//! `EDwP_sub` — the Theorem 2 relaxation is one-sided, so the same
-//! accumulation is admissible for both, see
-//! [`Metric::lower_bound_boxes`]) of every trajectory below
-//! the entry (keys are additionally clamped to be monotone along
-//! refinement paths), so when the queue's minimum exceeds the collector's
-//! threshold, no unexplored trajectory can change the result. Ties on the
-//! threshold keep expanding so id-order tie-breaking matches the
-//! brute-force reference exactly.
+//! `EDwP_sub`) of every trajectory below the entry. Node keys are the
+//! one-sided Theorem 2 relaxation, admissible in both modes (see
+//! [`Metric::lower_bound_boxes`]); member keys add the stored side's
+//! segments only in whole mode, where both trips are fully consumed (see
+//! [`Metric::lower_bound_trajectory`]). Keys are additionally clamped to
+//! be monotone along refinement paths, so when the queue's minimum exceeds
+//! the collector's threshold, no unexplored trajectory can change the
+//! result. Ties on the threshold keep expanding so id-order tie-breaking
+//! matches the brute-force reference exactly.
 
 use crate::shard::Shard;
 use crate::store::TrajId;

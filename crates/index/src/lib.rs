@@ -67,7 +67,8 @@
 //! A new *matching semantics* (rather than a new result shape) is a
 //! [`traj_dist::QueryMode`] instead: sub-trajectory search added no
 //! collector at all — one arm in `traj_dist::Metric::distance_bounded`
-//! (the bounds are mode-independent), and every
+//! and one in `traj_dist::Metric::lower_bound_trajectory` (sub mode keeps
+//! the one-sided member bound), and every
 //! finisher/metric/shard/thread/brute-force combination came for free.
 //! See the README's "adding a query mode" walkthrough.
 //!
@@ -76,8 +77,10 @@
 //! that bound by `length(query) + max_len(node)`, where every node's
 //! `max_len` (the longest trajectory in its subtree) is maintained by
 //! build and insert; and sub-trajectory matching reuses the same
-//! (one-sided, hence mode-independent) accumulation — the argument is
-//! on [`traj_dist::Metric::lower_bound_boxes`].
+//! (one-sided, hence mode-independent) node accumulation — the argument
+//! is on [`traj_dist::Metric::lower_bound_boxes`]. Only the member bound
+//! depends on the mode: whole mode also charges the stored trip's
+//! segments ([`traj_dist::Metric::lower_bound_trajectory`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@
 //! "an internal summary is the coalesced concatenation of its children's"
 //! the only rule; the merge-DP internal summaries it replaced cost more on
 //! this fixture, not less — 1983 nodes and 13333 bounds for the same 4029
-//! exact evaluations.
+//! exact evaluations (both measured under the one-sided member bound).
 
 use traj_core::Trajectory;
 use traj_gen::{GenConfig, TrajGen};
@@ -23,10 +23,13 @@ const K: usize = 10;
 /// Totals recorded for this fixture: nodes visited and bound evaluations
 /// (ceilings — internal summaries may only get better at pruning), exact
 /// EDwP evaluations (an equality — which members reach the exact distance
-/// is decided by the leaf summaries and member bounds).
+/// is decided by the leaf summaries and member bounds). Recorded with the
+/// two-sided whole-mode member bound; the one-sided bound it replaced ran
+/// 4029 exact evaluations here and, because the threshold then tightened
+/// sooner, 13108 bound evaluations.
 const NODES_VISITED: usize = 1954;
-const BOUND_EVALUATIONS: usize = 13108;
-const EDWP_EVALUATIONS: usize = 4029;
+const BOUND_EVALUATIONS: usize = 13280;
+const EDWP_EVALUATIONS: usize = 1230;
 
 /// The seeded fixture: the stored trips and "same trip, different sampling
 /// rate" lookups spread over them.
@@ -82,7 +85,7 @@ fn clustered_knn_work_stays_at_the_recorded_counts() {
 
 /// What sharding may cost in work: the forest's totals at 4 shards against
 /// the same queries on 1 shard, as recorded ceilings in percent (measured
-/// 100 / 129.5 / 144.8). One threshold over all roots keeps the exact
+/// 100 / 129.4 / 144.8). One threshold over all roots keeps the exact
 /// evaluations where a single tree has them; only the four smaller trees'
 /// extra upper levels show, as bounds and node visits.
 #[test]
@@ -122,8 +125,8 @@ fn batch_counters_are_the_sum_of_the_singles() {
 
 /// The regression the forest exists to prevent: each of the four
 /// partitions searched on its own, under its own threshold, pays for its
-/// own k nearest before it can prune — about twice the forest's exact
-/// evaluations on this fixture (7844 against 4029). Computed here so the
+/// own k nearest before it can prune — about three times the forest's
+/// exact evaluations on this fixture (3731 against 1230). Computed here so the
 /// pins above demonstrably separate that shape from the one schedule.
 #[test]
 fn per_shard_thresholds_would_cost_well_above_the_forest() {

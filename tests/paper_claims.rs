@@ -179,8 +179,8 @@ fn scaling_curves_have_the_papers_shape() {
 
     // Query cost vs database size at k = 10: exact evaluations per
     // query grow sublinearly while the pruned fraction rises. Recorded:
-    // db 100 / 300 / 900 -> 18.55 / 43.9 / 81.25 evaluations (a 9x
-    // database costs 4.4x), pruning 0.81 / 0.85 / 0.91.
+    // db 100 / 300 / 900 -> 12.8 / 18.45 / 24.5 evaluations (a 9x
+    // database costs 1.9x), pruning 0.87 / 0.94 / 0.97.
     let by_size: Vec<_> = [100usize, 300, 900]
         .iter()
         .map(|&db| (db as f64, run(db, Metric::Edwp, Finish::Knn(10)).0))
@@ -199,8 +199,8 @@ fn scaling_curves_have_the_papers_shape() {
     }
 
     // Query cost vs k at db 400: monotone under both metrics. Recorded
-    // for k 1 / 5 / 10 / 25: 3.8 / 40.85 / 55.7 / 65.85 raw,
-    // 4.85 / 42.5 / 54.35 / 67.05 normalised.
+    // for k 1 / 5 / 10 / 25: 1.1 / 10.75 / 19.2 / 37.85 raw,
+    // 1.1 / 10.6 / 19.65 / 39.9 normalised.
     for metric in [Metric::Edwp, Metric::EdwpNormalized] {
         let evals: Vec<f64> = [1usize, 5, 10, 25]
             .iter()
@@ -210,8 +210,8 @@ fn scaling_curves_have_the_papers_shape() {
     }
 
     // Range cost vs eps at db 400: evaluations and hits both monotone.
-    // Recorded for eps 0.5 / 2 / 8 / 32 / 128: 0.5 / 1.05 / 2.25 / 7.5 /
-    // 28.55 evaluations.
+    // Recorded for eps 0.5 / 2 / 8 / 32 / 128: 0 / 0.2 / 0.55 / 1.2 /
+    // 5.75 evaluations, 0 / 0 / 0.15 / 0.8 / 2.75 hits.
     let by_eps: Vec<(f64, f64)> = [0.5, 2.0, 8.0, 32.0, 128.0]
         .iter()
         .map(|&eps| {
