@@ -24,14 +24,14 @@
 //! as soon as the partial sum exceeds its current value — partial sums are
 //! admissible, so early exit saves work without touching exactness.
 //!
-//! One traversal serves a **forest** of [`Shard`]s — every shard of a
-//! sharded search at once, each shard's local ids rewritten to global ids
+//! One traversal serves a **forest**: every run tree of every [`Shard`] of
+//! a sharded search at once, each run's local ids rewritten to global ids
 //! as candidates are offered, so thresholds and tie-breaking work on the
-//! global id space and a close neighbour in shard 1 prunes shard 2's
-//! subtrees without ever walking the shards sequentially. A query is one
-//! such traversal on the thread that runs it, under one collector and
-//! hence one threshold; parallelism is whole queries over workers, never
-//! threads inside one traversal.
+//! global id space and a close neighbour in one run prunes every other
+//! run's subtrees without ever walking shards or runs sequentially. A
+//! query is one such traversal on the thread that runs it, under one
+//! collector and hence one threshold; parallelism is whole queries over
+//! workers, never threads inside one traversal.
 //!
 //! Exactness: every queue key is a true lower bound of the query's
 //! metric-and-mode distance (whole-trajectory EDwP or sub-trajectory
@@ -45,7 +45,7 @@
 //! result. Ties on the threshold keep expanding so id-order tie-breaking
 //! matches the brute-force reference exactly.
 
-use crate::shard::Shard;
+use crate::shard::{slot, unslot, Shard};
 use crate::store::TrajId;
 use crate::tree::Node;
 use std::cmp::Ordering as CmpOrdering;
@@ -275,14 +275,16 @@ fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
 }
 
 /// Priority-queue entry: a subtree or a single trajectory (by local id) of
-/// one shard, keyed by an admissible lower bound. `seq` makes the ordering
-/// total and deterministic.
+/// one run of one shard, keyed by an admissible lower bound. `seq` makes
+/// the ordering total and deterministic.
 struct QueueEntry<'a> {
     key: TotalF64,
     seq: u64,
     item: QueueItem<'a>,
 }
 
+/// The `u32` beside a node or local id is the packed `(shard, run)`
+/// [`slot`] it belongs to.
 enum QueueItem<'a> {
     Node(&'a Node, u32),
     Traj(TrajId, u32),
@@ -354,18 +356,21 @@ fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
     true
 }
 
-/// Runs one best-first search over a forest of `shards` — every shard of
-/// an epoch at once — feeding every exact evaluation into `collector`
-/// (with ids rewritten to global) and every unit of work into `stats`.
+/// Runs one best-first search over a forest of `shards` — every run of
+/// every shard of an epoch at once — feeding every exact evaluation into
+/// `collector` (with ids rewritten to global) and every unit of work into
+/// `stats`.
 ///
 /// Seeding all roots into one queue gives the forest the same global
-/// pruning a single tree enjoys: the shard holding the nearest neighbours
-/// is refined first and its incumbents prune the other shards' subtrees,
-/// so the total work matches a one-shard search instead of multiplying by
-/// the shard count.
+/// pruning a single tree enjoys: the run holding the nearest neighbours
+/// is refined first and its incumbents prune the other runs' subtrees,
+/// so the total work matches a one-tree search instead of multiplying by
+/// the run count. Shard by shard, runs are seeded oldest first and the
+/// delta last, so a session of one bulk-built run per shard seeds exactly
+/// one root per shard, as a session of one tree per shard did.
 ///
-/// Each shard's tree must index every trajectory of its base store (a
-/// store id never indexed is invisible to the search). `scratch` is the
+/// Each run's tree must index every trajectory of its store (a store id
+/// never indexed is invisible to the search). `scratch` is the
 /// worker's pooled kernel memory; the query is (re)pinned here, so one
 /// scratch can serve many consecutive searches.
 pub(crate) fn best_first<C: Collector>(
@@ -407,25 +412,26 @@ pub(crate) fn best_first<C: Collector>(
     // at pop time whether or not it was fully evaluated (thresholds only
     // tighten, so the pruning decision can never be invalidated later).
     for (si, shard) in shards.iter().enumerate() {
-        if let Some(root) = shard.tree().root.as_ref() {
-            let root_key = node_bound(root, query, matching, collector, scratch, stats);
-            push(
-                &mut queue,
-                &mut seq,
-                root_key,
-                QueueItem::Node(root, si as u32),
-            );
+        for (ri, run) in shard.runs().iter().enumerate() {
+            if let Some(root) = run.tree().root.as_ref() {
+                let root_key = node_bound(root, query, matching, collector, scratch, stats);
+                push(
+                    &mut queue,
+                    &mut seq,
+                    root_key,
+                    QueueItem::Node(root, slot(si, ri)),
+                );
+            }
         }
-        // Delta members are invisible to the tree: seed each (removal
+        // Delta members are invisible to every tree: seed each (removal
         // deletes from the delta, so every one is live) directly as a
         // per-trajectory candidate under its (admissible) polyline bound.
         // From here they compete in the same queue under the same
         // threshold and the same exact-distance refinement as tree-routed
         // candidates, so a shard mid-delta answers bitwise identically to
         // one whose tree covers everything.
-        let base = shard.base().len() as TrajId;
+        let delta = slot(si, shard.runs().len());
         for (di, (_, t)) in shard.delta().iter().enumerate() {
-            let local = base + di as TrajId;
             stats.bump_bounds();
             let lb = metric.lower_bound_trajectory(
                 mode,
@@ -434,7 +440,12 @@ pub(crate) fn best_first<C: Collector>(
                 Cutoff::constant(collector.threshold()),
                 scratch,
             );
-            push(&mut queue, &mut seq, lb, QueueItem::Traj(local, si as u32));
+            push(
+                &mut queue,
+                &mut seq,
+                lb,
+                QueueItem::Traj(di as TrajId, delta),
+            );
         }
     }
 
@@ -449,8 +460,7 @@ pub(crate) fn best_first<C: Collector>(
             break;
         }
         match entry.item {
-            QueueItem::Node(node, si) => {
-                let shard = &shards[si as usize];
+            QueueItem::Node(node, at) => {
                 stats.bump_nodes();
                 match node {
                     Node::Internal { children, .. } => {
@@ -492,7 +502,7 @@ pub(crate) fn best_first<C: Collector>(
                                         &mut queue,
                                         &mut seq,
                                         pre.max(entry.key.0),
-                                        QueueItem::Node(child, si),
+                                        QueueItem::Node(child, at),
                                     );
                                     continue;
                                 }
@@ -505,17 +515,19 @@ pub(crate) fn best_first<C: Collector>(
                                 &mut queue,
                                 &mut seq,
                                 lb.max(entry.key.0),
-                                QueueItem::Node(child, si),
+                                QueueItem::Node(child, at),
                             );
                         }
                     }
                     Node::Leaf { ids, .. } => {
+                        let (si, ri) = unslot(at);
+                        let (shard, run) = (&shards[si], &shards[si].runs()[ri]);
                         for &id in ids {
-                            // Tombstoned members still sit in the tree (the
-                            // base is immutable until the next reshard);
-                            // skip them here so they never become
-                            // candidates.
-                            if shard.is_dead(id) {
+                            // Tombstoned members still sit in the tree (a
+                            // run is immutable until a merge or reshard
+                            // rebuilds it); skip them here so they never
+                            // become candidates.
+                            if shard.is_dead(run.global(id)) {
                                 continue;
                             }
                             stats.bump_bounds();
@@ -525,7 +537,7 @@ pub(crate) fn best_first<C: Collector>(
                             let lb = metric.lower_bound_trajectory(
                                 mode,
                                 query,
-                                shard.traj(id),
+                                run.traj(id),
                                 Cutoff::constant(collector.threshold()),
                                 scratch,
                             );
@@ -533,14 +545,15 @@ pub(crate) fn best_first<C: Collector>(
                                 &mut queue,
                                 &mut seq,
                                 lb.max(entry.key.0),
-                                QueueItem::Traj(id, si),
+                                QueueItem::Traj(id, at),
                             );
                         }
                     }
                 }
             }
-            QueueItem::Traj(id, si) => {
-                let shard = &shards[si as usize];
+            QueueItem::Traj(id, at) => {
+                let (si, ri) = unslot(at);
+                let shard = &shards[si];
                 stats.bump_edwp();
                 // The exact DP runs under the live threshold too: a row of
                 // anchor states already above it proves the candidate can
@@ -555,12 +568,12 @@ pub(crate) fn best_first<C: Collector>(
                 let d = metric.distance_bounded(
                     mode,
                     query,
-                    shard.traj(id),
+                    shard.traj(ri, id),
                     Cutoff::constant(collector.threshold()),
                     scratch,
                 );
                 if d <= collector.threshold() {
-                    collector.offer(shard.global(id), d);
+                    collector.offer(shard.global(ri, id), d);
                 }
             }
         }

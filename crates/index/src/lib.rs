@@ -4,9 +4,9 @@
 //! index over a trajectory database with an **exact** query engine —
 //! k-nearest-neighbour and range (ε) search under EDwP, single-query or
 //! parallel batch, with streaming ingestion that never blocks a running
-//! query or a held [`Snapshot`] (only *acquiring* a new snapshot waits,
-//! behind an in-progress delta fold) — that evaluates the full distance
-//! on only a fraction of the database.
+//! query or a held [`Snapshot`] (*acquiring* a new snapshot waits only
+//! for the pointer swap that publishes a write) — that evaluates the full
+//! distance on only a fraction of the database.
 //!
 //! # Architecture
 //!
@@ -18,21 +18,23 @@
 //!   by Sort-Tile-Recursive bulk-loading ([`TrajTree::bulk_load`]) and
 //!   support incremental [`TrajTree::insert`] with the paper's
 //!   least-volume-growth descent and node splitting.
-//! * The `shard` module partitions the database: one `Shard` is a
-//!   [`TrajStore`] segment plus the [`TrajTree`] over it (including the
-//!   max-length bookkeeping the normalised metric needs), routed by the
-//!   deterministic id hash `global_id mod shards`. A [`Snapshot`] is an
-//!   immutable epoch of all shards: inserts publish copy-on-write
-//!   successors, so readers never see a torn shard.
+//! * The `shard` module partitions the database: one `Shard` is a list
+//!   of immutable runs — each a [`TrajStore`] segment plus the
+//!   bulk-loaded [`TrajTree`] over it (including the max-length
+//!   bookkeeping the normalised metric needs) — and a delta buffer that
+//!   folds into a new run, routed by the deterministic id hash
+//!   `global_id mod shards`. A [`Snapshot`] is an immutable epoch of all
+//!   shards: writes publish successors that share every untouched run,
+//!   so readers never see a torn shard.
 //! * The `engine` module owns the best-first traversal, pruned by the
 //!   admissible Theorem 2 relaxation
 //!   [`traj_dist::Metric::lower_bound_boxes`] (with early-exit
 //!   accumulation against the collector's live threshold) and refined
 //!   through per-trajectory polyline bounds into exact EDwP evaluations
 //!   — every kernel call goes through the four `Metric` entry points. One
-//!   traversal serves a whole *forest* of shards — all roots seeded
-//!   into one queue, so an incumbent found in any shard prunes every
-//!   other shard's subtrees. The traversal is generic over a result
+//!   traversal serves a whole *forest* — every run root of every shard
+//!   seeded into one queue, so an incumbent found in any run prunes every
+//!   other run's subtrees. The traversal is generic over a result
 //!   *collector*, which supplies the pruning threshold and absorbs exact
 //!   distances.
 //! * The `session` module is the public query surface: a [`Session`] owns

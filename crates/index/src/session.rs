@@ -37,7 +37,7 @@
 use crate::engine::{
     best_first, Collector, KnnCollector, Matching, Neighbor, QueryStats, RangeCollector,
 };
-use crate::shard::{shard_of, Shard, Snapshot};
+use crate::shard::{shard_of, Shard, Snapshot, MAX_SHARDS};
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
 use std::collections::BTreeSet;
@@ -136,15 +136,15 @@ fn fan_out<T: Send, S: Default, R: Send>(
 }
 
 /// Default delta-merge threshold: how many buffered inserts a shard
-/// accumulates before folding them into its tree. Small enough that the
+/// accumulates before folding them into a new run. Small enough that the
 /// per-query brute scan of the delta stays negligible next to a tree
-/// descent; large enough to amortise the copy-on-write base clone an
-/// insert under held snapshots would otherwise pay every time.
+/// descent; large enough that a shard holds few runs, each a root every
+/// query seeds.
 const DELTA_MERGE_THRESHOLD: usize = 32;
 
 /// The full **live** contents of an epoch as per-shard borrow sections, in
-/// shard order with each section ascending by global id (base survivors,
-/// then delta survivors) — what the storage engine's compaction writes.
+/// shard order with each section ascending by global id (run survivors,
+/// then the delta) — what the storage engine's compaction writes.
 /// Tombstoned members are simply absent: compaction is where a removal
 /// stops costing disk space.
 fn shard_sections(snap: &Snapshot) -> Vec<Vec<(TrajId, &Trajectory)>> {
@@ -159,19 +159,28 @@ fn shard_sections(snap: &Snapshot) -> Vec<Vec<(TrajId, &Trajectory)>> {
 /// shard, since the bulk loads are independent (and deterministic, so the
 /// parallel build is bit-identical to the sequential one). The one build
 /// path: [`SessionBuilder::build`], [`SessionBuilder::open`] and
-/// [`Session::reshard`] all reach their trees through this call.
+/// [`Session::reshard`] all reach their trees through this call, one run
+/// per shard.
+///
+/// # Panics
+/// Panics when `n` exceeds 2^26 shards, past which a traversal cannot
+/// name a shard's runs.
 fn build_shards(
     pairs: Vec<(TrajId, Trajectory)>,
     n: usize,
     config: &TrajTreeConfig,
 ) -> Vec<Arc<Shard>> {
     debug_assert!(n >= 1, "the shard count is clamped before routing");
+    assert!(
+        n <= MAX_SHARDS,
+        "{n} shards exceed the {MAX_SHARDS} supported"
+    );
     let mut parts: Vec<Vec<(TrajId, Trajectory)>> = (0..n).map(|_| Vec::new()).collect();
     for (gid, t) in pairs {
         parts[shard_of(gid, n)].push((gid, t));
     }
     fan_out(parts, n, &mut (), |part, _| {
-        Arc::new(Shard::bulk(part, config.clone()))
+        Arc::new(Shard::bulk(part, config))
     })
 }
 
@@ -183,8 +192,9 @@ fn build_shards(
 /// default 1) and is invisible in results: every query traverses all
 /// shards at once and returns exactly what a single-shard session would.
 /// [`Session::insert`] routes new trajectories by id hash and publishes a
-/// new epoch copy-on-write, so concurrent [`Session::batch`] /
-/// [`Snapshot`] readers keep reading the epoch they started on.
+/// new epoch that shares every untouched run, so concurrent
+/// [`Session::batch`] / [`Snapshot`] readers keep reading the epoch they
+/// started on.
 ///
 /// ```
 /// use traj_core::Trajectory;
@@ -212,14 +222,14 @@ fn build_shards(
 #[derive(Debug)]
 pub struct Session {
     /// The live epoch: the shards and the id watermark, one published
-    /// value. Readers clone it (a [`Snapshot`]); writers publish the next
-    /// epoch under the write lock — held only for the in-memory apply +
-    /// publish, never across disk I/O.
+    /// value. Readers clone it (a [`Snapshot`]); writers build the next
+    /// epoch beside it and take the write lock only to swap it in
+    /// ([`Session::publish`]), never across a fold or disk I/O.
     live: RwLock<Snapshot>,
     config: TrajTreeConfig,
     scratch: EdwpScratch,
-    /// Delta-merge threshold: a shard folds its delta buffer into its
-    /// tree once the buffer holds this many trajectories
+    /// Delta-merge threshold: a shard folds its delta buffer into a new
+    /// run once the buffer holds this many trajectories
     /// ([`SessionBuilder::delta_merge_threshold`], clamped >= 1).
     delta_threshold: usize,
     /// Serialises writers (insert / remove / reshard / compact / sync)
@@ -335,33 +345,35 @@ impl Session {
     /// ingestion alike. Each trajectory lands in its routed shard's delta
     /// buffer (queried by exact brute scan, so it is immediately and
     /// exactly visible); once a buffer reaches the session's merge
-    /// threshold it is folded into the shard's tree via the
-    /// least-volume-growth insert.
+    /// threshold it is folded: bulk-loaded into a new run of the shard,
+    /// which then merges with its older runs while they are at most twice
+    /// its size (see the `shard` module docs).
     ///
     /// # Consistency contract
     ///
     /// * Writes are serialized (the session's writer lock) and atomic: one
     ///   epoch — shards and id watermark together — is published for the
     ///   whole batch, so queries see every trajectory of it (delta or
-    ///   tree) or none. The routed per-shard
+    ///   run) or none. The routed per-shard
     ///   sub-batches are applied on parallel workers (one per touched
     ///   shard) when the session is sharded.
-    /// * Readers are epoch-guarded: the batch is built into copy-on-write
-    ///   successors of the routed shards ([`Arc::make_mut`] — in place
-    ///   when no snapshot holds the shard) and published atomically. A
-    ///   [`Session::batch`] or [`Snapshot`] that started earlier keeps
-    ///   reading its original epoch — it never observes a torn shard or a
-    ///   partially visible batch. With a snapshot held, the copied unit is
-    ///   a routed shard's *delta buffer* (plus two `Arc` bumps for its
-    ///   immutable base), not the whole shard — only a delta merge pays a
-    ///   base copy, once per threshold crossing.
+    /// * Readers are epoch-guarded: the batch is built into successors of
+    ///   the routed shards under the writer lock alone, off the epoch
+    ///   lock, and published atomically. A successor shares every run the
+    ///   batch leaves untouched, and every delta trip, by `Arc`: it copies
+    ///   only the pointers of the shard's *delta buffer*. A fold builds
+    ///   its new run and the runs it merges and copies nothing else, held
+    ///   snapshot or not. A [`Session::batch`] or [`Snapshot`] that
+    ///   started earlier keeps reading its original epoch — it never
+    ///   observes a torn shard or a partially visible batch.
     /// * An insert *happens-before* every snapshot taken after it returns
     ///   (the `RwLock` synchronises publication), so
     ///   `session.insert(t); session.query(&q)` always sees `t`.
-    /// * Inserts briefly block snapshot *acquisition* (never queries
-    ///   already running) — and only for the in-memory apply: WAL
-    ///   append/fsync and compaction run *before* the epoch lock is
-    ///   taken, so readers are never stuck behind disk I/O.
+    /// * Inserts block snapshot *acquisition* (never queries already
+    ///   running) only for the pointer swap that publishes the new epoch:
+    ///   WAL append/fsync, compaction, the delta appends and every fold
+    ///   run *before* the epoch lock is taken, so readers are never stuck
+    ///   behind disk I/O or a bulk load.
     ///
     /// # Durability contract
     ///
@@ -388,10 +400,10 @@ impl Session {
             return Ok(Vec::new());
         }
         let mut writer = self.writer.lock().expect("session writer lock poisoned");
-        // Only writers move the watermark and the shard count, and the
-        // writer lock is held, so both stay put until the publish below.
-        let base = self.snapshot().next_id;
-        let n = self.num_shards();
+        // Only writers publish, and the writer lock is held, so this epoch
+        // stays the live one until the publish below.
+        let snap = self.snapshot();
+        let (base, n) = (snap.next_id, snap.num_shards());
         let next_id = u32::try_from(batch.len())
             .ok()
             .and_then(|n| base.checked_add(n))
@@ -404,26 +416,25 @@ impl Session {
         for (t, &id) in batch.into_iter().zip(&ids) {
             routed[shard_of(id, n)].push((id, t));
         }
-        let threshold = self.delta_threshold;
-        let mut live = self.live.write().expect("session epoch lock poisoned");
-        let state = Arc::make_mut(&mut live.shards);
+        let (threshold, config) = (self.delta_threshold, &self.config);
         // One worker per touched shard: the sub-batches are disjoint
-        // (`&mut` per shard), and each worker's work is pure CPU (delta
-        // pushes + possible merges), so holding the epoch lock across the
-        // fan-out costs readers no disk waits.
-        let touched: Vec<_> = state
+        // (`&mut` per shard). `make_mut` copies a touched shard out of
+        // the live epoch — one `Arc` per run and per delta trip — and the
+        // worker appends and folds into the copy.
+        let mut shards = snap.shards.to_vec();
+        let touched: Vec<_> = shards
             .iter_mut()
             .zip(routed)
             .filter(|(_, sub)| !sub.is_empty())
             .collect();
         let workers = touched.len();
         fan_out(touched, workers, &mut (), |(shard, sub), _| {
-            let shard = Arc::make_mut(shard);
-            for (id, t) in sub {
-                shard.insert(id, t, threshold);
-            }
+            Arc::make_mut(shard).insert(sub, threshold, config)
         });
-        live.next_id = next_id;
+        self.publish(Snapshot {
+            shards: Arc::new(shards),
+            next_id,
+        });
         Ok(ids)
     }
 
@@ -436,7 +447,8 @@ impl Session {
     /// [`TrajError::UnknownId`] for the rest of the database's life. A
     /// delta-buffer member is dropped from the delta at once; an indexed
     /// member is **tombstoned** and its space reclaimed lazily, at the
-    /// next [`Session::compact`] (disk) / [`Session::reshard`] (memory) —
+    /// next [`Session::compact`] (disk) / the next fold that merges its
+    /// run or [`Session::reshard`] (memory) —
     /// results are exact either way, since traversals skip tombstones at
     /// refinement.
     ///
@@ -479,13 +491,15 @@ impl Session {
             }
         }
         self.log(&mut writer, |engine| engine.append_tombstones(ids))?;
-        let mut live = self.live.write().expect("session epoch lock poisoned");
-        let state = Arc::make_mut(&mut live.shards);
+        let mut shards = snap.shards.to_vec();
         for &id in ids {
-            let shard = Arc::make_mut(&mut state[shard_of(id, n)]);
-            let removed = shard.remove(id);
+            let removed = Arc::make_mut(&mut shards[shard_of(id, n)]).remove(id);
             debug_assert!(removed, "validated live against the same epoch above");
         }
+        self.publish(Snapshot {
+            shards: Arc::new(shards),
+            next_id: snap.next_id,
+        });
         Ok(())
     }
 
@@ -498,12 +512,13 @@ impl Session {
     /// [`Session::into_store`] round-trips, which re-densify).
     ///
     /// This is a rebuild of the *live* set from memory: live trajectories
-    /// are re-dealt by the id-hash router and one tree per shard is
+    /// are re-dealt by the id-hash router and one run per shard is
     /// STR-bulk-loaded on parallel workers — the same bulk load
     /// [`SessionBuilder::build`] and [`SessionBuilder::open`] run, so the
     /// new trees are what a fresh build over the live set would produce.
     /// Resharding to the **current** count is deliberately not a no-op: it
-    /// folds every delta buffer and evicts every tombstone from memory, so
+    /// rebuilds every shard as one run, folding every delta buffer and
+    /// evicting every tombstone from memory, so
     /// `session.reshard(session.num_shards())` doubles as an in-memory
     /// vacuum.
     ///
@@ -523,11 +538,24 @@ impl Session {
         // record, and an `Err` here leaves memory and disk on the old
         // layout.
         self.log(&mut writer, |engine| engine.append_reshard(n as u32))?;
-        self.live
-            .write()
-            .expect("session epoch lock poisoned")
-            .shards = Arc::new(built);
+        self.publish(Snapshot {
+            shards: Arc::new(built),
+            next_id: snap.next_id,
+        });
         Ok(())
+    }
+
+    /// Makes `next` the live epoch. The caller holds the writer lock and
+    /// built `next` from the epoch it read under that lock, so no write
+    /// lands in between. The epoch lock covers the swap alone: the
+    /// superseded epoch is dropped after the lock is released, so freeing
+    /// the runs no snapshot holds any more never delays a reader.
+    fn publish(&self, next: Snapshot) {
+        let superseded = std::mem::replace(
+            &mut *self.live.write().expect("session epoch lock poisoned"),
+            next,
+        );
+        drop(superseded);
     }
 
     /// The durable half of a write, run on the engine the caller's writer
@@ -685,8 +713,9 @@ impl SessionBuilder {
     /// least 1). Defaults to 1 for [`SessionBuilder::build`] and to the
     /// stored snapshot's shard count for [`SessionBuilder::open`]. Results
     /// are bitwise identical at any shard count — raise it to parallelise
-    /// queries and bulk-loading across cores and to shrink the unit an
-    /// insert copies under concurrent readers.
+    /// bulk-loading and folds across cores. A traversal names a shard in
+    /// 26 bits, so building, opening or resharding with more than 2^26
+    /// shards panics.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self
@@ -701,12 +730,13 @@ impl SessionBuilder {
     }
 
     /// How many buffered inserts a shard's delta accumulates before being
-    /// folded into its tree (clamped to at least 1; default 32). Results
-    /// are bitwise identical at any threshold — the delta is queried by
-    /// exact brute scan — so this knob trades per-query delta-scan work
-    /// against the copy-on-write merge cost an insert under held
-    /// snapshots pays at each threshold crossing. `1` restores the old
-    /// insert-straight-into-the-tree behaviour.
+    /// folded — bulk-loaded into a new run, the shard's newest (clamped to
+    /// at least 1; default 32). Results are bitwise identical at any
+    /// threshold — the delta is queried by exact brute scan — so this knob
+    /// trades per-query delta-scan work against fold frequency and run
+    /// count: runs more than halve in size from oldest to newest, so a
+    /// shard of `m` members holds at most `⌊log2(m / threshold)⌋ + 1`.
+    /// `1` folds every insert into a run straight away.
     pub fn delta_merge_threshold(mut self, threshold: usize) -> Self {
         self.delta_threshold = Some(threshold.max(1));
         self

@@ -4,7 +4,7 @@
 //! # Sharding model
 //!
 //! A [`crate::Session`] partitions its database across `n` shards, each a
-//! self-contained `(TrajStore segment, TrajTree, id bookkeeping)` unit.
+//! self-contained unit of immutable runs, tombstones and a delta buffer.
 //! The router is pure arithmetic over the global id space:
 //!
 //! ```text
@@ -16,143 +16,225 @@
 //! With dense ids the router deals round-robin; once removals punch holes
 //! in the id space the residue-class invariant still holds (shard `s`
 //! owns exactly the live ids with `g mod n == s`, in ascending order), so
-//! each shard's base carries an explicit ascending `globals` table mapping
-//! its dense base slots back to global ids.
+//! each run carries an explicit ascending `globals` table mapping its
+//! dense slots back to global ids.
 //!
-//! # Delta buffers and tombstones
+//! # Runs, delta buffers and tombstones
 //!
-//! Each shard is an **immutable base** — one `Arc` holding a store
-//! segment, its global-id table and the [`TrajTree`] indexing exactly that
-//! segment — and a small append-only **delta buffer** of recently
-//! inserted `(id, trajectory)` pairs the tree does not cover yet. Local
-//! ids keep counting straight through: slot `l < base.len()` lives in the
-//! base store, slot `l >= base.len()` in the delta at offset
-//! `l - base.len()`. Queries merge the tree traversal with an exact brute
-//! scan of the delta, so results stay bitwise identical to a shard whose
-//! tree covers everything. Once the delta reaches the session's merge
-//! threshold it is folded into the base via the tree's
-//! least-volume-growth insert.
+//! Each shard is an ordered list of **immutable runs** — each one `Arc`
+//! holding a store segment, its global-id table and the STR-bulk-loaded
+//! [`TrajTree`] indexing exactly that segment — and a small append-only
+//! **delta buffer** of recently inserted `(id, trajectory)` pairs no tree
+//! covers yet. Runs are oldest first, and every id of a run is below every
+//! id of the next. Queries merge the traversal of every run's tree with
+//! an exact brute scan of the delta, so results stay bitwise identical to
+//! a shard one tree covers entirely.
 //!
-//! Removing a delta member deletes it from the delta, which
-//! copy-on-write has already made the shard's own. Removing a base member
-//! is a **tombstone**: the base stays untouched (snapshots share it), and
-//! the shard records the dead id in an `Arc`-shared set that leaf
+//! Once the delta reaches the session's merge threshold it is **folded**:
+//! bulk-loaded into a new newest run. Then, while the second-newest run's
+//! live count is at most twice the newest's, the two merge into one
+//! bulk-loaded run (the logarithmic method of Bentley and Saxe). Member
+//! counts therefore more than halve from each run to the next, so a shard
+//! holds at most `⌊log2(members / threshold)⌋ + 1` runs, and each member
+//! is re-bulk-loaded `O(log n)` times over its life. A build, an open and
+//! a reshard bulk-load one run per shard.
+//!
+//! Removing a delta member deletes it from the delta. Removing a run
+//! member is a **tombstone**: the run stays untouched (snapshots share
+//! it), and the shard records the dead id in an `Arc`-shared set that leaf
 //! refinement and brute scan consult, so a dead member never reaches a
 //! collector. Node summaries still cover dead members; a superset bound
 //! is still admissible, so only pruning tightness (never exactness)
-//! suffers until the member leaves the disk at the next compaction and
-//! memory at the next [`crate::Session::reshard`].
+//! suffers until a merge rebuilds the member's run without it (dropping
+//! its tombstone too), the next compaction drops it from disk, or the
+//! next [`crate::Session::reshard`] rebuilds every run.
 //!
 //! # Epochs
 //!
 //! Shards are immutable once published: the session's live state is one
 //! [`Snapshot`] (the `Arc<Vec<Arc<Shard>>>` epoch plus the id watermark),
-//! and taking a snapshot clones it. Writes build the next epoch
-//! copy-on-write ([`std::sync::Arc::make_mut`]) and publish it under the
-//! session's epoch lock, so a snapshot taken before a write keeps reading
-//! the pre-write epoch for as long as it lives. The delta split is what
-//! makes that cheap under reader pressure: cloning a shard bumps two
-//! `Arc`s (base and tombstone set) and deep-copies only the (small,
-//! bounded) delta — only a delta merge pays a base copy, once per
-//! threshold crossing. See [`crate::Session::insert_batch`] for the full
-//! consistency contract.
+//! and taking a snapshot clones it. A write builds the next epoch's
+//! shards under the session's writer lock alone and takes the epoch lock
+//! only to publish them, so a snapshot taken before a write keeps reading
+//! the pre-write epoch for as long as it lives, and acquiring a snapshot
+//! never waits on a fold. A rebuilt shard shares every run the write left
+//! untouched by `Arc`: cloning a shard bumps one `Arc` per run, one for
+//! the tombstone set and one per delta trip (the trips themselves are
+//! never copied), and a fold builds only its new run and the runs it
+//! merges. See
+//! [`crate::Session::insert_batch`] for the full consistency contract.
 //!
 //! # Queries over shards
 //!
-//! The query layer never walks shards one at a time under separate
-//! thresholds: a query seeds every shard root into one best-first
-//! *forest* queue (cross-shard pruning, one collector). The whole epoch
-//! is pinned once (`Arc` clone of the shard vector) before the traversal
-//! starts, so a concurrent write publishing a new epoch mid-query is
-//! invisible: every shard walked belongs to the same published
+//! The query layer never walks shards or runs one at a time under
+//! separate thresholds: a query seeds every run root of every shard into
+//! one best-first *forest* queue (cross-shard pruning, one collector). The
+//! whole epoch is pinned once (`Arc` clone of the shard vector) before the
+//! traversal starts, so a concurrent write publishing a new epoch
+//! mid-query is invisible: every run walked belongs to the same published
 //! generation, and results stay bitwise identical to the sequential
 //! single-shard answer.
 
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use traj_core::{TrajError, Trajectory};
 
-/// One shard: an immutable, `Arc`-shared [`Base`], the `Arc`-shared
-/// tombstone set of dead base members, and the append-only delta buffer
-/// of inserts the tree does not cover yet.
+/// One shard: its immutable, `Arc`-shared [`Run`]s, the `Arc`-shared
+/// tombstone set of dead run members, and the append-only delta buffer of
+/// inserts no tree covers yet, each trip behind an `Arc` so that the next
+/// epoch's copy of a shard copies pointers, never trips.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
-    base: Arc<Base>,
-    /// Tombstoned global ids. Invariant: every element is a member of
-    /// `base` (a removed delta member leaves the delta instead).
+    /// Oldest first; every id of a run is below every id of the next, no
+    /// run is empty, and member counts more than halve from each run to
+    /// the next.
+    runs: Vec<Arc<Run>>,
+    /// Tombstoned global ids. Invariant: every element is a member of one
+    /// run (a removed delta member leaves the delta instead).
     dead: Arc<BTreeSet<TrajId>>,
-    delta: Vec<(TrajId, Trajectory)>,
+    delta: Vec<(TrajId, Arc<Trajectory>)>,
 }
 
-/// The part of a shard the tree covers: a [`TrajStore`] segment with dense
-/// local ids, the global id of each slot, and the [`TrajTree`] indexing
-/// exactly that segment. The three always change together, at a fold.
-#[derive(Debug, Clone)]
-struct Base {
+/// One run of a shard: a [`TrajStore`] segment with dense local ids, the
+/// global id of each slot, and the STR-bulk-loaded [`TrajTree`] indexing
+/// exactly that segment. Never changed once built: a merge replaces two
+/// runs with a new one.
+#[derive(Debug)]
+pub(crate) struct Run {
     store: TrajStore,
     /// Global id of each store slot, ascending (`globals[l]` is the id of
-    /// `store.get(l)`). Dense sessions start with slot `l` holding
-    /// `l·n + s`; removals and reshards make the gaps explicit.
+    /// `store.get(l)`).
     globals: Vec<TrajId>,
     tree: TrajTree,
 }
 
+impl Run {
+    /// Bulk-loads a run over `(global id, trajectory)` pairs ascending by
+    /// id.
+    fn bulk(pairs: Vec<(TrajId, Trajectory)>, config: &TrajTreeConfig) -> Self {
+        let (globals, trajs): (Vec<TrajId>, Vec<Trajectory>) = pairs.into_iter().unzip();
+        debug_assert!(globals.is_sorted_by(|a, b| a < b), "run ids must ascend");
+        let store = TrajStore::from(trajs);
+        let tree = TrajTree::bulk_load(&store, config.clone());
+        Run {
+            store,
+            globals,
+            tree,
+        }
+    }
+
+    /// The tree over this run's segment.
+    #[inline]
+    pub(crate) fn tree(&self) -> &TrajTree {
+        &self.tree
+    }
+
+    /// The global id of local id `local`.
+    #[inline]
+    pub(crate) fn global(&self, local: TrajId) -> TrajId {
+        self.globals[local as usize]
+    }
+
+    /// The trajectory at local id `local`.
+    #[inline]
+    pub(crate) fn traj(&self, local: TrajId) -> &Trajectory {
+        self.store.get(local)
+    }
+
+    /// Every member, dead or alive, ascending by global id.
+    fn pairs(&self) -> impl Iterator<Item = (TrajId, &Trajectory)> {
+        self.globals.iter().copied().zip(self.store.as_slice())
+    }
+
+    /// The id span of the run — disjoint from every other run's in its
+    /// shard, so it also bounds the run's tombstones.
+    fn ids(&self) -> RangeInclusive<TrajId> {
+        self.globals[0]..=self.globals[self.globals.len() - 1]
+    }
+}
+
+/// Bits of a traversal slot that name the run inside its shard. A shard
+/// holds at most 32 runs — member counts more than halve from run to run,
+/// and ids are `u32` — plus its delta, so six bits suffice.
+const RUN_BITS: u32 = 6;
+
+/// Most shards a session can hold: the traversal packs `(shard, run)` into
+/// one `u32` slot ([`slot`]).
+pub(crate) const MAX_SHARDS: usize = 1 << (32 - RUN_BITS);
+
+/// Packs a shard index and a run index of that shard into one traversal
+/// slot. The run index [`Shard::runs`]`().len()` names the delta.
+#[inline]
+pub(crate) fn slot(shard: usize, run: usize) -> u32 {
+    debug_assert!(shard < MAX_SHARDS && run < 1 << RUN_BITS);
+    ((shard as u32) << RUN_BITS) | run as u32
+}
+
+/// The `(shard, run)` pair a [`slot`] packs.
+#[inline]
+pub(crate) fn unslot(slot: u32) -> (usize, usize) {
+    (
+        (slot >> RUN_BITS) as usize,
+        (slot & ((1 << RUN_BITS) - 1)) as usize,
+    )
+}
+
 impl Shard {
-    /// Wraps a base as a shard with an empty delta and tombstone set.
-    fn over(store: TrajStore, globals: Vec<TrajId>, tree: TrajTree) -> Self {
+    /// A shard of at most one run, with an empty delta and tombstone set.
+    fn over(run: Option<Run>) -> Self {
         Shard {
-            base: Arc::new(Base {
-                store,
-                globals,
-                tree,
-            }),
+            runs: run.into_iter().map(Arc::new).collect(),
             dead: Arc::new(BTreeSet::new()),
             delta: Vec::new(),
         }
     }
 
-    /// Bulk-loads a shard over its `(global id, trajectory)` pairs, which
-    /// must be ascending by id; the delta and tombstone set start empty.
-    pub(crate) fn bulk(pairs: Vec<(TrajId, Trajectory)>, config: TrajTreeConfig) -> Self {
-        let (globals, trajs): (Vec<TrajId>, Vec<Trajectory>) = pairs.into_iter().unzip();
-        debug_assert!(
-            globals.is_sorted_by(|a, b| a < b),
-            "shard base ids must ascend"
-        );
-        let store = TrajStore::from(trajs);
-        let tree = TrajTree::bulk_load(&store, config);
-        Shard::over(store, globals, tree)
+    /// Bulk-loads a shard of one run over its `(global id, trajectory)`
+    /// pairs, which must be ascending by id (no run when there are none);
+    /// the delta and tombstone set start empty.
+    pub(crate) fn bulk(pairs: Vec<(TrajId, Trajectory)>, config: &TrajTreeConfig) -> Self {
+        Shard::over((!pairs.is_empty()).then(|| Run::bulk(pairs, config)))
     }
 
-    /// Wraps an existing store + tree as a shard with dense global ids
-    /// `0..store.len()`. `tree` must index exactly the trajectories of
+    /// Wraps an existing store + tree as a one-run shard with dense global
+    /// ids `0..store.len()`. `tree` must index exactly the trajectories of
     /// `store`.
     pub(crate) fn from_parts(store: TrajStore, tree: TrajTree) -> Self {
-        let globals: Vec<TrajId> = (0..store.len() as TrajId).collect();
-        Shard::over(store, globals, tree)
+        Shard::over((!store.is_empty()).then(|| Run {
+            globals: (0..store.len() as TrajId).collect(),
+            store,
+            tree,
+        }))
     }
 
-    /// Appends the trajectory with global id `gid` (which must exceed
-    /// every id already in the shard — ids are issued by the session's
-    /// monotone watermark). The trajectory lands in the delta buffer;
-    /// once the delta holds `threshold` members it is folded into the
-    /// base store + tree ([`Shard::merge_delta`]).
-    pub(crate) fn insert(&mut self, gid: TrajId, t: Trajectory, threshold: usize) {
-        debug_assert!(
-            self.delta.last().map(|e| e.0).is_none_or(|p| p < gid)
-                && self.base.globals.last().is_none_or(|&p| p < gid),
-            "ids are issued monotonically"
-        );
-        self.delta.push((gid, t));
+    /// Appends `sub`, whose ids must ascend and exceed every id already in
+    /// the shard (ids are issued by the session's monotone watermark), to
+    /// the delta buffer; once the delta holds `threshold` members it is
+    /// folded ([`Shard::fold`]).
+    pub(crate) fn insert(
+        &mut self,
+        sub: Vec<(TrajId, Trajectory)>,
+        threshold: usize,
+        config: &TrajTreeConfig,
+    ) {
+        for (gid, t) in sub {
+            debug_assert!(
+                self.delta.last().map(|e| e.0).is_none_or(|p| p < gid)
+                    && self.runs.last().is_none_or(|r| *r.ids().end() < gid),
+                "ids are issued monotonically"
+            );
+            self.delta.push((gid, Arc::new(t)));
+        }
         if self.delta.len() >= threshold.max(1) {
-            self.merge_delta();
+            self.fold(config);
         }
     }
 
     /// Removes the live member with global id `gid`: a delta member
-    /// leaves the delta, a base member is tombstoned. Returns `false`
+    /// leaves the delta, a run member is tombstoned. Returns `false`
     /// (and changes nothing) when `gid` is not a live member of this
     /// shard — already removed, never inserted here, or routed elsewhere.
     pub(crate) fn remove(&mut self, gid: TrajId) -> bool {
@@ -160,113 +242,135 @@ impl Shard {
             self.delta.remove(i);
             return true;
         }
-        if self.dead.contains(&gid) || self.base.globals.binary_search(&gid).is_err() {
+        if self.is_dead(gid) || self.locate(gid).is_none() {
             return false;
         }
         Arc::make_mut(&mut self.dead).insert(gid);
         true
     }
 
-    /// Folds the delta into the base: every member is appended to the
-    /// store + globals table and inserted into the tree via the
-    /// least-volume-growth descent. Copy-on-write at the base level: in
-    /// place when no snapshot shares the base `Arc`, one base copy
-    /// otherwise — the amortised cost the delta buffer bounds to once per
-    /// threshold crossing, and never paid for an empty delta.
-    pub(crate) fn merge_delta(&mut self) {
+    /// Folds the delta into a new newest run, bulk-loaded, then merges the
+    /// two newest runs while the older one's live count is at most twice
+    /// the newer one's. Runs a fold leaves alone stay shared with every
+    /// snapshot that holds them; an empty delta folds to nothing.
+    pub(crate) fn fold(&mut self, config: &TrajTreeConfig) {
         if self.delta.is_empty() {
             return;
         }
-        let Base {
-            store,
-            globals,
-            tree,
-        } = Arc::make_mut(&mut self.base);
-        for (gid, t) in self.delta.drain(..) {
-            let local = store.insert(t);
-            globals.push(gid);
-            tree.insert(store, local);
+        let delta = std::mem::take(&mut self.delta)
+            .into_iter()
+            .map(|(gid, t)| (gid, Arc::unwrap_or_clone(t)))
+            .collect();
+        self.runs.push(Arc::new(Run::bulk(delta, config)));
+        while let [.., older, newer] = self.runs.as_slice() {
+            if self.live(older) > 2 * self.live(newer) {
+                break;
+            }
+            self.merge_newest(config);
         }
     }
 
-    /// The tree over the immutable base (never covers the delta).
-    #[inline]
-    pub(crate) fn tree(&self) -> &TrajTree {
-        &self.base.tree
+    /// Replaces the two newest runs with one bulk-loaded run over their
+    /// live members, and drops their tombstones — the one place a
+    /// tombstoned member leaves memory short of a reshard. Two runs whose
+    /// members are all dead merge into none.
+    fn merge_newest(&mut self, config: &TrajTreeConfig) {
+        let newer = self.runs.pop().expect("two runs to merge");
+        let older = self.runs.pop().expect("two runs to merge");
+        let pairs: Vec<(TrajId, Trajectory)> = older
+            .pairs()
+            .chain(newer.pairs())
+            .filter(|&(gid, _)| !self.is_dead(gid))
+            .map(|(gid, t)| (gid, t.clone()))
+            .collect();
+        let ids = *older.ids().start()..=*newer.ids().end();
+        if self.dead.range(ids.clone()).next().is_some() {
+            Arc::make_mut(&mut self.dead).retain(|gid| !ids.contains(gid));
+        }
+        if !pairs.is_empty() {
+            self.runs.push(Arc::new(Run::bulk(pairs, config)));
+        }
     }
 
-    /// The immutable base segment the tree indexes.
-    #[inline]
-    pub(crate) fn base(&self) -> &TrajStore {
-        &self.base.store
+    /// Live members of `run`, one of this shard's runs.
+    fn live(&self, run: &Run) -> usize {
+        run.globals.len() - self.dead.range(run.ids()).count()
     }
 
-    /// The delta buffer: `(id, trajectory)` pairs at local ids
-    /// `base().len() .. `, in insertion (= ascending id) order. Every
-    /// entry is live.
+    /// The run index and local id of run member `gid`, dead or alive.
+    fn locate(&self, gid: TrajId) -> Option<(usize, TrajId)> {
+        let r = self.runs.partition_point(|run| *run.ids().end() < gid);
+        let local = self.runs.get(r)?.globals.binary_search(&gid).ok()?;
+        Some((r, local as TrajId))
+    }
+
+    /// The runs, oldest first. A traversal names the delta by the run
+    /// index `runs().len()`.
     #[inline]
-    pub(crate) fn delta(&self) -> &[(TrajId, Trajectory)] {
+    pub(crate) fn runs(&self) -> &[Arc<Run>] {
+        &self.runs
+    }
+
+    /// The delta buffer: `(id, trajectory)` pairs in insertion (=
+    /// ascending id) order. Every entry is live.
+    #[inline]
+    pub(crate) fn delta(&self) -> &[(TrajId, Arc<Trajectory>)] {
         &self.delta
     }
 
-    /// The global id of local id `local`: base slots `0..base().len()`
-    /// first, then the delta in buffer order.
+    /// The global id of local id `local` of run `run`, where run
+    /// `runs().len()` is the delta at offset `local`.
     #[inline]
-    pub(crate) fn global(&self, local: TrajId) -> TrajId {
-        let base = self.base.store.len() as TrajId;
-        if local < base {
-            self.base.globals[local as usize]
-        } else {
-            self.delta[(local - base) as usize].0
+    pub(crate) fn global(&self, run: usize, local: TrajId) -> TrajId {
+        match self.runs.get(run) {
+            Some(r) => r.global(local),
+            None => self.delta[local as usize].0,
         }
     }
 
-    /// Whether the base member at local id `local` is tombstoned — the one
-    /// check that keeps a dead member from ever reaching a collector. Node
-    /// summaries still cover dead members (a superset bound is admissible),
-    /// so the traversal asks only at leaf refinement.
+    /// The trajectory at local id `local` of run `run`, addressed as in
+    /// [`Shard::global`].
     #[inline]
-    pub(crate) fn is_dead(&self, local: TrajId) -> bool {
-        !self.dead.is_empty() && self.dead.contains(&self.base.globals[local as usize])
+    pub(crate) fn traj(&self, run: usize, local: TrajId) -> &Trajectory {
+        match self.runs.get(run) {
+            Some(r) => r.traj(local),
+            None => &self.delta[local as usize].1,
+        }
     }
 
-    /// The trajectory at local id `local`, whichever side of the
-    /// base/delta split it lives on.
+    /// Whether run member `gid` is tombstoned — the one check that keeps a
+    /// dead member from ever reaching a collector. Node summaries still
+    /// cover dead members (a superset bound is admissible), so the
+    /// traversal asks only at leaf refinement.
     #[inline]
-    pub(crate) fn traj(&self, local: TrajId) -> &Trajectory {
-        let base = self.base.store.len() as TrajId;
-        if local < base {
-            self.base.store.get(local)
-        } else {
-            &self.delta[(local - base) as usize].1
-        }
+    pub(crate) fn is_dead(&self, gid: TrajId) -> bool {
+        !self.dead.is_empty() && self.dead.contains(&gid)
     }
 
     /// The **live** trajectory with global id `gid`, or `None` when the
     /// id is not a live member of this shard.
     pub(crate) fn get_global(&self, gid: TrajId) -> Option<&Trajectory> {
-        if self.dead.contains(&gid) {
+        if self.is_dead(gid) {
             return None;
         }
-        if let Ok(slot) = self.base.globals.binary_search(&gid) {
-            return Some(self.base.store.get(slot as TrajId));
+        if let Some((r, local)) = self.locate(gid) {
+            return Some(self.runs[r].traj(local));
         }
-        self.delta.iter().find(|&&(g, _)| g == gid).map(|(_, t)| t)
+        let i = self.delta.binary_search_by_key(&gid, |e| e.0).ok()?;
+        Some(&self.delta[i].1)
     }
 
     /// All live `(global id, trajectory)` pairs of this shard, ascending
-    /// by id — the base survivors followed by the delta (delta ids always
-    /// exceed base ids).
+    /// by id — the runs' survivors in run order, then the delta (whose
+    /// ids exceed every run's).
     pub(crate) fn live_pairs(&self) -> impl Iterator<Item = (TrajId, &Trajectory)> {
-        let base = self
-            .base
-            .globals
+        let runs = self
+            .runs
             .iter()
-            .zip(self.base.store.as_slice())
-            .filter(|(gid, _)| !self.dead.contains(gid))
-            .map(|(&gid, t)| (gid, t));
-        let delta = self.delta.iter().map(|&(gid, ref t)| (gid, t));
-        base.chain(delta)
+            .flat_map(|r| r.pairs())
+            .filter(|&(gid, _)| !self.is_dead(gid));
+        let delta = self.delta.iter().map(|(gid, t)| (*gid, &**t));
+        runs.chain(delta)
     }
 
     /// Number of **live** trajectories in this shard (members minus
@@ -275,9 +379,9 @@ impl Shard {
         self.indexed_len() + self.delta.len()
     }
 
-    /// Live trajectories the tree covers (base survivors).
+    /// Live trajectories the runs' trees cover.
     pub(crate) fn indexed_len(&self) -> usize {
-        self.base.store.len() - self.dead.len()
+        self.runs.iter().map(|r| r.globals.len()).sum::<usize>() - self.dead.len()
     }
 }
 
@@ -288,23 +392,24 @@ pub(crate) fn shard_of(id: TrajId, shards: usize) -> usize {
 }
 
 /// Occupancy of one shard at one epoch: how many **live** trajectories
-/// its tree covers and how many sit in the delta buffer awaiting a merge
-/// — the introspection [`Snapshot::shard_sizes`] reports per shard, in
-/// shard order, so rebalancing and capacity decisions have data to act
-/// on. Tombstoned base members are excluded (one still occupies store
-/// memory until the next reshard, but it can never answer a query).
+/// its runs' trees cover and how many sit in the delta buffer awaiting a
+/// fold — the introspection [`Snapshot::shard_sizes`] reports per shard,
+/// in shard order, so rebalancing and capacity decisions have data to act
+/// on. Tombstoned run members are excluded (one still occupies memory
+/// until a merge or reshard rebuilds its run, but it can never answer a
+/// query).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardOccupancy {
-    /// Live trajectories in the shard's immutable base (covered by its
-    /// tree).
+    /// Live trajectories in the shard's immutable runs (covered by their
+    /// trees).
     pub indexed: usize,
     /// Live trajectories in the shard's delta buffer (queried by exact
-    /// brute scan until the next merge folds them into the tree).
+    /// brute scan until the next fold bulk-loads them into a run).
     pub delta: usize,
 }
 
 impl ShardOccupancy {
-    /// Total live trajectories in the shard (base + delta).
+    /// Total live trajectories in the shard (runs + delta).
     pub fn total(&self) -> usize {
         self.indexed + self.delta
     }
@@ -362,7 +467,7 @@ impl Snapshot {
     }
 
     /// Per-shard **live** occupancy in shard order: how many live
-    /// trajectories each shard's tree covers and how many sit in its
+    /// trajectories each shard's runs cover and how many sit in its
     /// delta buffer. The totals sum to [`Snapshot::len`]; with id-hash
     /// routing over watermark-issued ids the totals stay balanced to
     /// within the removal skew, so a large spread is a rebalancing
@@ -415,18 +520,19 @@ impl Snapshot {
         pairs.into_iter()
     }
 
-    /// Height of the tallest shard tree (0 when empty).
+    /// Height of the tallest run tree across all shards (0 when empty).
     pub fn tree_height(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.tree().height())
-            .max()
-            .unwrap_or(0)
+        self.trees().map(TrajTree::height).max().unwrap_or(0)
     }
 
-    /// Total node count across all shard trees.
+    /// Total node count across every run tree of every shard.
     pub fn node_count(&self) -> usize {
-        self.shards.iter().map(|s| s.tree().node_count()).sum()
+        self.trees().map(TrajTree::node_count).sum()
+    }
+
+    /// Every run tree of every shard.
+    fn trees(&self) -> impl Iterator<Item = &TrajTree> {
+        self.shards.iter().flat_map(|s| s.runs()).map(|r| r.tree())
     }
 }
 
@@ -442,6 +548,20 @@ mod tests {
         ids.into_iter().map(|g| (g, t(g as f64))).collect()
     }
 
+    fn bulk(ids: impl IntoIterator<Item = TrajId>) -> Shard {
+        Shard::bulk(dense(ids), &TrajTreeConfig::default())
+    }
+
+    /// Inserts `ids` as one batch at `threshold`.
+    fn insert(shard: &mut Shard, ids: impl IntoIterator<Item = TrajId>, threshold: usize) {
+        shard.insert(dense(ids), threshold, &TrajTreeConfig::default());
+    }
+
+    /// Each run's global ids, oldest run first.
+    fn run_ids(shard: &Shard) -> Vec<Vec<TrajId>> {
+        shard.runs.iter().map(|r| r.globals.clone()).collect()
+    }
+
     #[test]
     fn router_deals_by_residue_class() {
         for shards in [1usize, 2, 3, 4, 7] {
@@ -452,12 +572,16 @@ mod tests {
     }
 
     #[test]
+    fn slots_pack_every_shard_and_run_index() {
+        for (shard, run) in [(0, 0), (0, 32), (3, 1), (MAX_SHARDS - 1, 63)] {
+            assert_eq!(unslot(slot(shard, run)), (shard, run));
+        }
+    }
+
+    #[test]
     fn snapshot_routes_global_ids() {
         let shards: Vec<Arc<Shard>> = (0..3)
-            .map(|s| {
-                let part = dense((0..7u32).filter(|g| *g as usize % 3 == s));
-                Arc::new(Shard::bulk(part, TrajTreeConfig::default()))
-            })
+            .map(|s| Arc::new(bulk((0..7u32).filter(|g| *g as usize % 3 == s))))
             .collect();
         let snap = Snapshot {
             shards: Arc::new(shards),
@@ -479,35 +603,33 @@ mod tests {
 
     #[test]
     fn delta_inserts_route_and_merge_at_the_threshold() {
-        let mut shard = Shard::bulk(dense(0..4), TrajTreeConfig::default());
+        let mut shard = bulk(0..4);
         assert_eq!((shard.indexed_len(), shard.delta().len()), (4, 0));
         // Below the threshold: inserts buffer in the delta, lookups cover
         // both sides of the split.
-        for i in 4..7u32 {
-            shard.insert(i, t(i as f64), 8);
-        }
+        insert(&mut shard, 4..7, 8);
         assert_eq!((shard.indexed_len(), shard.delta().len()), (4, 3));
         assert_eq!(shard.len(), 7);
         for i in 0..7u32 {
             assert_eq!(shard.get_global(i).unwrap().first().p.x, i as f64);
         }
         assert!(shard.get_global(7).is_none());
-        // The 8th member crosses the threshold: the delta folds into the
-        // base and the tree covers everything again.
-        shard.insert(7, t(7.0), 4);
+        // The 8th member crosses the threshold: the delta folds into a
+        // run of 4, which merges with the bulk-built run of 4 (4 <= 2·4),
+        // so one tree covers everything again.
+        insert(&mut shard, [7], 4);
         assert_eq!((shard.indexed_len(), shard.delta().len()), (8, 0));
-        assert_eq!(shard.tree().len(), 8);
-        assert_eq!(shard.base.globals, (0..8).collect::<Vec<_>>());
+        assert_eq!(run_ids(&shard), vec![(0..8).collect::<Vec<_>>()]);
+        assert_eq!(shard.runs[0].tree().len(), 8);
     }
 
     #[test]
     fn tombstones_hide_members_and_fold_out_of_the_delta() {
-        let mut shard = Shard::bulk(dense([0, 2, 4]), TrajTreeConfig::default());
-        shard.insert(6, t(6.0), 100);
-        shard.insert(8, t(8.0), 100);
+        let mut shard = bulk([0, 2, 4]);
+        insert(&mut shard, [6, 8], 100);
         assert_eq!(shard.len(), 5);
-        // Kill one base member and one delta member.
-        assert!(shard.remove(2), "base member");
+        // Kill one run member and one delta member.
+        assert!(shard.remove(2), "run member");
         assert!(shard.remove(6), "delta member");
         assert!(!shard.remove(2), "already dead");
         assert!(!shard.remove(6), "already removed from the delta");
@@ -520,11 +642,12 @@ mod tests {
             shard.live_pairs().map(|(g, _)| g).collect::<Vec<_>>(),
             vec![0, 4, 8]
         );
-        // Folding appends the delta survivor and keeps the dead base entry
-        // tombstoned.
-        shard.merge_delta();
-        assert_eq!(shard.base.globals, &[0, 2, 4, 8]);
-        assert_eq!(shard.dead.iter().copied().collect::<Vec<_>>(), vec![2]);
+        // Folding makes a run of the delta survivor; the bulk-built run
+        // (2 live <= 2·1) merges with it and leaves its dead member and
+        // that member's tombstone behind.
+        shard.fold(&TrajTreeConfig::default());
+        assert_eq!(run_ids(&shard), vec![vec![0, 4, 8]]);
+        assert!(shard.dead.is_empty());
         assert_eq!(shard.len(), 3);
         assert_eq!((shard.indexed_len(), shard.delta().len()), (3, 0));
     }
@@ -532,22 +655,23 @@ mod tests {
     #[test]
     fn holey_ids_keep_resolving_after_a_fold() {
         // Ids with gaps (as removal + fresh inserts produce): the globals
-        // table, not arithmetic, maps slots to ids.
-        let mut shard = Shard::bulk(dense([1, 5, 9]), TrajTreeConfig::default());
-        shard.insert(13, t(13.0), 1); // threshold 1: folds immediately
-        assert_eq!(shard.base.globals, &[1, 5, 9, 13]);
+        // tables, not arithmetic, map slots to ids.
+        let mut shard = bulk([1, 5, 9]);
+        insert(&mut shard, [13], 1); // threshold 1: folds immediately
+        assert_eq!(run_ids(&shard), vec![vec![1, 5, 9], vec![13]]);
         for g in [1u32, 5, 9, 13] {
             assert_eq!(shard.get_global(g).unwrap().first().p.x, g as f64);
         }
         assert!(shard.get_global(3).is_none());
+        assert!(shard.get_global(11).is_none());
     }
 
     #[test]
     fn snapshot_len_and_sizes_report_live_counts() {
-        let mut a = Shard::bulk(dense([0, 2]), TrajTreeConfig::default());
-        let mut b = Shard::bulk(dense([1, 3]), TrajTreeConfig::default());
-        a.insert(4, t(4.0), 100);
-        b.insert(5, t(5.0), 100);
+        let mut a = bulk([0, 2]);
+        let mut b = bulk([1, 3]);
+        insert(&mut a, [4], 100);
+        insert(&mut b, [5], 100);
         a.remove(2);
         b.remove(5);
         let snap = Snapshot {
@@ -581,16 +705,18 @@ mod tests {
 
     #[test]
     fn shard_clone_shares_the_base_and_copies_only_the_delta() {
-        let mut shard = Shard::bulk(dense(0..16), TrajTreeConfig::default());
-        shard.insert(16, t(16.0), 1000);
+        let mut shard = bulk(0..16);
+        insert(&mut shard, [16], 1000);
         shard.remove(3);
         let clone = shard.clone();
-        assert!(Arc::ptr_eq(&shard.base, &clone.base), "base shared");
+        assert!(Arc::ptr_eq(&shard.runs[0], &clone.runs[0]), "run shared");
         assert!(Arc::ptr_eq(&shard.dead, &clone.dead), "tombstones shared");
         assert_eq!(clone.delta().len(), 1);
-        // A merge on the original copies the base out from under the
-        // shared Arc; the clone keeps its epoch untouched.
-        shard.merge_delta();
+        // A fold on the original adds a run of its own and leaves the
+        // shared run alone (15 live > 2·1, so nothing merges); the clone
+        // keeps its epoch untouched.
+        shard.fold(&TrajTreeConfig::default());
+        assert!(Arc::ptr_eq(&shard.runs[0], &clone.runs[0]), "run copied");
         assert_eq!(shard.indexed_len(), 16);
         assert_eq!(clone.indexed_len(), 15);
         assert_eq!(clone.delta().len(), 1);
@@ -604,13 +730,13 @@ mod tests {
 
     #[test]
     fn folding_an_all_dead_delta_leaves_the_shared_base_alone() {
-        let mut shard = Shard::bulk(dense(0..16), TrajTreeConfig::default());
-        shard.insert(16, t(16.0), 1000);
-        shard.insert(17, t(17.0), 1000);
-        let held = shard.clone(); // a snapshot shares the base Arc
+        let mut shard = bulk(0..16);
+        insert(&mut shard, [16, 17], 1000);
+        let held = shard.clone(); // a snapshot shares the runs
         assert!(shard.remove(16) && shard.remove(17));
-        shard.merge_delta();
-        assert!(Arc::ptr_eq(&shard.base, &held.base), "base copied");
+        shard.fold(&TrajTreeConfig::default());
+        assert_eq!(shard.runs.len(), 1, "an empty delta folds to no run");
+        assert!(Arc::ptr_eq(&shard.runs[0], &held.runs[0]), "run copied");
         // The removed entries are gone, and no tombstone stands for them.
         assert_eq!((shard.indexed_len(), shard.delta().len()), (16, 0));
         assert!(shard.delta().is_empty() && shard.dead.is_empty());
@@ -619,18 +745,89 @@ mod tests {
 
     #[test]
     fn removing_a_delta_member_drops_it_at_once_and_spares_held_clones() {
-        let mut shard = Shard::bulk(dense([0, 2]), TrajTreeConfig::default());
-        for g in [4, 6, 8] {
-            shard.insert(g, t(g as f64), 1000);
-        }
+        let mut shard = bulk([0, 2]);
+        insert(&mut shard, [4, 6, 8], 1000);
         let held = shard.clone();
         assert!(shard.remove(6));
         assert_eq!(shard.delta().len(), 2, "the delta shrinks at once");
         assert!(shard.dead.is_empty(), "no tombstone for a delta member");
         assert!(shard.get_global(6).is_none());
-        // Local ids past the removed slot shift down and still resolve.
-        assert_eq!((shard.global(3), shard.traj(3).first().p.x), (8, 8.0));
+        // Delta offsets past the removed slot shift down and still resolve
+        // (the delta is run index `runs().len()`).
+        let delta = shard.runs().len();
+        assert_eq!(
+            (shard.global(delta, 1), shard.traj(delta, 1).first().p.x),
+            (8, 8.0)
+        );
         // The clone taken before the removal still holds the member.
         assert_eq!(held.get_global(6).unwrap().first().p.x, 6.0);
+    }
+
+    #[test]
+    fn runs_more_than_halve_and_stay_logarithmic_at_threshold_one() {
+        let mut shard = bulk([]);
+        for n in 1..=200u32 {
+            insert(&mut shard, [n - 1], 1);
+            let sizes: Vec<usize> = shard.runs.iter().map(|r| shard.live(r)).collect();
+            assert!(
+                sizes.windows(2).all(|w| w[0] > 2 * w[1]),
+                "after {n} inserts the run sizes {sizes:?} do not more than halve"
+            );
+            assert!(
+                shard.runs.len() <= n.ilog2() as usize + 1,
+                "after {n} inserts: {} runs",
+                shard.runs.len()
+            );
+            assert_eq!(sizes.iter().sum::<usize>(), n as usize);
+            let ids: Vec<TrajId> = shard.live_pairs().map(|(g, _)| g).collect();
+            assert_eq!(ids, (0..n).collect::<Vec<_>>(), "ids ascend across runs");
+        }
+    }
+
+    #[test]
+    fn a_merge_drops_its_runs_tombstones_and_keeps_the_others() {
+        let mut shard = bulk(0..20);
+        insert(&mut shard, 20..24, 4); // 20 live > 2·4: a second run
+        assert_eq!(shard.runs.len(), 2);
+        assert!(shard.remove(5) && shard.remove(21));
+        // A run of 2 merges with the run of 3 live (3 <= 2·2), whose
+        // tombstone goes with it; the oldest run (19 > 2·5) keeps its own.
+        insert(&mut shard, [24, 25], 2);
+        let want: Vec<Vec<TrajId>> = vec![(0..20).collect(), vec![20, 22, 23, 24, 25]];
+        assert_eq!(run_ids(&shard), want);
+        assert_eq!(shard.dead.iter().copied().collect::<Vec<_>>(), vec![5]);
+        assert!(shard.get_global(5).is_none() && shard.get_global(21).is_none());
+        assert!(!shard.remove(21), "a merged-out member stays removed");
+        assert_eq!((shard.len(), shard.indexed_len()), (24, 24));
+    }
+
+    #[test]
+    fn a_held_clone_keeps_its_own_runs_across_a_fold_and_a_merge() {
+        let mut shard = bulk(0..40);
+        insert(&mut shard, 40..44, 4);
+        shard.remove(2);
+        let held = shard.clone();
+        // A fold whose run merges with the newest (4 <= 2·4), not with
+        // the oldest (39 > 2·8); then a removal on the live side.
+        insert(&mut shard, 44..48, 4);
+        shard.remove(3);
+        assert_eq!(run_ids(&shard)[1], (40..48).collect::<Vec<_>>());
+        assert!(Arc::ptr_eq(&shard.runs[0], &held.runs[0]), "untouched run");
+        assert!(!Arc::ptr_eq(&shard.runs[1], &held.runs[1]), "merged run");
+        // The held clone answers from its own runs and tombstones.
+        let want: Vec<Vec<TrajId>> = vec![(0..40).collect(), (40..44).collect()];
+        assert_eq!(run_ids(&held), want);
+        let want: Vec<TrajId> = (0..44).filter(|&g| g != 2).collect();
+        let got: Vec<TrajId> = held.live_pairs().map(|(g, _)| g).collect();
+        assert_eq!(got, want);
+        assert!(held.get_global(2).is_none());
+        assert_eq!(held.get_global(3).unwrap().first().p.x, 3.0);
+        assert!(held.get_global(44).is_none());
+        assert_eq!((held.global(1, 3), held.traj(1, 3).first().p.x), (43, 43.0));
+        assert_eq!(
+            (shard.global(1, 7), shard.traj(1, 7).first().p.x),
+            (47, 47.0)
+        );
+        assert!(shard.get_global(3).is_none());
     }
 }

@@ -66,9 +66,8 @@ fn delta_resident_shards_answer_bitwise_identically() {
             }
         }
 
-        // Post-merge: threshold 1 folds every insert immediately (the
-        // pre-delta behaviour); results stay identical and no delta
-        // remains.
+        // Post-merge: threshold 1 folds every insert immediately into a
+        // run; results stay identical and no delta remains.
         let merged = Session::builder()
             .shards(shards)
             .delta_merge_threshold(1)

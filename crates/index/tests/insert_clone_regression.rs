@@ -1,8 +1,9 @@
 //! Held-snapshot insert cost must not scale with database size: a shard
-//! is an immutable base (store, global-id table and tree) behind one
-//! `Arc`, a shared tombstone set and a small delta buffer, so
-//! copy-on-write under a pinned epoch bumps two `Arc`s and copies the
-//! delta — never the base store or the tree. A counting global allocator
+//! is a list of immutable runs (store, global-id table and tree, each
+//! behind one `Arc`), a shared tombstone set and a small delta buffer, so
+//! the next epoch's copy of a shard under a pinned epoch bumps one `Arc`
+//! per run, one for the tombstones and one per delta trip — never a
+//! run's store or tree. A counting global allocator
 //! tallies the bytes one insert allocates while a snapshot is held, on a
 //! small and a large database; if the whole shard were cloned the large
 //! database's insert would allocate roughly `large/small` times as much.

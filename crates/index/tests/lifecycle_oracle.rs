@@ -6,7 +6,9 @@
 //! and against a model, a `Vec<Option<Trajectory>>` indexed by global id
 //! (`None` once removed; its length is the id watermark). The session
 //! shape is drawn per script: 1, 2 or 4 shards; merge threshold 1 (every
-//! insert grows the tree by Alg. 1), 4 or 64 (inserts stay in the delta);
+//! insert folds into a run of its own, and the script inserts at least
+//! [`DEEP_MERGE_INSERTS`] trips, so merges cascade into the bulk-built
+//! run), 4 or 64 (inserts stay in the delta);
 //! the default tree configuration or a small one; in memory, or durable
 //! with automatic compaction off (fsync per write) or every 8 records
 //! (fsync every 4). The trips are
@@ -162,7 +164,7 @@ impl Script {
             durable,
             initial: rng.usize_in(0, 16),
         };
-        let ops = (0..rng.usize_in(6, 20))
+        let mut ops: Vec<Op> = (0..rng.usize_in(6, 20))
             .map(|_| {
                 let (i, s) = (rng.usize_in(0, 1 << 16), rng.next_u64());
                 let trip = gen_trip(&mut rng);
@@ -187,9 +189,28 @@ impl Script {
                 )
             })
             .collect();
+        if shape.threshold == 1 {
+            let inserted = |ops: &[Op]| -> usize {
+                ops.iter()
+                    .map(|op| match op {
+                        Insert(_) => 1,
+                        InsertBatch(_, len) => *len,
+                        _ => 0,
+                    })
+                    .sum()
+            };
+            while inserted(&ops) < DEEP_MERGE_INSERTS {
+                let at = rng.usize_in(0, ops.len());
+                ops.insert(at, InsertBatch(rng.next_u64(), 16));
+            }
+        }
         Script { seed, shape, ops }
     }
 }
+
+/// Trips a threshold-1 script inserts at least: on 4 shards, 16 folds per
+/// shard, enough for the run sizes to cascade into a 16-trip initial load.
+const DEEP_MERGE_INSERTS: usize = 64;
 
 /// The model: live trajectories by global id, and the shard layout.
 #[derive(Clone)]

@@ -111,6 +111,59 @@ fn four_shard_forest_work_stays_near_the_one_shard_totals() {
     within("nodes_visited", |s| s.nodes_visited, 145);
 }
 
+/// Totals recorded for the grown fixture ([`grown`]) at 1 and 4 shards, in
+/// the same roles as the bulk-built constants above: nodes visited and
+/// bound evaluations are ceilings, exact evaluations an equality. The
+/// exact evaluations match the bulk-built session's; every run root is one
+/// more seed, and so one more bound evaluation, per query.
+const GROWN_NODES_VISITED: [usize; 2] = [1628, 2540];
+const GROWN_BOUND_EVALUATIONS: [usize; 2] = [12197, 21024];
+const GROWN_EDWP_EVALUATIONS: [usize; 2] = [1230, 1230];
+
+/// The fixture's trips in a session that grew: the first half bulk-loaded
+/// on `shards` shards, the second half ingested by `insert_batch` of 16 at
+/// the default merge threshold, so every shard holds the bulk-built run,
+/// the runs its folds and merges left, and a delta.
+fn grown(trips: &[Trajectory], shards: usize) -> Session {
+    let (bulk, fed) = trips.split_at(TRIPS / 2);
+    let session = Session::builder()
+        .shards(shards)
+        .build(TrajStore::from(bulk.to_vec()));
+    for batch in fed.chunks(16) {
+        session
+            .insert_batch(batch.to_vec())
+            .expect("in-memory insert");
+    }
+    session
+}
+
+/// What ingest may cost in query work: the same queries on a grown
+/// session, whose extra runs are extra roots every query seeds.
+#[test]
+fn grown_session_work_stays_at_the_recorded_counts() {
+    let (trips, queries) = fixture();
+    for (i, shards) in [1usize, 4].into_iter().enumerate() {
+        let mut session = grown(&trips, shards);
+        let total = singles(&mut session, &queries);
+        assert!(
+            total.nodes_visited <= GROWN_NODES_VISITED[i],
+            "{shards} shards: nodes_visited {} > recorded {}",
+            total.nodes_visited,
+            GROWN_NODES_VISITED[i]
+        );
+        assert!(
+            total.bound_evaluations <= GROWN_BOUND_EVALUATIONS[i],
+            "{shards} shards: bound_evaluations {} > recorded {}",
+            total.bound_evaluations,
+            GROWN_BOUND_EVALUATIONS[i]
+        );
+        assert_eq!(
+            total.edwp_evaluations, GROWN_EDWP_EVALUATIONS[i],
+            "{shards} shards: exact evaluations"
+        );
+    }
+}
+
 /// A batch is the same searches on more threads: its merged counters are
 /// exactly the singles' sum.
 #[test]

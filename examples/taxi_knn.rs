@@ -79,8 +79,8 @@ fn main() {
 
     // Streaming ingestion: while the batch runs against its epoch, a
     // writer thread keeps inserting tonight's new trips. The epoch guard
-    // (copy-on-write shards) means the batch never sees a torn shard —
-    // it answers exactly as of the moment it started.
+    // (each write publishes whole new shards) means the batch never sees
+    // a torn shard — it answers exactly as of the moment it started.
     let late_arrivals: Vec<Trajectory> = (0..50).map(|_| gen.random_walk(18)).collect();
     let (batch, inserted) = std::thread::scope(|scope| {
         let reader = scope.spawn(|| epoch.batch(&queries).collect_stats().knn(k));
