@@ -240,10 +240,12 @@ mod tests {
 
     #[test]
     fn trajectory_round_trip_is_bit_exact() {
+        // The extremes of the coordinate domain, a subnormal, the smallest
+        // normal, a negative zero and an inexact sum.
         let t = Trajectory::from_xyt(&[
-            (0.1 + 0.2, -1.5e-300, 0.0),
-            (f64::MAX, f64::MIN_POSITIVE, 1.0),
-            (-0.0, 1.0e300, 1.0),
+            (0.1 + 0.2, -1.5e-310, 0.0),
+            (1e100, f64::MIN_POSITIVE, 1.0),
+            (-0.0, -1e100, 1.0),
         ]);
         let bytes = t.encode();
         let mut r = ByteReader::new(&bytes);
@@ -294,6 +296,16 @@ mod tests {
         assert_eq!(
             err,
             CodecError::Invalid(CoreError::NonMonotonicTime { index: 1 })
+        );
+        // A finite coordinate past the domain is refused the same way.
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 2);
+        StPoint::new(0.0, 0.0, 0.0).encode_into(&mut bytes);
+        StPoint::new(f64::MAX, 0.0, 1.0).encode_into(&mut bytes);
+        let err = Trajectory::decode(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert_eq!(
+            err,
+            CodecError::Invalid(CoreError::OutOfDomain { index: 1 })
         );
     }
 }

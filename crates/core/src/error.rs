@@ -18,6 +18,13 @@ pub enum CoreError {
         /// Index of the offending point.
         index: usize,
     },
+    /// A finite coordinate or timestamp lay outside the supported domain
+    /// `[-1e100, 1e100]` (see [`crate::Trajectory`]), past which the
+    /// distance kernels' squared gaps and coverage sums could overflow.
+    OutOfDomain {
+        /// Index of the offending point.
+        index: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -34,6 +41,12 @@ impl fmt::Display for CoreError {
             }
             CoreError::NotFinite { index } => {
                 write!(f, "coordinate or timestamp at index {index} is not finite")
+            }
+            CoreError::OutOfDomain { index } => {
+                write!(
+                    f,
+                    "coordinate or timestamp at index {index} lies outside [-1e100, 1e100]"
+                )
             }
         }
     }

@@ -142,10 +142,13 @@ impl StBox {
         if let Some((t0, _)) = self.clip_segment(seg) {
             return (t0, 0.0);
         }
-        // Fully outside: minimum over the four boundary edges.
+        // Fully outside: minimum over the four boundary edges. Iterating
+        // the edge array by reference keeps this loop's codegen stable:
+        // by value, unrelated edits elsewhere in the crate have flipped
+        // LLVM into a form that made bulk loads ~15 % slower.
         let mut best = (0.0, f64::INFINITY);
-        for edge in self.edges() {
-            let (t_seg, _, d) = seg.closest_params(&edge);
+        for edge in &self.edges() {
+            let (t_seg, _, d) = seg.closest_params(edge);
             if d < best.1 {
                 best = (t_seg, d);
             }

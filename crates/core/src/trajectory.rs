@@ -6,11 +6,37 @@ use crate::{CoreError, Point, Segment, StBox, StPoint};
 /// Invariants enforced at construction:
 /// * at least two st-points (so there is at least one segment);
 /// * timestamps are non-decreasing;
-/// * every coordinate and timestamp is finite.
+/// * every coordinate and timestamp is finite and lies in the domain
+///   `[-1e100, 1e100]`.
+///
+/// # The coordinate domain
+///
+/// The domain keeps every intermediate of the distance kernels finite.
+/// With `|x|, |y| ≤ L = 1e100` a coordinate gap is at most `2L`, a squared
+/// gap `dx² + dy²` at most `8L² = 8e200`, a segment at most `2√2·L` long,
+/// and a trajectory of up to `u32::MAX` points at most `1.3e110` long. An
+/// EDwP edit costs `(d₁ + d₂) · (len a + len b)` with both distances at
+/// most `2√2·L`, and the pieces of an alignment tile both trajectories, so
+/// a coverage sum (an exact distance, a DP state, a lower bound) stays
+/// below `4√2·L · 2.6e110 ≈ 1.5e211`; a box area ([`StBox::volume`], which
+/// multiplies two spans) stays below `4L² = 4e200`. That leaves about 96
+/// orders of magnitude before `f64::MAX` (`1.8e308`). Past the domain the
+/// squares overflow first: from about `1e154` a squared gap is `inf`, and
+/// `edwp(a, a)` of a trip scaled by `1e155` is `inf` rather than 0 — a
+/// silently wrong neighbour, since index and brute force agree on it.
+///
+/// Timestamps never enter a distance (EDwP and its bounds are spatial),
+/// so only finiteness protects the query path; they share the bound so
+/// that a duration, an interpolated time and the time-synchronised
+/// baselines stay finite too. Small magnitudes are unrestricted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     points: Vec<StPoint>,
 }
+
+/// The largest magnitude a coordinate or timestamp may have (see the
+/// domain section of [`Trajectory`]).
+const DOMAIN: f64 = 1e100;
 
 impl Trajectory {
     /// Builds a trajectory after validating the invariants above.
@@ -19,8 +45,14 @@ impl Trajectory {
             return Err(CoreError::TooFewPoints { got: points.len() });
         }
         for (i, s) in points.iter().enumerate() {
-            if !s.is_finite() {
-                return Err(CoreError::NotFinite { index: i });
+            // One comparison per value rules out NaN, the infinities and
+            // the rest of the outside of the domain at once.
+            if !(s.p.x.abs() <= DOMAIN && s.p.y.abs() <= DOMAIN && s.t.abs() <= DOMAIN) {
+                return Err(if s.is_finite() {
+                    CoreError::OutOfDomain { index: i }
+                } else {
+                    CoreError::NotFinite { index: i }
+                });
             }
             if i > 0 && s.t < points[i - 1].t {
                 return Err(CoreError::NonMonotonicTime { index: i });
@@ -206,6 +238,22 @@ mod tests {
             StPoint::new(f64::NAN, 0.0, 1.0),
         ]);
         assert_eq!(r, Err(CoreError::NotFinite { index: 1 }));
+    }
+
+    #[test]
+    fn rejects_out_of_domain_and_accepts_its_edge() {
+        let at = |x: f64, y: f64, t: f64| {
+            Trajectory::new(vec![StPoint::new(0.0, 0.0, 0.0), StPoint::new(x, y, t)])
+        };
+        assert!(at(1e100, -1e100, 1e100).is_ok(), "the edge is inside");
+        for (x, y, t) in [(1.01e100, 0.0, 1.0), (0.0, -1e155, 1.0), (0.0, 0.0, 1e101)] {
+            assert_eq!(at(x, y, t), Err(CoreError::OutOfDomain { index: 1 }));
+        }
+        // Non-finite input keeps its own error.
+        assert_eq!(
+            at(f64::INFINITY, 0.0, 1.0),
+            Err(CoreError::NotFinite { index: 1 })
+        );
     }
 
     #[test]

@@ -241,6 +241,13 @@ pub fn edwp_lower_bound_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
 /// threshold is still returned in full: the engine keeps expanding ties to
 /// preserve id-order tie-breaking against the brute-force reference.
 ///
+/// Under a finite cutoff both dispatch paths first run one shared, cheaper
+/// prologue: the same sum against `seq`'s overall bounding box, by
+/// axis-aligned gaps, bailing under the same strict rule. A bail there
+/// returns that partial sum ([`edwp_lower_bound_aabb_batch`] over
+/// `[seq.bbox()]` bit for bit, at the piece where it crossed); otherwise
+/// the exact per-box sweep runs as if the prologue had not.
+///
 /// # Dispatch
 ///
 /// This entry point runs on the instruction-set path
@@ -275,9 +282,13 @@ pub(crate) fn boxes_bounded_scalar(
     if seq.is_empty() {
         return f64::INFINITY;
     }
+    let pieces = scratch.query_pieces(t);
+    if let Some(bailed) = aabb_prologue(pieces, seq, cutoff) {
+        return bailed;
+    }
     let boxes = seq.boxes();
     let mut sum = 0.0;
-    for (e, len) in scratch.query_pieces(t) {
+    for (e, len) in pieces {
         // The minimum over boxes is computed with a cheap prescreen: the
         // axis-aligned distance between the segment's bounding box and a
         // summary box never exceeds the true segment-to-box distance, so a
@@ -330,6 +341,9 @@ pub(crate) fn boxes_bounded_simd(
         return f64::INFINITY;
     }
     let (pieces, soa) = scratch.pieces_and_soa(t);
+    if let Some(bailed) = aabb_prologue(pieces, seq, cutoff) {
+        return bailed;
+    }
     soa.fill(seq.boxes());
     let mut sum = 0.0;
     for &(e, len) in pieces {
@@ -354,13 +368,42 @@ pub(crate) fn boxes_bounded_simd(
     boxes_bounded_scalar(t, seq, cutoff, scratch)
 }
 
-/// Batched AABB prescreen against a set of candidate boxes: writes into
+/// The box bound's prologue: under a finite cutoff, accumulates
+/// `Σ_e 2 · len(e) · aabb_gap(e, seq.bbox())` over the query pieces and
+/// returns the partial sum as soon as it strictly exceeds the cutoff —
+/// `None` when it never does (or the cutoff is infinite), and the exact
+/// per-box sweep must run. Every box of `seq` lies inside `seq.bbox()`,
+/// so each term is at most the piece's exact box-bound term and the
+/// partial sum is an admissible bail value. A node far from the query is
+/// thus pruned for one gap per piece instead of one exact distance per
+/// (piece, box) pair.
+fn aabb_prologue(pieces: &[(Segment, f64)], seq: &BoxSeq, cutoff: Cutoff<'_>) -> Option<f64> {
+    let cutoff = cutoff.current();
+    if !cutoff.is_finite() {
+        return None;
+    }
+    let bbox = seq.bbox()?;
+    let mut sum = 0.0;
+    for &(e, len) in pieces {
+        // Zero-length pieces contribute exactly zero.
+        if len == 0.0 {
+            continue;
+        }
+        sum += 2.0 * len * aabb_gap(&e, &bbox);
+        if sum > cutoff {
+            return Some(sum);
+        }
+    }
+    None
+}
+
+/// Batched AABB lower bound against a set of candidate boxes: writes into
 /// `out[c]` the admissible lower bound
-/// `Σ_e 2 · len(e) · aabb_dist(bbox(e), children[c])` over `t`'s segments —
-/// [`edwp_lower_bound_boxes_bounded`]'s cheap prescreen distance, but
-/// evaluated for *all* candidates in one dense sweep instead of one branchy
-/// loop per candidate. The engine uses this to prescreen every child of an
-/// expanded index node before paying for exact per-child bounds.
+/// `Σ_e 2 · len(e) · aabb_gap(e, children[c])` over `t`'s segments — the
+/// sum [`edwp_lower_bound_boxes_bounded`]'s prologue accumulates against
+/// one summary's overall bounding box, evaluated for *all* candidates in
+/// one dense sweep. Nothing on the query path calls it; it stays public as
+/// the per-box cost probe of that sum.
 ///
 /// Admissibility: the axis-aligned distance between `e`'s bounding box and
 /// `children[c]` never exceeds the true segment-to-box distance to *any*
@@ -373,7 +416,9 @@ pub(crate) fn boxes_bounded_simd(
 ///
 /// The accumulation stops early once **every** candidate's running sum
 /// strictly exceeds `cutoff`; partial sums are admissible per candidate, so
-/// `out` is usable either way.
+/// `out` is usable either way. Where the prologue bails under a cutoff,
+/// this sweep over `[seq.bbox()]` under the same cutoff writes the same
+/// value, bit for bit.
 ///
 /// Scalar on every dispatch path; [`crate::simd`] says why.
 pub fn edwp_lower_bound_aabb_batch(
@@ -390,20 +435,26 @@ pub fn edwp_lower_bound_aabb_batch(
         if len == 0.0 {
             continue;
         }
-        let (exlo, exhi) = minmax(e.a.p.x, e.b.p.x);
-        let (eylo, eyhi) = minmax(e.a.p.y, e.b.p.y);
-        let w = 2.0 * len;
         let mut all_over = true;
         for (sum, b) in out.iter_mut().zip(children) {
-            let dx = (b.lo.x - exhi).max(exlo - b.hi.x).max(0.0);
-            let dy = (b.lo.y - eyhi).max(eylo - b.hi.y).max(0.0);
-            *sum += w * (dx * dx + dy * dy).sqrt();
+            *sum += 2.0 * len * aabb_gap(&e, b);
             all_over &= *sum > cutoff;
         }
         if all_over {
             return;
         }
     }
+}
+
+/// The axis-aligned distance between segment `e`'s bounding box and `b`:
+/// never above the true distance from `e` to any box inside `b`.
+#[inline]
+fn aabb_gap(e: &Segment, b: &StBox) -> f64 {
+    let (exlo, exhi) = minmax(e.a.p.x, e.b.p.x);
+    let (eylo, eyhi) = minmax(e.a.p.y, e.b.p.y);
+    let dx = (b.lo.x - exhi).max(exlo - b.hi.x).max(0.0);
+    let dy = (b.lo.y - eyhi).max(eylo - b.hi.y).max(0.0);
+    (dx * dx + dy * dy).sqrt()
 }
 
 /// `(min, max)` of two floats, compared directly (inputs are coordinates,

@@ -17,10 +17,12 @@
 //! for benchmarks and tests ([`edwp_with_scratch`], [`edwp_bounded`],
 //! [`edwp_sub_with_scratch`], [`edwp_sub_bounded`],
 //! [`edwp_lower_bound_boxes_bounded`],
-//! [`edwp_lower_bound_trajectory_bounded`],
-//! [`edwp_lower_bound_aabb_batch`]), all but the two-sided whole-mode
-//! member bound, which only [`Metric::lower_bound_trajectory`] reaches.
-//! With a warm scratch every one of them is allocation-free.
+//! [`edwp_lower_bound_trajectory_bounded`]), all but the two-sided
+//! whole-mode member bound, which only [`Metric::lower_bound_trajectory`]
+//! reaches. [`edwp_lower_bound_aabb_batch`] is the batched form of the box
+//! bound's cheap prologue, which the box bound runs itself; nothing in the
+//! query path calls it. With a warm scratch every one of them is
+//! allocation-free.
 //!
 //! The paper-facing one-off conveniences allocate their own scratch:
 //! [`edwp`], [`edwp_avg`], [`edwp_sub`], [`edwp_sub_avg`], the
@@ -142,22 +144,6 @@ impl Metric {
         }
     }
 
-    /// Lifts a `threshold` in this metric's scale back to raw
-    /// (cumulative-EDwP) scale — the inverse of [`Metric::normalise`], for
-    /// a raw kernel's early exit. The raw metric passes it through; Eq. 4
-    /// multiplies a finite threshold by `denom()` (evaluated only then) and
-    /// keeps an infinite one infinite. A larger `denom()` gives a looser
-    /// raw threshold, so lifting by an upper bound on the true denominator
-    /// never stops a kernel early that the true one would not.
-    #[inline]
-    pub fn raw_threshold(self, threshold: f64, denom: impl FnOnce() -> f64) -> f64 {
-        match self {
-            Metric::Edwp => threshold,
-            Metric::EdwpNormalized if threshold.is_finite() => threshold * denom(),
-            Metric::EdwpNormalized => f64::INFINITY,
-        }
-    }
-
     /// Runs one raw kernel under this metric: the raw metric hands
     /// `cutoff` straight through; the normalised metric lifts it into raw
     /// space by `denom()` and normalises
@@ -265,9 +251,16 @@ impl Metric {
     /// `cutoff` is the caller's current pruning threshold (in this
     /// metric's scale): the per-segment accumulation bails as soon as the
     /// partial sum strictly exceeds it. Pass `f64::INFINITY.into()` for
-    /// the full bound. Partial sums are admissible (all terms are
-    /// non-negative), so the returned value is a sound pruning key under
-    /// either metric. Only the raw metric guarantees
+    /// the full bound. Before that accumulation a finite cutoff first runs
+    /// the kernel's prologue: the same sum against `seq`'s overall bounding
+    /// box by axis-aligned gaps, which bails under the same strict rule
+    /// (see [`edwp_lower_bound_boxes_bounded`]) — a node far from the query
+    /// costs one gap per query piece, not one exact distance per (piece,
+    /// box) pair. Partial sums of either are admissible (all terms are
+    /// non-negative and never exceed the exact terms), so the returned
+    /// value is a sound pruning key under either metric, and the normalised
+    /// metric scales the cutoff by this node's own `length(q) + max_len`
+    /// before either runs. Only the raw metric guarantees
     /// "`result <= cutoff.current()` implies `result` is the full bound
     /// bit-for-bit" (see [`edwp_lower_bound_boxes_bounded`]): the
     /// normalised metric's `cutoff * denom` / `raw / denom` rounding round

@@ -13,11 +13,13 @@
 //! * [`force_isa`] overrides the cached resolution programmatically — the
 //!   hook tests and benchmarks use to exercise both paths in one process.
 //!
-//! Nothing else reads the dispatch. The exact EDwP dynamic program and the
-//! batched child prescreen ([`crate::edwp_lower_bound_aabb_batch`]) are
-//! scalar only: both once had AVX2 twins that replicated the scalar
-//! operation order bit for bit, and neither twin paid end to end, so they
-//! were deleted.
+//! Nothing else reads the dispatch. The box bound's AABB prologue (one
+//! axis-aligned gap per query piece against the summary's overall bounding
+//! box, shared by both paths, so a bail there is bit-identical on either),
+//! the exact EDwP dynamic program and the batched AABB bound
+//! ([`crate::edwp_lower_bound_aabb_batch`]) are scalar only: the last two
+//! once had AVX2 twins that replicated the scalar operation order bit for
+//! bit, and neither twin paid end to end, so they were deleted.
 //!
 //! # Exactness posture
 //!

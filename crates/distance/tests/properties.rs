@@ -7,8 +7,10 @@
 
 use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
+use traj_dist::simd::edwp_lower_bound_boxes_bounded_isa;
 use traj_dist::{
-    edwp, edwp_avg, edwp_reference, edwp_sub, edwp_sub_avg, BoxSeq, EdwpScratch, Metric, QueryMode,
+    edwp, edwp_avg, edwp_lower_bound_aabb_batch, edwp_reference, edwp_sub, edwp_sub_avg, BoxSeq,
+    EdwpScratch, Isa, Metric, QueryMode,
 };
 
 const METRICS: [Metric; 2] = [Metric::Edwp, Metric::EdwpNormalized];
@@ -42,6 +44,27 @@ fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajector
                 .collect(),
         )
         .expect("valid by construction")
+    })
+}
+
+/// Strategy: a trajectory anywhere in the coordinate domain
+/// `[-1e100, 1e100]` that `Trajectory::new` accepts, with each coordinate
+/// on one of the domain's two edges half the time.
+fn domain_edge_trajectory() -> impl Strategy<Value = Trajectory> {
+    let coord = (0u32..4, -1.0..1.0f64);
+    prop::collection::vec((coord.clone(), coord), 2..=6).prop_map(|pts| {
+        let at = |(pick, v): (u32, f64)| match pick {
+            0 => -1e100,
+            1 => 1e100,
+            _ => v * 1e100,
+        };
+        Trajectory::new(
+            pts.into_iter()
+                .enumerate()
+                .map(|(i, (x, y))| StPoint::new(at(x), at(y), i as f64))
+                .collect(),
+        )
+        .expect("inside the domain by construction")
     })
 }
 
@@ -123,6 +146,112 @@ fn member_bounds_hold_without_slack_on_a_lattice() {
     }
 }
 
+/// The node-bound obligation behind the engine's strict `>` pruning, with
+/// **no slack**: for each summary of `t` in `seqs`,
+/// `Metric::lower_bound_boxes(mode, q, seq, length(t), cutoff, ..)` never
+/// exceeds `Metric::distance(mode, q, t, ..)`, under both metrics and both
+/// modes and the cutoffs ∞, `d` and `d / 2` (the finite ones run the
+/// kernel's AABB prologue). The raw kernel is checked on every ISA this
+/// machine runs, through the explicit `_isa` entry point — the raw
+/// metric's `lower_bound_boxes` is that kernel on the current ISA, bit for
+/// bit, so this covers it.
+fn node_bounds_hold_strictly(
+    q: &Trajectory,
+    t: &Trajectory,
+    seqs: &[BoxSeq],
+    scratch: &mut EdwpScratch,
+) -> Result<(), String> {
+    let raw = MODES.map(|mode| Metric::Edwp.distance(mode, q, t, scratch));
+    // `Metric::distance` bit for bit: the raw DP, then the metric's own
+    // normalisation.
+    let normalised = raw.map(|d| Metric::EdwpNormalized.normalise(d, q.length() + t.length()));
+    for seq in seqs {
+        let boxes = seq.len();
+        stays_below(&format!("EDwP-norm, {boxes} boxes"), normalised, |cutoff| {
+            let metric = Metric::EdwpNormalized;
+            metric.lower_bound_boxes(QueryMode::Whole, q, seq, t.length(), cutoff.into(), scratch)
+        })?;
+        for &isa in isas() {
+            stays_below(&format!("{}, {boxes} boxes", isa.name()), raw, |cutoff| {
+                edwp_lower_bound_boxes_bounded_isa(isa, q, seq, cutoff.into(), scratch)
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// Evaluates `bound` at each distinct cutoff among ∞, `d` and `d / 2` for
+/// the whole- and sub-mode distances `d`, and fails when it exceeds the
+/// smallest distance that cutoff stands for. The node bound ignores the
+/// mode, so one evaluation per distinct cutoff serves both.
+fn stays_below(name: &str, d: [f64; 2], mut bound: impl FnMut(f64) -> f64) -> Result<(), String> {
+    let mut checks = vec![(f64::INFINITY, d[0].min(d[1]))];
+    for d in d {
+        for cutoff in [d, d / 2.0] {
+            match checks.iter_mut().find(|(c, _)| *c == cutoff) {
+                Some((_, limit)) => *limit = limit.min(d),
+                None => checks.push((cutoff, d)),
+            }
+        }
+    }
+    for (cutoff, limit) in checks {
+        let lb = bound(cutoff);
+        if lb > limit {
+            return Err(format!(
+                "{name}, cutoff {cutoff}: bound {lb} > distance {limit}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The ISAs this machine can actually run, Scalar always included.
+fn isas() -> &'static [Isa] {
+    if Isa::available() == Isa::Avx2 {
+        &[Isa::Scalar, Isa::Avx2]
+    } else {
+        &[Isa::Scalar]
+    }
+}
+
+/// [`node_bounds_hold_strictly`] over every ordered pair of lattice trips,
+/// for the same reason as the member-bound lattice above. Each stored
+/// trip is summarised by its per-segment boxes and by those coalesced to
+/// one box (the same sequence when it has one segment). The pairs are
+/// independent, so two workers split the queries.
+#[test]
+fn node_bounds_hold_without_slack_on_a_lattice() {
+    let trips = lattice_trips(3, 2);
+    let summaries: Vec<Vec<BoxSeq>> = trips
+        .iter()
+        .map(|t| {
+            let bulk = BoxSeq::from_trajectory(t);
+            let mut one = bulk.clone();
+            one.coalesce(Some(1));
+            if one == bulk {
+                vec![bulk]
+            } else {
+                vec![bulk, one]
+            }
+        })
+        .collect();
+    std::thread::scope(|workers| {
+        for queries in trips.chunks(trips.len().div_ceil(2)) {
+            let (trips, summaries) = (&trips, &summaries);
+            workers.spawn(move || {
+                let mut scratch = EdwpScratch::new();
+                for q in queries {
+                    for (t, seqs) in trips.iter().zip(summaries) {
+                        if let Err(msg) = node_bounds_hold_strictly(q, t, seqs, &mut scratch) {
+                            panic!("{msg}\n  q = {:?}\n  t = {:?}", q.points(), t.points());
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -139,6 +268,46 @@ proptest! {
             .and_then(|()| member_bounds_hold_strictly(near_q, near_t))
             .and_then(|()| member_bounds_hold_strictly(near_t, near_q));
         prop_assert!(fail.is_ok(), "{}", fail.unwrap_err());
+    }
+
+    /// At the edge of the coordinate domain every kernel stays finite, a
+    /// trip is at distance 0 from itself, and the node and member bounds
+    /// stay below the distance — under both metrics and both modes, and
+    /// for the raw box kernel on every ISA. Past the domain the squared
+    /// gaps overflow and `edwp(t, t)` turns `inf`, which is why
+    /// `Trajectory::new` refuses such input.
+    #[test]
+    fn kernels_stay_finite_and_admissible_at_the_domain_edge(
+        q in domain_edge_trajectory(),
+        t in domain_edge_trajectory(),
+    ) {
+        let mut scratch = EdwpScratch::new();
+        let seq = BoxSeq::from_trajectory(&t);
+        let open = || f64::INFINITY.into();
+        for metric in METRICS {
+            for mode in MODES {
+                let name = format!("{} {}", metric.name(), mode.name());
+                let own = metric.distance(mode, &t, &t, &mut scratch);
+                prop_assert!(own == 0.0, "{name}: edwp(t, t) = {own}");
+                let d = metric.distance(mode, &q, &t, &mut scratch);
+                let node =
+                    metric.lower_bound_boxes(mode, &q, &seq, t.length(), open(), &mut scratch);
+                let member = metric.lower_bound_trajectory(mode, &q, &t, open(), &mut scratch);
+                prop_assert!(d.is_finite() && node.is_finite() && member.is_finite(),
+                    "{name}: distance {d}, node bound {node}, member bound {member}");
+                prop_assert!(node <= d, "{name}: node bound {node} > distance {d}");
+                prop_assert!(member <= d, "{name}: member bound {member} > distance {d}");
+            }
+        }
+        let d_sub = edwp_sub(&q, &t);
+        for &isa in isas() {
+            let lb = edwp_lower_bound_boxes_bounded_isa(isa, &q, &seq, open(), &mut scratch);
+            prop_assert!(lb.is_finite() && lb <= d_sub,
+                "{}: box bound {lb} vs edwp_sub {d_sub}", isa.name());
+        }
+        let mut sums = Vec::new();
+        edwp_lower_bound_aabb_batch(&q, seq.boxes(), f64::INFINITY, &mut scratch, &mut sums);
+        prop_assert!(sums.iter().all(|v| v.is_finite()), "AABB sums {sums:?}");
     }
 
     #[test]

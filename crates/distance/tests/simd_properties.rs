@@ -16,9 +16,12 @@
 //! * **cutoff contract** — `_bounded` bails only strictly above the
 //!   cutoff, and whenever the returned value is ≤ the cutoff it is
 //!   bit-for-bit the full bound — on either path;
-//! * **batched AABB prescreen** (scalar only) — each child's sum is
+//! * **batched AABB bound** (scalar only) — each child's sum is
 //!   bitwise identical whether it is swept alone or among siblings, and
-//!   is itself admissible against the exact box bound.
+//!   is itself admissible against the exact box bound;
+//! * **AABB prologue** — under a finite cutoff both paths bail with the
+//!   batched AABB sum against the summary's bounding box, bit for bit,
+//!   and never bail at or above the full bound.
 //!
 //! Members have 2..=10 points, so bulk sequences span 1..=9 boxes: every
 //! remainder modulo the 4-lane width, in the first and the second lane
@@ -177,7 +180,7 @@ proptest! {
             for &isa in isas() {
                 let exact = full_bound(isa, &q, &single, &mut scratch);
                 prop_assert!(pre <= exact + 1e-9 * (1.0 + exact),
-                    "prescreen {pre} > {} box bound {exact}", isa.name());
+                    "AABB sum {pre} > {} box bound {exact}", isa.name());
             }
         }
     }
@@ -214,4 +217,66 @@ fn edwp_dp_is_bitwise_identical_across_dispatch() {
         simd_sub.to_bits(),
         "edwp_sub diverged"
     );
+}
+
+/// The box bound's AABB prologue, pinned on both paths: a query far from
+/// a summary whose boxes avoid the corner of its overall bounding box
+/// nearest the query. Under a finite cutoff below the prologue's sum the
+/// bound bails with exactly the batched AABB sum against `[seq.bbox()]`
+/// (the exact sweep would bail with a larger value, so this fails if the
+/// prologue goes); at or above the full bound the prologue never bails
+/// and the result is the unbounded bound bit for bit.
+#[test]
+fn the_aabb_prologue_bails_with_the_bbox_sum_and_only_below_the_bound() {
+    // An L along the axes: its bounding box [0, 10]² has an empty corner
+    // at (10, 10), which the far query faces.
+    let member = Trajectory::from_xy(&[(0.0, 10.0), (0.0, 0.0), (10.0, 0.0)]);
+    let q = Trajectory::from_xy(&[(20.0, 20.0), (30.0, 30.0), (40.0, 40.0)]);
+    let seq = BoxSeq::from_trajectory(&member);
+    let bbox = seq.bbox().expect("non-empty");
+    let mut scratch = EdwpScratch::new();
+    let mut batch = Vec::new();
+    for &isa in isas() {
+        let full = full_bound(isa, &q, &seq, &mut scratch);
+        edwp_lower_bound_aabb_batch(&q, &[bbox], f64::INFINITY, &mut scratch, &mut batch);
+        let prologue_sum = batch[0];
+        assert!(
+            prologue_sum < full,
+            "{}: the prologue must be looser",
+            isa.name()
+        );
+        for cutoff in [0.0, 0.25 * prologue_sum, 0.75 * prologue_sum] {
+            let got = edwp_lower_bound_boxes_bounded_isa(
+                isa,
+                &q,
+                &seq,
+                Cutoff::constant(cutoff),
+                &mut scratch,
+            );
+            edwp_lower_bound_aabb_batch(&q, &[bbox], cutoff, &mut scratch, &mut batch);
+            assert_eq!(
+                got.to_bits(),
+                batch[0].to_bits(),
+                "{}: cutoff {cutoff} bailed with {got}, not the prologue's {}",
+                isa.name(),
+                batch[0]
+            );
+            assert!(got > cutoff, "{}: {got} <= cutoff {cutoff}", isa.name());
+        }
+        for cutoff in [full, 2.0 * full, f64::INFINITY] {
+            let got = edwp_lower_bound_boxes_bounded_isa(
+                isa,
+                &q,
+                &seq,
+                Cutoff::constant(cutoff),
+                &mut scratch,
+            );
+            assert_eq!(
+                got.to_bits(),
+                full.to_bits(),
+                "{}: cutoff {cutoff}",
+                isa.name()
+            );
+        }
+    }
 }

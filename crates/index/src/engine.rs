@@ -25,10 +25,12 @@
 //! admissible, so early exit saves work without touching exactness.
 //!
 //! One traversal serves a **forest**: every run tree of every [`Shard`] of
-//! a sharded search at once, each run's local ids rewritten to global ids
-//! as candidates are offered, so thresholds and tie-breaking work on the
-//! global id space and a close neighbour in one run prunes every other
-//! run's subtrees without ever walking shards or runs sequentially. A
+//! a sharded search at once. A subtree entry names its shard and run; a
+//! leaf resolves each member to its trajectory and global id, and from
+//! there a tree member and a delta member are one candidate shape, so
+//! thresholds and tie-breaking work on the global id space and a close
+//! neighbour in one run prunes every other run's subtrees without ever
+//! walking shards or runs sequentially. A
 //! query is one such traversal on the thread that runs it, under one
 //! collector and hence one threshold; parallelism is whole queries over
 //! workers, never threads inside one traversal.
@@ -45,14 +47,14 @@
 //! result. Ties on the threshold keep expanding so id-order tie-breaking
 //! matches the brute-force reference exactly.
 
-use crate::shard::{slot, unslot, Shard};
+use crate::shard::Shard;
 use crate::store::TrajId;
 use crate::tree::Node;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use traj_core::{StBox, TotalF64, Trajectory};
-use traj_dist::{edwp_lower_bound_aabb_batch, Cutoff, EdwpScratch, Metric, QueryMode};
+use traj_core::{TotalF64, Trajectory};
+use traj_dist::{Cutoff, EdwpScratch, Metric, QueryMode};
 
 /// One query answer: a trajectory id and its exact distance to the query
 /// under the query's [`Metric`] and [`QueryMode`] (whole-trajectory raw
@@ -86,10 +88,10 @@ pub struct QueryStats {
     /// Full EDwP dynamic programs evaluated — the expensive operation a
     /// linear scan performs `db_size` times per query.
     pub edwp_evaluations: usize,
-    /// Children of expanded nodes whose exact summary bound was skipped
-    /// because the batched AABB prescreen already proved them prunable
-    /// (the dense vector sweep over each expanded node's children — see
-    /// `traj_dist::edwp_lower_bound_aabb_batch`).
+    /// Always 0. A child whose node bound bails in the kernel's AABB
+    /// prologue (see `traj_dist::Metric::lower_bound_boxes`) counts as a
+    /// bound evaluation like any other; the field stays because the
+    /// benchmark's `index.knn.aabb_prescreened` probe reads it.
     pub aabb_prescreened: usize,
     /// Queue entries (subtrees and per-trajectory candidates) discarded
     /// unexplored when the queue minimum crossed the pruning threshold —
@@ -152,11 +154,6 @@ impl QueryStats {
     #[inline]
     pub(crate) fn bump_edwp(&mut self) {
         self.edwp_evaluations = self.edwp_evaluations.saturating_add(1);
-    }
-
-    #[inline]
-    fn bump_prescreened(&mut self) {
-        self.aabb_prescreened = self.aabb_prescreened.saturating_add(1);
     }
 
     #[inline]
@@ -274,8 +271,8 @@ fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
     neighbors
 }
 
-/// Priority-queue entry: a subtree or a single trajectory (by local id) of
-/// one run of one shard, keyed by an admissible lower bound. `seq` makes
+/// Priority-queue entry: a subtree of one run of one shard, or one
+/// candidate trajectory, keyed by an admissible lower bound. `seq` makes
 /// the ordering total and deterministic.
 struct QueueEntry<'a> {
     key: TotalF64,
@@ -283,11 +280,12 @@ struct QueueEntry<'a> {
     item: QueueItem<'a>,
 }
 
-/// The `u32` beside a node or local id is the packed `(shard, run)`
-/// [`slot`] it belongs to.
+/// A subtree names the shard and the run its tree belongs to, which its
+/// leaves need to resolve members; a candidate carries its trajectory and
+/// global id, so a tree member and a delta member are the same shape.
 enum QueueItem<'a> {
-    Node(&'a Node, u32),
-    Traj(TrajId, u32),
+    Node(&'a Node, u32, u8),
+    Traj(&'a Trajectory, TrajId),
 }
 
 impl PartialEq for QueueEntry<'_> {
@@ -319,8 +317,10 @@ pub(crate) struct Matching {
     pub(crate) mode: QueryMode,
 }
 
-/// The exact Theorem 2 bound of `node`'s summary under the collector's
-/// current threshold, counted as one bound evaluation.
+/// The Theorem 2 bound of `node`'s summary under the collector's current
+/// threshold, counted as one bound evaluation — the one node bound. A node
+/// far from the query bails in the kernel's AABB prologue (see
+/// [`Metric::lower_bound_boxes`]) without paying for its exact box sweep.
 fn node_bound<C: Collector>(
     node: &Node,
     query: &Trajectory,
@@ -338,22 +338,6 @@ fn node_bound<C: Collector>(
         Cutoff::constant(collector.threshold()),
         scratch,
     )
-}
-
-/// Fills `out` with each child's overall bounding box for the batched
-/// prescreen. Returns `false` (prescreen disabled for this node) when any
-/// child has an empty summary — such a child's bound is `+inf` and must
-/// come from the exact kernel, whose empty-sequence handling is the
-/// contract tests pin.
-fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
-    out.clear();
-    for child in children {
-        match child.summary().bbox() {
-            Some(b) => out.push(b),
-            None => return false,
-        }
-    }
-    true
 }
 
 /// Runs one best-first search over a forest of `shards` — every run of
@@ -399,19 +383,14 @@ pub(crate) fn best_first<C: Collector>(
     }
     let mut queue: BinaryHeap<QueueEntry<'_>> = BinaryHeap::new();
     let mut seq = 0u64;
-    // Arena for the batched child prescreen: each expanded node's children
-    // are gathered into one dense box slice and prescreened in a single
-    // vector sweep before any exact per-child bound is paid for. Reused
-    // across pops, so the steady-state traversal stays allocation-free.
-    let mut child_boxes: Vec<StBox> = Vec::new();
-    let mut prescreens: Vec<f64> = Vec::new();
-    let qlen = query.length();
     // Every bound evaluation is given the collector's current threshold so
     // its per-segment accumulation can bail early: the partial sum returned
     // is still an admissible key, and any key above the threshold is pruned
     // at pop time whether or not it was fully evaluated (thresholds only
     // tighten, so the pruning decision can never be invalidated later).
     for (si, shard) in shards.iter().enumerate() {
+        // A shard holds at most 32 runs (member counts more than halve
+        // from run to run, and ids are `u32`), so its run index fits a `u8`.
         for (ri, run) in shard.runs().iter().enumerate() {
             if let Some(root) = run.tree().root.as_ref() {
                 let root_key = node_bound(root, query, matching, collector, scratch, stats);
@@ -419,7 +398,7 @@ pub(crate) fn best_first<C: Collector>(
                     &mut queue,
                     &mut seq,
                     root_key,
-                    QueueItem::Node(root, slot(si, ri)),
+                    QueueItem::Node(root, si as u32, ri as u8),
                 );
             }
         }
@@ -430,8 +409,7 @@ pub(crate) fn best_first<C: Collector>(
         // threshold and the same exact-distance refinement as tree-routed
         // candidates, so a shard mid-delta answers bitwise identically to
         // one whose tree covers everything.
-        let delta = slot(si, shard.runs().len());
-        for (di, (_, t)) in shard.delta().iter().enumerate() {
+        for (gid, t) in shard.delta() {
             stats.bump_bounds();
             let lb = metric.lower_bound_trajectory(
                 mode,
@@ -440,12 +418,7 @@ pub(crate) fn best_first<C: Collector>(
                 Cutoff::constant(collector.threshold()),
                 scratch,
             );
-            push(
-                &mut queue,
-                &mut seq,
-                lb,
-                QueueItem::Traj(di as TrajId, delta),
-            );
+            push(&mut queue, &mut seq, lb, QueueItem::Traj(t, *gid));
         }
     }
 
@@ -460,53 +433,11 @@ pub(crate) fn best_first<C: Collector>(
             break;
         }
         match entry.item {
-            QueueItem::Node(node, at) => {
+            QueueItem::Node(node, si, ri) => {
                 stats.bump_nodes();
                 match node {
                     Node::Internal { children, .. } => {
-                        // Batched prescreen: gather every child's overall
-                        // bounding box and sweep them all in one dense
-                        // kernel call. The per-child prescreen sum is an
-                        // admissible lower bound (each child's overall box
-                        // contains each of its summary boxes, which contain
-                        // the member polylines), so a child whose prescreen
-                        // already exceeds the threshold is enqueued on the
-                        // prescreen key without paying for the exact
-                        // summary bound. Ties at the threshold still take
-                        // the exact path, preserving id-order tie-breaking.
-                        let thr = collector.threshold();
-                        let prescreened = gather_child_boxes(children, &mut child_boxes);
-                        if prescreened {
-                            // The sweep's early exit compares raw sums, so
-                            // a normalised threshold is lifted back to raw
-                            // scale with the loosest denominator among the
-                            // children (any cutoff is sound; this one stops
-                            // only when every child is provably prunable).
-                            let sweep_cutoff = metric.raw_threshold(thr, || {
-                                qlen + children.iter().map(|c| c.max_len()).fold(0.0, f64::max)
-                            });
-                            edwp_lower_bound_aabb_batch(
-                                query,
-                                &child_boxes,
-                                sweep_cutoff,
-                                scratch,
-                                &mut prescreens,
-                            );
-                        }
-                        for (ci, child) in children.iter().enumerate() {
-                            if prescreened {
-                                let pre = metric.normalise(prescreens[ci], qlen + child.max_len());
-                                if pre > thr {
-                                    stats.bump_prescreened();
-                                    push(
-                                        &mut queue,
-                                        &mut seq,
-                                        pre.max(entry.key.0),
-                                        QueueItem::Node(child, at),
-                                    );
-                                    continue;
-                                }
-                            }
+                        for child in children {
                             let lb = node_bound(child, query, matching, collector, scratch, stats);
                             // Clamp to the parent key: both are valid
                             // bounds, and monotone keys keep the traversal
@@ -515,29 +446,31 @@ pub(crate) fn best_first<C: Collector>(
                                 &mut queue,
                                 &mut seq,
                                 lb.max(entry.key.0),
-                                QueueItem::Node(child, at),
+                                QueueItem::Node(child, si, ri),
                             );
                         }
                     }
                     Node::Leaf { ids, .. } => {
-                        let (si, ri) = unslot(at);
-                        let (shard, run) = (&shards[si], &shards[si].runs()[ri]);
+                        let shard = &shards[si as usize];
+                        let run = &shard.runs()[ri as usize];
                         for &id in ids {
+                            let gid = run.global(id);
                             // Tombstoned members still sit in the tree (a
                             // run is immutable until a merge or reshard
                             // rebuilds it); skip them here so they never
                             // become candidates.
-                            if shard.is_dead(run.global(id)) {
+                            if shard.is_dead(gid) {
                                 continue;
                             }
                             stats.bump_bounds();
                             // Tighter per-trajectory refinement: exact
                             // segment-to-polyline distances instead of box
                             // distances.
+                            let t = run.traj(id);
                             let lb = metric.lower_bound_trajectory(
                                 mode,
                                 query,
-                                run.traj(id),
+                                t,
                                 Cutoff::constant(collector.threshold()),
                                 scratch,
                             );
@@ -545,15 +478,13 @@ pub(crate) fn best_first<C: Collector>(
                                 &mut queue,
                                 &mut seq,
                                 lb.max(entry.key.0),
-                                QueueItem::Traj(id, at),
+                                QueueItem::Traj(t, gid),
                             );
                         }
                     }
                 }
             }
-            QueueItem::Traj(id, at) => {
-                let (si, ri) = unslot(at);
-                let shard = &shards[si];
+            QueueItem::Traj(t, gid) => {
                 stats.bump_edwp();
                 // The exact DP runs under the live threshold too: a row of
                 // anchor states already above it proves the candidate can
@@ -568,12 +499,12 @@ pub(crate) fn best_first<C: Collector>(
                 let d = metric.distance_bounded(
                     mode,
                     query,
-                    shard.traj(ri, id),
+                    t,
                     Cutoff::constant(collector.threshold()),
                     scratch,
                 );
                 if d <= collector.threshold() {
-                    collector.offer(shard.global(ri, id), d);
+                    collector.offer(gid, d);
                 }
             }
         }

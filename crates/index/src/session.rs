@@ -37,7 +37,7 @@
 use crate::engine::{
     best_first, Collector, KnnCollector, Matching, Neighbor, QueryStats, RangeCollector,
 };
-use crate::shard::{shard_of, Shard, Snapshot, MAX_SHARDS};
+use crate::shard::{shard_of, Shard, Snapshot};
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
 use std::collections::BTreeSet;
@@ -161,20 +161,12 @@ fn shard_sections(snap: &Snapshot) -> Vec<Vec<(TrajId, &Trajectory)>> {
 /// path: [`SessionBuilder::build`], [`SessionBuilder::open`] and
 /// [`Session::reshard`] all reach their trees through this call, one run
 /// per shard.
-///
-/// # Panics
-/// Panics when `n` exceeds 2^26 shards, past which a traversal cannot
-/// name a shard's runs.
 fn build_shards(
     pairs: Vec<(TrajId, Trajectory)>,
     n: usize,
     config: &TrajTreeConfig,
 ) -> Vec<Arc<Shard>> {
     debug_assert!(n >= 1, "the shard count is clamped before routing");
-    assert!(
-        n <= MAX_SHARDS,
-        "{n} shards exceed the {MAX_SHARDS} supported"
-    );
     let mut parts: Vec<Vec<(TrajId, Trajectory)>> = (0..n).map(|_| Vec::new()).collect();
     for (gid, t) in pairs {
         parts[shard_of(gid, n)].push((gid, t));
@@ -713,9 +705,7 @@ impl SessionBuilder {
     /// least 1). Defaults to 1 for [`SessionBuilder::build`] and to the
     /// stored snapshot's shard count for [`SessionBuilder::open`]. Results
     /// are bitwise identical at any shard count — raise it to parallelise
-    /// bulk-loading and folds across cores. A traversal names a shard in
-    /// 26 bits, so building, opening or resharding with more than 2^26
-    /// shards panics.
+    /// bulk-loading and folds across cores.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self

@@ -156,32 +156,6 @@ impl Run {
     }
 }
 
-/// Bits of a traversal slot that name the run inside its shard. A shard
-/// holds at most 32 runs — member counts more than halve from run to run,
-/// and ids are `u32` — plus its delta, so six bits suffice.
-const RUN_BITS: u32 = 6;
-
-/// Most shards a session can hold: the traversal packs `(shard, run)` into
-/// one `u32` slot ([`slot`]).
-pub(crate) const MAX_SHARDS: usize = 1 << (32 - RUN_BITS);
-
-/// Packs a shard index and a run index of that shard into one traversal
-/// slot. The run index [`Shard::runs`]`().len()` names the delta.
-#[inline]
-pub(crate) fn slot(shard: usize, run: usize) -> u32 {
-    debug_assert!(shard < MAX_SHARDS && run < 1 << RUN_BITS);
-    ((shard as u32) << RUN_BITS) | run as u32
-}
-
-/// The `(shard, run)` pair a [`slot`] packs.
-#[inline]
-pub(crate) fn unslot(slot: u32) -> (usize, usize) {
-    (
-        (slot >> RUN_BITS) as usize,
-        (slot & ((1 << RUN_BITS) - 1)) as usize,
-    )
-}
-
 impl Shard {
     /// A shard of at most one run, with an empty delta and tombstone set.
     fn over(run: Option<Run>) -> Self {
@@ -304,8 +278,7 @@ impl Shard {
         Some((r, local as TrajId))
     }
 
-    /// The runs, oldest first. A traversal names the delta by the run
-    /// index `runs().len()`.
+    /// The runs, oldest first.
     #[inline]
     pub(crate) fn runs(&self) -> &[Arc<Run>] {
         &self.runs
@@ -316,26 +289,6 @@ impl Shard {
     #[inline]
     pub(crate) fn delta(&self) -> &[(TrajId, Arc<Trajectory>)] {
         &self.delta
-    }
-
-    /// The global id of local id `local` of run `run`, where run
-    /// `runs().len()` is the delta at offset `local`.
-    #[inline]
-    pub(crate) fn global(&self, run: usize, local: TrajId) -> TrajId {
-        match self.runs.get(run) {
-            Some(r) => r.global(local),
-            None => self.delta[local as usize].0,
-        }
-    }
-
-    /// The trajectory at local id `local` of run `run`, addressed as in
-    /// [`Shard::global`].
-    #[inline]
-    pub(crate) fn traj(&self, run: usize, local: TrajId) -> &Trajectory {
-        match self.runs.get(run) {
-            Some(r) => r.traj(local),
-            None => &self.delta[local as usize].1,
-        }
     }
 
     /// Whether run member `gid` is tombstoned — the one check that keeps a
@@ -572,13 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_pack_every_shard_and_run_index() {
-        for (shard, run) in [(0, 0), (0, 32), (3, 1), (MAX_SHARDS - 1, 63)] {
-            assert_eq!(unslot(slot(shard, run)), (shard, run));
-        }
-    }
-
-    #[test]
     fn snapshot_routes_global_ids() {
         let shards: Vec<Arc<Shard>> = (0..3)
             .map(|s| Arc::new(bulk((0..7u32).filter(|g| *g as usize % 3 == s))))
@@ -752,13 +698,9 @@ mod tests {
         assert_eq!(shard.delta().len(), 2, "the delta shrinks at once");
         assert!(shard.dead.is_empty(), "no tombstone for a delta member");
         assert!(shard.get_global(6).is_none());
-        // Delta offsets past the removed slot shift down and still resolve
-        // (the delta is run index `runs().len()`).
-        let delta = shard.runs().len();
-        assert_eq!(
-            (shard.global(delta, 1), shard.traj(delta, 1).first().p.x),
-            (8, 8.0)
-        );
+        // Delta offsets past the removed slot shift down and still resolve.
+        let (gid, t) = &shard.delta()[1];
+        assert_eq!((*gid, t.first().p.x), (8, 8.0));
         // The clone taken before the removal still holds the member.
         assert_eq!(held.get_global(6).unwrap().first().p.x, 6.0);
     }
@@ -823,11 +765,9 @@ mod tests {
         assert!(held.get_global(2).is_none());
         assert_eq!(held.get_global(3).unwrap().first().p.x, 3.0);
         assert!(held.get_global(44).is_none());
-        assert_eq!((held.global(1, 3), held.traj(1, 3).first().p.x), (43, 43.0));
-        assert_eq!(
-            (shard.global(1, 7), shard.traj(1, 7).first().p.x),
-            (47, 47.0)
-        );
+        let (run, live) = (&held.runs()[1], &shard.runs()[1]);
+        assert_eq!((run.global(3), run.traj(3).first().p.x), (43, 43.0));
+        assert_eq!((live.global(7), live.traj(7).first().p.x), (47, 47.0));
         assert!(shard.get_global(3).is_none());
     }
 }

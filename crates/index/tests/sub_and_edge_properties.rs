@@ -13,13 +13,16 @@
 //!   same (possibly empty) result on the indexed, brute-force and batch
 //!   paths;
 //! * `SessionBuilder::shards(0)` builds a working 1-shard session instead
-//!   of a router that panics on `id % 0`.
+//!   of a router that panics on `id % 0`;
+//! * a trip at the edge of the coordinate domain (`|x|, |y| ≤ 1e100`)
+//!   finds its own stored copy at distance 0, and one past it is refused
+//!   at construction instead of answered at `inf`.
 
 mod common;
 
 use common::{clustered_db, manual_scan, trajectory};
 use proptest::prelude::*;
-use traj_core::Trajectory;
+use traj_core::{CoreError, StPoint, Trajectory};
 use traj_dist::{Metric, QueryMode};
 use traj_gen::TrajGen;
 use traj_index::{Neighbor, Session, TrajStore};
@@ -310,4 +313,40 @@ fn sub_mode_prunes_over_half_the_database_on_clustered_data() {
         total.queries,
         total.db_size,
     );
+}
+
+/// Past the coordinate domain the squared gaps overflow: a trip scaled by
+/// `1e155` has `edwp(a, a) = inf`, and index and brute force alike would
+/// answer its k-NN with the *other* stored trip at `inf` instead of its
+/// own copy at 0 (from `1e154` already). At the domain's edge the answer
+/// is right; past it, construction refuses.
+#[test]
+fn a_trip_past_the_coordinate_domain_is_refused_not_matched_at_inf() {
+    let trip = |s: f64| {
+        Trajectory::new(vec![
+            StPoint::new(0.0, 0.0, 0.0),
+            StPoint::new(s, 0.5 * s, 1.0),
+            StPoint::new(2.0 * s, -s, 2.0),
+        ])
+    };
+    let other = |s: f64| {
+        Trajectory::new(vec![
+            StPoint::new(0.1 * s, 0.0, 0.0),
+            StPoint::new(0.5 * s, 0.35 * s, 1.0),
+        ])
+    };
+    let (a, b) = (trip(5e99).unwrap(), other(5e99).unwrap());
+    let mut session = Session::build(TrajStore::from(vec![b, a.clone()]));
+    for metric in [Metric::Edwp, Metric::EdwpNormalized] {
+        let self_match = Neighbor {
+            id: 1,
+            distance: 0.0,
+        };
+        let indexed = session.query(&a).metric(metric).knn(1);
+        assert_eq!(indexed.neighbors, [self_match], "{}", metric.name());
+        let brute = session.query(&a).metric(metric).brute_force().knn(1);
+        assert_eq!(brute.neighbors, [self_match], "{}", metric.name());
+    }
+    assert_eq!(trip(1e155), Err(CoreError::OutOfDomain { index: 1 }));
+    assert_eq!(other(1e155), Err(CoreError::OutOfDomain { index: 0 }));
 }

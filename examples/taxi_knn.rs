@@ -127,10 +127,9 @@ fn main() {
         batch_stats.pruning_ratio() * 100.0
     );
     println!(
-        "kernels:      {} ISA; {} children skipped by the AABB prescreen, {} queue entries \
-         cut by the threshold",
+        "kernels:      {} ISA; {} bounds evaluated, {} queue entries cut by the threshold",
         session.kernel_isa(),
-        batch_stats.aabb_prescreened,
+        batch_stats.bound_evaluations,
         batch_stats.bound_pruned
     );
 }
